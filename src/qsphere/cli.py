@@ -1,8 +1,9 @@
 """Command-line front end: compose the verification suites, emit JSON.
 
 Consumers are scripts and CI.  Exit status: 0 all checks pass, 1 at least
-one check failed, 2 usage error, 3 an oracle precondition was violated.
-Flags can be pre-seeded through QSPHERE_* environment variables.
+one check failed, 2 usage error, 3 an oracle precondition was violated,
+4 engine fault (any other exception escaping a suite).  Flags can be
+pre-seeded through QSPHERE_* environment variables.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +48,6 @@ class SuiteConfig:
     v0: Fraction = None
     sigma: str = None
     out: str = None
-    threads: int = None  # accepted as a hint; execution is deterministic
 
 
 def _env_default(name, cast=str):
@@ -87,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="branch sign of the specialized weight",
     )
     v.add_argument("--out", default=_env_default("OUT"), help="report path (default stdout)")
-    v.add_argument(
-        "--threads",
-        type=int,
-        default=_env_default("THREADS", int),
-        help="worker hint (checks are pure; current runner is serial)",
-    )
     return p
 
 
@@ -114,7 +109,23 @@ def _suite_kwargs(name, cfg: SuiteConfig):
     return kw
 
 
+def _check_config(cfg: SuiteConfig):
+    """Reject flag values that no suite accepts, before anything runs."""
+    if cfg.n is not None and cfg.n < 1:
+        raise UsageError("--n must be at least 1")
+    if cfg.max_deg is not None and cfg.max_deg < 0:
+        raise UsageError("--max-deg must be non-negative")
+    if cfg.v0 is not None:
+        try:
+            v0 = Fraction(cfg.v0)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError("--v must be a rational number P or P/Q, not %r" % cfg.v0) from None
+        if v0 in (0, 1, -1):
+            raise UsageError("--v must avoid 0 and the unit points")
+
+
 def _validate(name, cfg: SuiteConfig):
+    _check_config(cfg)
     kw = _suite_kwargs(name, cfg)
     n = kw.get("n", 2)
     if name in DELTA_SUITES and n < 2:
@@ -125,10 +136,6 @@ def _validate(name, cfg: SuiteConfig):
         raise UsageError("suite %r runs at the specialized weight, not generic" % name)
     if cfg.mode == "specialized" and name in GENERIC_SUITES:
         raise UsageError("suite %r is inherently generic" % name)
-    if cfg.v0 is not None:
-        v0 = Fraction(cfg.v0)
-        if v0 in (0, 1, -1):
-            raise UsageError("--v must avoid 0 and the unit points")
     return kw
 
 
@@ -144,6 +151,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
 
 
 def run_all(cfg: SuiteConfig) -> VerificationReport:
+    _check_config(cfg)
     agg = VerificationReport(
         "all",
         {
@@ -179,7 +187,6 @@ def run_all(cfg: SuiteConfig) -> VerificationReport:
                 v0=cfg.v0,
                 sigma=cfg.sigma,
                 out=None,
-                threads=cfg.threads,
             )
             sub = run_suite(name, sub_cfg)
         status[name] = sub.passed
@@ -214,7 +221,6 @@ def main(argv=None) -> int:
         v0=args.v0,
         sigma=args.sigma,
         out=args.out,
-        threads=args.threads,
     )
     try:
         if args.suite == "all":
@@ -227,9 +233,10 @@ def main(argv=None) -> int:
     except OracleError as e:
         print("oracle precondition violated: %s" % e, file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as e:
-        print("usage error: %s" % e, file=sys.stderr)
-        return 2
+    except Exception as e:
+        traceback.print_exc(file=sys.stderr)
+        print("engine fault: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 4
     _emit(report, cfg.out)
     return 0 if report.passed else 1
 

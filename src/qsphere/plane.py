@@ -195,14 +195,6 @@ class PlanePoly:
             comps.setdefault(w, {})[m] = c
         return comps
 
-    def map_coeffs(self, fn) -> "PlanePoly":
-        out = PlanePoly(self.n)
-        for m, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out.terms[m] = v
-        return out
-
     def __str__(self):
         if not self.terms:
             return "0"

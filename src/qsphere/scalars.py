@@ -762,10 +762,6 @@ class SpecMode:
             w = qqi_mul(w, v0)
         return SpecMode("numeric", sigma, v0)
 
-    @property
-    def is_symbolic(self):
-        return self.kind != "numeric"
-
     def label(self) -> str:
         if self.kind == "generic":
             return "generic"

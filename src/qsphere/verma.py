@@ -7,6 +7,11 @@ highest- and lowest-weight modules, the contravariant (Shapovalov) form,
 Gram matrices, ranks, and the ladder oracle deciding equality inside the
 quotient module -- reduces to this functional.
 
+The functional is computed once, over the generic field; the specialized
+and numeric modes are its images under ring homomorphisms.  A context
+therefore picks one coefficient ring for its mode, and the single engine
+(``_step`` driven by ``_evaluate``) runs unchanged over either ring.
+
 Equality in the enveloping algebra and in the module is *never* decided by
 rewriting: an element is declared zero exactly when it pairs to zero with a
 spanning family, and the spanning property itself is certified bottom-up by
@@ -18,35 +23,121 @@ from __future__ import annotations
 
 from .scalars import (
     G1,
+    PONE,
     QQI_ONE,
     QQI_ZERO,
     ONE,
     ZERO,
     Scalar,
     SpecMode,
+    _mono_neg,
+    _spec_poly_sigma,
+    _strip,
+    peval_qqi,
     pmul,
-    qqi,
     qqi_add,
     qqi_inv,
     qqi_mul,
-    qqi_sub,
-    qqi_pow,
     scalar_from_qqi,
     scalar_to_qqi,
 )
 from .words import AlgElt, Weight, alpha_vec, antipode, cartan_pairing, omega, root_vector
 
 _QDIFF = {(2,): G1, (-2,): (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
+_ONE_KEY = tuple(PONE.items())
 
-_qdiff_pows = {0: {(): G1}, 1: dict(_QDIFF)}
+# A coefficient ring of the engine provides: ``zero``; ``eunit``, the factor
+# each raising letter contributes; ``mul``; ``iadd(acc, key, val)``, adding
+# val into acc[key]; ``hom``, the image of a generic Laurent polynomial;
+# ``lift``, a scalar as (group key, ring element); and ``finish``, turning
+# the accumulated values of one group into a Scalar.
 
 
-def _qdiff_pow(p):
-    out = _qdiff_pows.get(p)
-    if out is None:
-        out = pmul(_qdiff_pow(p - 1), _QDIFF)
-        _qdiff_pows[p] = out
-    return out
+class _PolyRing:
+    """Laurent numerators over Z[i], for the generic and specialized modes.
+
+    Each raising letter contributes a factor 1/(q - q^{-1}); it is kept
+    aside as a count and restored by ``finish``, so state coefficients stay
+    polynomial.  Right-hand coefficients are split into numerator and
+    denominator by ``lift``, and states are grouped by denominator.
+    """
+
+    zero: dict = {}
+    eunit = PONE
+    mul = staticmethod(pmul)
+
+    def __init__(self, mode: SpecMode):
+        self._sigma = mode.sigma if mode.kind == "specialized" else None
+        self._den_cache = {0: PONE, 1: _QDIFF}
+
+    def hom(self, p):
+        return p if self._sigma is None else _spec_poly_sigma(p, self._sigma)
+
+    @staticmethod
+    def iadd(acc, key, val):
+        """acc[key] += val in place; val itself is never retained."""
+        s = acc.get(key)
+        if s is None:
+            acc[key] = dict(val)
+            return
+        for k, g in val.items():
+            sg = s.get(k)
+            sg = g if sg is None else (sg[0] + g[0], sg[1] + g[1])
+            if sg == (0, 0):
+                s.pop(k, None)
+            else:
+                s[k] = sg
+
+    @staticmethod
+    def lift(c: Scalar):
+        return tuple(sorted(c.den.items())), c.num
+
+    def _den(self, p):
+        """(q - q^{-1})^p as a Laurent polynomial in v."""
+        out = self._den_cache.get(p)
+        if out is None:
+            out = pmul(self._den(p - 1), _QDIFF)
+            self._den_cache[p] = out
+        return out
+
+    def finish(self, acc, den_key) -> Scalar:
+        """The scalar sum of c * poly / (q - q^{-1})^p over acc[(p, c)],
+        divided by the group's denominator."""
+        part = ZERO
+        for (p, c), poly in acc.items():
+            if poly:
+                part = part + c * Scalar(poly, self._den(p))
+        if den_key != _ONE_KEY:
+            part = part / Scalar(dict(den_key))
+        return part
+
+
+class _QQiRing:
+    """Gaussian rationals at v = v0, for the numeric mode."""
+
+    zero = QQI_ZERO
+    mul = staticmethod(qqi_mul)
+
+    def __init__(self, mode: SpecMode):
+        self._mode = mode
+        self.eunit = qqi_inv(self.hom(_QDIFF))
+
+    def hom(self, p):
+        return peval_qqi(_spec_poly_sigma(p, self._mode.sigma), self._mode.v0)
+
+    @staticmethod
+    def iadd(acc, key, val):
+        s = acc.get(key)
+        acc[key] = val if s is None else (s[0] + val[0], s[1] + val[1])
+
+    def lift(self, c: Scalar):
+        return None, scalar_to_qqi(c, self._mode)
+
+    def finish(self, acc, _den_key) -> Scalar:
+        tot = QQI_ZERO
+        for (_p, c), val in acc.items():
+            tot = qqi_add(tot, qqi_mul(scalar_to_qqi(c, self._mode), val))
+        return scalar_from_qqi(tot)
 
 
 class OracleError(RuntimeError):
@@ -54,220 +145,86 @@ class OracleError(RuntimeError):
 
 
 class EvalContext:
-    """Rank, specialization mode and cached root data for one suite run."""
+    """Rank, specialization mode, coefficient ring and cached root data for
+    one suite run."""
 
-    def __init__(self, n: int, mode: SpecMode, max_weight_bound: int = 16):
+    def __init__(self, n: int, mode: SpecMode):
         if n < 1:
             raise ValueError("rank must be at least 1")
         self.n = n
         self.mode = mode
-        self.max_weight_bound = max_weight_bound
+        self.ring = _QQiRing(mode) if mode.kind == "numeric" else _PolyRing(mode)
         self.alpha = [None] + [alpha_vec(i, n) for i in range(1, n + 1)]
         self.cart = [None] + [
             [0] + [cartan_pairing(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
         ]
         self._ecoef_cache: dict = {}
+        self._kfactor_cache: dict = {}
         self._rank_gate: dict = {}
         self._pair_memo: dict = {}
-        self._numeric = mode.kind == "numeric"
-        if self._numeric:
-            self._v0 = mode.v0
-            self._v0_pows: dict = {0: QQI_ONE}
-
-    # -- numeric helpers ------------------------------------------------------
-
-    def v0_pow(self, k: int):
-        out = self._v0_pows.get(k)
-        if out is None:
-            out = qqi_pow(self._v0, k)
-            self._v0_pows[k] = out
-        return out
-
-    # -- E-crossing coefficients ----------------------------------------------
 
     def ecoef(self, i: int, a: int):
         """Coefficient created when a raising letter consumes a matching
         lowering letter over a tail of pairing value a; None when zero.
 
-        In symbolic modes this is the numerator only, one global factor of
-        (q - q^{-1}) per raising letter being accounted for separately.
+        Generically this is (v^{2a} L_i/L_{i-1} - v^{-2a} L_{i-1}/L_i) over
+        q - q^{-1} (with L_0 = 1), mapped into the context's ring.
         """
         key = (i, a)
         out = self._ecoef_cache.get(key, False)
-        if out is not False:
-            return out
-        kind = self.mode.kind
-        if kind == "specialized":
-            if i == 1:
-                u = (0, self.mode.sigma)
-                out = {(2 * a - 1,): u, (1 - 2 * a,): u}
-            elif a == 0:
+        if out is False:
+            mono = [0] * (i + 1)
+            mono[0] = 2 * a
+            mono[i] = 1
+            if i > 1:
+                mono[i - 1] = -1
+            mono = tuple(mono)
+            ring = self.ring
+            out = ring.mul(ring.hom({mono: G1, _mono_neg(mono): (-1, 0)}), ring.eunit)
+            if out == ring.zero:
                 out = None
-            else:
-                out = {(2 * a,): G1, (-2 * a,): (-1, 0)}
-        elif kind == "generic":
-            if i == 1:
-                out = {(2 * a, 1): G1, (-2 * a, -1): (-1, 0)}
-            else:
-                k1 = [0] * (i + 1)
-                k1[0] = 2 * a
-                k1[i - 1] = -1
-                k1[i] = 1
-                k2 = [0] * (i + 1)
-                k2[0] = -2 * a
-                k2[i - 1] = 1
-                k2[i] = -1
-                out = {tuple(k1): G1, tuple(k2): (-1, 0)}
-        else:  # numeric
-            if i > 1 and a == 0:
-                out = None
-            else:
-                if i == 1:
-                    lam = qqi_mul(qqi(0, self.mode.sigma), self.v0_pow(-1))
-                else:
-                    lam = QQI_ONE
-                num = qqi_sub(
-                    qqi_mul(self.v0_pow(2 * a), lam),
-                    qqi_mul(self.v0_pow(-2 * a), qqi_inv(lam)),
-                )
-                den = qqi_sub(self.v0_pow(2), self.v0_pow(-2))
-                out = qqi_mul(num, qqi_inv(den))
-                if out == QQI_ZERO:
-                    out = None
-        self._ecoef_cache[key] = out
+            self._ecoef_cache[key] = out
         return out
 
     def kfactor(self, mu, wdot: int):
         """Multiplier for commuting a Cartan letter to the vacuum end:
         q^{(mu, wt)} times the highest-weight eigenvalue of the letter."""
-        kind = self.mode.kind
-        if kind == "generic":
-            key = (2 * wdot,) + tuple(mu)
-            while key and key[-1] == 0:
-                key = key[:-1]
-            return {key: G1}
-        s = sum(mu)
-        if kind == "specialized":
-            r = s % 4
-            unit = ((1, 0), (0, 1), (-1, 0), (0, -1))[r]
-            if self.mode.sigma < 0 and s % 2:
-                unit = (-unit[0], -unit[1])
-            e = 2 * wdot - s
-            return {((e,) if e else ()): unit}
-        unit = qqi_pow(qqi(0, self.mode.sigma), s % 4)
-        return qqi_mul(unit, self.v0_pow(2 * wdot - s))
+        key = (mu, wdot)
+        out = self._kfactor_cache.get(key)
+        if out is None:
+            out = self.ring.hom({_strip((2 * wdot,) + tuple(mu)): G1})
+            self._kfactor_cache[key] = out
+        return out
 
 
-def _estep_poly(state, i, cart_i, ctx):
+def _step(state, token, ctx):
+    """Apply one letter, read right to left, to a state mapping lowering
+    words (standing on the vacuum) to ring coefficients."""
+    kind, x = token
+    if kind == "f":
+        return {(x,) + w: c for w, c in state.items()}
+    ring = ctx.ring
+    mul = ring.mul
+    if kind == "K":
+        alpha = ctx.alpha
+        dots = [0] + [sum(m * a for m, a in zip(x, alpha[j])) for j in range(1, ctx.n + 1)]
+        kfactor = ctx.kfactor
+        return {w: mul(c, kfactor(x, -sum(dots[j] for j in w))) for w, c in state.items()}
+    iadd = ring.iadd
+    ecoef = ctx.ecoef
+    cart_i = ctx.cart[x]
     out: dict = {}
     for w, c in state.items():
         a = 0
         for t in range(len(w) - 1, -1, -1):
             j = w[t]
-            if j == i:
-                coef = ctx.ecoef(i, a)
+            if j == x:
+                coef = ecoef(x, a)
                 if coef is not None:
-                    nw = w[:t] + w[t + 1 :]
-                    nc = pmul(c, coef)
-                    s = out.get(nw)
-                    if s is None:
-                        out[nw] = nc
-                    else:
-                        for k, g in nc.items():
-                            sg = s.get(k)
-                            sg = g if sg is None else (sg[0] + g[0], sg[1] + g[1])
-                            if sg == (0, 0):
-                                s.pop(k, None)
-                            else:
-                                s[k] = sg
+                    iadd(out, w[:t] + w[t + 1 :], mul(c, coef))
             a -= cart_i[j]
-    return {w: c for w, c in out.items() if c}
-
-
-def _estep_num(state, i, cart_i, ctx):
-    out: dict = {}
-    for w, c in state.items():
-        a = 0
-        for t in range(len(w) - 1, -1, -1):
-            j = w[t]
-            if j == i:
-                coef = ctx.ecoef(i, a)
-                if coef is not None:
-                    nw = w[:t] + w[t + 1 :]
-                    nc = qqi_mul(c, coef)
-                    s = out.get(nw)
-                    out[nw] = nc if s is None else qqi_add(s, nc)
-            a -= cart_i[j]
-    return {w: c for w, c in out.items() if c != QQI_ZERO}
-
-
-def _kstep(state, mu, ctx):
-    n = ctx.n
-    dots = [0] * (n + 1)
-    for j in range(1, n + 1):
-        aj = ctx.alpha[j]
-        dots[j] = sum(m * a for m, a in zip(mu, aj))
-    out = {}
-    numeric = ctx._numeric
-    for w, c in state.items():
-        wdot = -sum(dots[j] for j in w)
-        fac = ctx.kfactor(mu, wdot)
-        out[w] = qqi_mul(c, fac) if numeric else pmul(c, fac)
-    return out
-
-
-def _vacuum_word_raw(word, ctx):
-    """Evaluate one free word; returns (raw coefficient or None, e-count)."""
-    numeric = ctx._numeric
-    state = {(): QQI_ONE if numeric else {(): G1}}
-    p = 0
-    estep = _estep_num if numeric else _estep_poly
-    for g in reversed(word):
-        kind = g[0]
-        if kind == "f":
-            state = {(g[1],) + w: c for w, c in state.items()}
-        elif kind == "e":
-            p += 1
-            state = estep(state, g[1], ctx.cart[g[1]], ctx)
-            if not state:
-                return None, p
-        else:
-            state = _kstep(state, g[1], ctx)
-    return state.get(()), p
-
-
-def vacuum_eval(x: AlgElt, ctx: EvalContext) -> Scalar:
-    """Cartan projection of an algebra element, evaluated at the weight."""
-    if ctx._numeric:
-        acc = QQI_ZERO
-        for w, c in x.terms.items():
-            val, _p = _vacuum_word_raw(w, ctx)
-            if val is not None:
-                acc = qqi_add(acc, qqi_mul(scalar_to_qqi(c, ctx.mode), val))
-        return scalar_from_qqi(acc)
-    total = ZERO
-    for w, c in x.terms.items():
-        num, p = _vacuum_word_raw(w, ctx)
-        if num:
-            total = total + c * Scalar(num, _qdiff_pow(p))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Pairings of lowering-word combinations (the hot path)
-# ---------------------------------------------------------------------------
-
-def _pure_f_indices(x: AlgElt):
-    """As a list of (index word, coefficient); None if not a pure f-element."""
-    out = []
-    for w, c in x.terms.items():
-        idx = []
-        for g in w:
-            if g[0] != "f":
-                return None
-            idx.append(g[1])
-        out.append((tuple(idx), c))
-    return out
+    zero = ring.zero
+    return {w: c for w, c in out.items() if c != zero}
 
 
 def _build_trie(terms):
@@ -298,6 +255,77 @@ def _build_trie(terms):
     return root
 
 
+def _evaluate(left, right, ctx: EvalContext) -> Scalar:
+    """Sum of c * d * <u w> over left terms (u, c) and right terms (w, d).
+
+    Each u is a token word in processing order (right to left); each w is a
+    lowering index word standing on the vacuum.  All left words share one
+    trie walk per group of right terms.  A state word longer than the number
+    of raising letters left below a node can never reach the vacuum (a
+    lowering letter only lengthens it), so it is pruned.
+    """
+    ring = ctx.ring
+    iadd = ring.iadd
+    zero = ring.zero
+    groups: dict = {}
+    for w, d in right:
+        gkey, val = ring.lift(d)
+        iadd(groups.setdefault(gkey, {}), w, val)
+    trie = _build_trie(left)
+    total = ZERO
+    for gkey, state0 in groups.items():
+        state0 = {w: c for w, c in state0.items() if c != zero}
+        if not state0:
+            continue
+        acc: dict = {}  # values keyed by (raising-letter count, left coefficient)
+
+        def dfs(node, state, p):
+            ends = node.get("end")
+            if ends is not None:
+                val = state.get(())
+                if val is not None:
+                    for c in ends:
+                        iadd(acc, (p, c), val)
+            for token, child in node.items():
+                if token == "d" or token == "end":
+                    continue
+                ns = _step(state, token, ctx)
+                if ns:
+                    md = child["d"]
+                    if md < max(len(w) for w in ns):
+                        ns = {w: c for w, c in ns.items() if len(w) <= md}
+                        if not ns:
+                            continue
+                    dfs(child, ns, p + (token[0] == "e"))
+
+        dfs(trie, state0, 0)
+        total = total + ring.finish(acc, gkey)
+    return total
+
+
+def vacuum_eval(x: AlgElt, ctx: EvalContext) -> Scalar:
+    """Cartan projection of an algebra element, evaluated at the weight."""
+    left = [(tuple(reversed(w)), c) for w, c in x.terms.items()]
+    return _evaluate(left, [((), ONE)], ctx)
+
+
+# ---------------------------------------------------------------------------
+# Pairings of lowering-word combinations (the hot path)
+# ---------------------------------------------------------------------------
+
+def _pure_f_indices(x: AlgElt):
+    """As a list of (index word, coefficient); None if not a pure f-element."""
+    out = []
+    for w, c in x.terms.items():
+        idx = []
+        for g in w:
+            if g[0] != "f":
+                return None
+            idx.append(g[1])
+        out.append((tuple(idx), c))
+    return out
+
+
 def _left_token_words(x: AlgElt):
     """Words of a left factor as token tuples in processing order (right to
     left); None if any lowering letter appears."""
@@ -326,109 +354,7 @@ def pair_left(left, y: AlgElt, ctx: EvalContext) -> Scalar:
     yt = _pure_f_indices(y)
     if yt is None:
         raise ValueError("the right factor must be a pure lowering element")
-    if not left or not yt:
-        return ZERO
-    numeric = ctx._numeric
-
-    # group the y-side by coefficient denominator so state coefficients stay
-    # polynomial in symbolic modes
-    total = ZERO
-    acc_num = QQI_ZERO
-    groups: dict = {}
-    if numeric:
-        state0 = {}
-        for w, c in yt:
-            cv = scalar_to_qqi(c, ctx.mode)
-            s = state0.get(w)
-            state0[w] = cv if s is None else qqi_add(s, cv)
-        groups[None] = state0
-    else:
-        for w, c in yt:
-            den_key = tuple(sorted(c.den.items()))
-            st = groups.setdefault(den_key, (dict(c.den), {}))[1]
-            s = st.get(w)
-            if s is None:
-                st[w] = dict(c.num)
-            else:
-                for k, g in c.num.items():
-                    sg = s.get(k)
-                    sg = g if sg is None else (sg[0] + g[0], sg[1] + g[1])
-                    if sg == (0, 0):
-                        s.pop(k, None)
-                    else:
-                        s[k] = sg
-
-    trie = _build_trie(left)
-    estep = _estep_num if numeric else _estep_poly
-
-    for gkey, gval in groups.items():
-        if numeric:
-            state0 = gval
-            den_scalar = None
-        else:
-            den_poly, state0 = gval
-            den_scalar = Scalar(dict(den_poly)) if den_poly != {(): G1} else None
-        state0 = {w: c for w, c in state0.items() if c}
-        if not state0:
-            continue
-        # accumulate numerators keyed by (e-count, left coefficient)
-        sym_acc: dict = {}
-        num_acc = [QQI_ZERO]
-
-        def dfs(node, state, p):
-            ends = node.get("end")
-            if ends is not None:
-                val = state.get(())
-                if val:
-                    for c in ends:
-                        if numeric:
-                            num_acc[0] = qqi_add(
-                                num_acc[0], qqi_mul(scalar_to_qqi(c, ctx.mode), val)
-                            )
-                        else:
-                            key = (p, c)
-                            cur = sym_acc.get(key)
-                            if cur is None:
-                                sym_acc[key] = dict(val)
-                            else:
-                                for k, g in val.items():
-                                    sg = cur.get(k)
-                                    sg = g if sg is None else (sg[0] + g[0], sg[1] + g[1])
-                                    if sg == (0, 0):
-                                        cur.pop(k, None)
-                                    else:
-                                        cur[k] = sg
-            for token, child in node.items():
-                if token == "d" or token == "end":
-                    continue
-                md = child["d"]
-                if token[0] == "e":
-                    ns = estep(state, token[1], ctx.cart[token[1]], ctx)
-                    dp = 1
-                else:
-                    ns = _kstep(state, token[1], ctx)
-                    dp = 0
-                if ns:
-                    if md < max(len(w) for w in ns):
-                        ns = {w: c for w, c in ns.items() if len(w) <= md}
-                        if not ns:
-                            continue
-                    dfs(child, ns, p + dp)
-
-        dfs(trie, state0, 0)
-        if numeric:
-            acc_num = qqi_add(acc_num, num_acc[0])
-        else:
-            part = ZERO
-            for (p, c), poly in sym_acc.items():
-                if poly:
-                    part = part + c * Scalar(poly, _qdiff_pow(p))
-            if den_scalar is not None:
-                part = part / den_scalar
-            total = total + part
-    if numeric:
-        return scalar_from_qqi(acc_num)
-    return total
+    return _evaluate(left, yt, ctx)
 
 
 def shapovalov(x: AlgElt, y: AlgElt, ctx: EvalContext) -> Scalar:

@@ -75,9 +75,6 @@ class Weight:
             self.relative or other.relative,
         )
 
-    def height(self) -> int:
-        return sum(abs(c) for c in self.coords)
-
     def __repr__(self):
         tag = "lambda+" if self.relative else ""
         return "Weight(%s%s)" % (tag, list(self.coords))
@@ -220,9 +217,6 @@ class AlgElt:
         if wt is None:
             raise ValueError("weight of the zero element is undefined")
         return wt
-
-    def words_are(self, kind: str) -> bool:
-        return all(all(g[0] == kind for g in w) for w in self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items())

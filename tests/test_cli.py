@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qsphere.cli import main
 
 
@@ -38,6 +40,36 @@ def test_mode_mismatch_is_usage_error():
 def test_bad_numeric_point_is_usage_error():
     assert main(["verify", "irreducibility", "--v", "1"]) == 2
     assert main(["verify", "irreducibility", "--v", "0"]) == 2
+
+
+def test_malformed_numeric_point_is_usage_error():
+    assert main(["verify", "irreducibility", "--v", "abc"]) == 2
+    assert main(["verify", "irreducibility", "--v", "1/0"]) == 2
+    assert main(["verify", "all", "--v", "abc"]) == 2
+
+
+def test_out_of_range_bounds_are_usage_errors():
+    assert main(["verify", "factorization", "--n", "0"]) == 2
+    assert main(["verify", "all", "--n", "0"]) == 2
+    assert main(["verify", "star", "--max-deg", "-1"]) == 2
+
+
+def test_threads_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "harish", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_engine_fault_is_exit_four(monkeypatch, capsys):
+    import qsphere.suites as suites
+
+    def broken_harish(**kw):
+        raise ZeroDivisionError("inverse of zero")
+
+    monkeypatch.setitem(suites.SUITES, "harish", broken_harish)
+    assert main(["verify", "harish", "--n", "2", "--max-deg", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "engine fault" in err and "inverse of zero" in err
 
 
 def test_sigma_flag_single_branch(tmp_path):

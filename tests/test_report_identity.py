@@ -1,0 +1,38 @@
+"""Golden report identity: suite reports must not change under refactoring.
+
+Each digest is the SHA-256 of a suite's report JSON (``sort_keys=True``,
+``elapsed_ms`` removed).  The configurations together exercise the generic,
+specialized and numeric pairing paths.  A digest may only be updated by a
+change that deliberately alters what a suite reports.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from qsphere.cli import SuiteConfig, run_suite
+
+GOLDEN = [
+    ("factorization", 3, 2, "cfe88dd6456a04615af2d93d2dd4f3322a3d23a976321323810cf36ed4b5a790"),
+    ("harish", 2, 3, "c29e128b306b7db7830431acd17420b4d67f98cd5f0fc4b002f363b7b994a2f5"),
+    ("span", 2, 3, "78546d719b88c31204e075a5b07439cb229340e6f7760cab17f589f9d88b855e"),
+    ("normalizer", 2, 3, "6e30f9d035f28746634874b414e66c329beff9e9cf8391871c2080a349099711"),
+    ("irreducibility", 2, 3, "71b0299914ed81c03d8bd02406c947142fc63bb162457ed8a12a280440eac93c"),
+    ("f-inverse", 2, 2, "ac202929e86398add3594d986fadfb1c0663e4988f86a5d992c269f9840c1680"),
+    ("serre-radical", 2, None, "ec56c91ef40449fdcf25eb42c385cedfa0f96a2b8e7d3e5a8e7359a665ec5c5e"),
+    ("xyz", 3, None, "132fe0c37d9cc9cfaac0719b66a78fe123b10e58df3dc90cd3d2087c03fc88fa"),
+]
+
+
+def report_digest(name, n, max_deg):
+    report = run_suite(name, SuiteConfig(n=n, max_deg=max_deg)).to_dict()
+    report.pop("elapsed_ms")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name,n,max_deg,digest", GOLDEN, ids=["%s-n%d" % (g[0], g[1]) for g in GOLDEN]
+)
+def test_report_is_unchanged(name, n, max_deg, digest):
+    assert report_digest(name, n, max_deg) == digest
