@@ -59,6 +59,8 @@ from .report import VerificationReport, timer
 
 _Q = Scalar.v_power(2)
 _QBAR = Scalar.v_power(-2)
+# default irreducibility scope: the largest Gram slice (in words) it ranks
+_IRR_WORD_LIMIT = 200
 
 
 def _sigma_list(sigma):
@@ -437,7 +439,9 @@ def _rank_weights(n, max_deg):
     return sorted(weights, reverse=True)
 
 
-def verify_irreducibility(n=2, max_deg=4, sigma="both", v0=2, word_limit=200) -> VerificationReport:
+def verify_irreducibility(
+    n=2, max_deg=4, sigma="both", v0=2, word_limit=_IRR_WORD_LIMIT
+) -> VerificationReport:
     """Full-slice Gram ranks against basis counts, plus nonzero diagonals.
 
     Weights whose word enumeration exceeds word_limit are outside the
@@ -459,6 +463,7 @@ def verify_irreducibility(n=2, max_deg=4, sigma="both", v0=2, word_limit=200) ->
     with timer(rep):
         for s in sigmas:
             sctx = EvalContext(n, SpecMode.specialized(s))
+            nctxs = [(p, EvalContext(n, SpecMode.numeric(p, s))) for p in points]
             for mu in _rank_weights(n, max_deg):
                 expected = 0 if any(c > 0 for c in mu) else 1
                 if expected and sum(-c for c in mu) > max_deg + 1:
@@ -466,8 +471,7 @@ def verify_irreducibility(n=2, max_deg=4, sigma="both", v0=2, word_limit=200) ->
                 words = fwords_of_weight(mu, n)
                 if not words or len(words) > word_limit:
                     continue
-                for p in points:
-                    ctx = EvalContext(n, SpecMode.numeric(p, s))
+                for p, ctx in nctxs:
                     r = rank_at(Weight(mu), ctx)
                     rep.record(
                         "rank:mu=%s,v0=%s|sigma=%+d" % (list(mu), p, s),
@@ -483,7 +487,7 @@ def verify_irreducibility(n=2, max_deg=4, sigma="both", v0=2, word_limit=200) ->
                     "diagonal form value vanishes",
                 )
         _branch_invariance(rep, sigmas)
-    _IRR_GATE[(n, max_deg, tuple(sigmas))] = rep.passed
+    _IRR_GATE[(n, max_deg, tuple(sigmas), Fraction(v0), word_limit)] = rep.passed
     return rep
 
 
@@ -523,17 +527,20 @@ def verify_f_inverse(n=2, max_deg=4, sigma="both") -> VerificationReport:
     return rep
 
 
-_IRR_GATE: dict = {}
+_IRR_GATE: dict = {}  # verdicts keyed on (n, max_deg, sigmas, v0, word_limit)
 
 
 def _ensure_irreducibility_gate(n, max_deg, sigmas):
+    """Judge by the full-scope verdicts (any v0, word_limit at least the
+    default), all of which must pass; with none, rerun at the defaults."""
     key = (n, max_deg, tuple(sigmas))
-    ok = _IRR_GATE.get(key)
-    if ok is None:
+    found = [
+        ok for (*k, _v0, lim), ok in _IRR_GATE.items() if tuple(k) == key and lim >= _IRR_WORD_LIMIT
+    ]
+    if not found:
         sub = verify_irreducibility(n, max_deg, "both" if len(sigmas) == 2 else sigmas[0])
-        ok = sub.passed
-        _IRR_GATE[key] = ok
-    if not ok:
+        found = [sub.passed]
+    if not all(found):
         raise OracleError("irreducibility gate failed; inverse-tensor checks are void")
 
 

@@ -21,10 +21,13 @@ the radical property of the defining relations, which has its own suite.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .scalars import (
+    G0,
     G1,
     PONE,
-    QQI_ONE,
     QQI_ZERO,
     ONE,
     ZERO,
@@ -54,7 +57,7 @@ _ONE_KEY = tuple(PONE.items())
 
 
 class _PolyRing:
-    """Laurent numerators over Z[i], for the generic and specialized modes.
+    """Laurent numerators over Z[i] in v and the L_j, for the generic mode.
 
     Each raising letter contributes a factor 1/(q - q^{-1}); it is kept
     aside as a count and restored by ``finish``, so state coefficients stay
@@ -67,11 +70,11 @@ class _PolyRing:
     mul = staticmethod(pmul)
 
     def __init__(self, mode: SpecMode):
-        self._sigma = mode.sigma if mode.kind == "specialized" else None
         self._den_cache = {0: PONE, 1: _QDIFF}
 
-    def hom(self, p):
-        return p if self._sigma is None else _spec_poly_sigma(p, self._sigma)
+    @staticmethod
+    def hom(p):
+        return p
 
     @staticmethod
     def iadd(acc, key, val):
@@ -110,6 +113,46 @@ class _PolyRing:
         if den_key != _ONE_KEY:
             part = part / Scalar(dict(den_key))
         return part
+
+
+def _vmul(p, r):
+    """Product of Laurent polynomials in v keyed by int exponents."""
+    out: dict = {}
+    for e1, (a, b) in p.items():
+        for e2, (c, d) in r.items():
+            re, im = out.get(e1 + e2, G0)
+            out[e1 + e2] = (re + a * c - b * d, im + a * d + b * c)
+    return {e: g for e, g in out.items() if g != G0}
+
+
+def _v_ints(p):
+    """A Laurent polynomial in v alone, from tuple keys to int keys."""
+    if any(len(k) > 1 for k in p):
+        raise ValueError("an L-symbol reached the specialized ring")
+    return {k[0] if k else 0: g for k, g in p.items()}
+
+
+class _VRing(_PolyRing):
+    """Laurent numerators in v alone with int exponent keys, for the
+    specialized mode, where every L_j is sent to sigma*i*v^{-1}."""
+
+    eunit = {0: G1}
+    mul = staticmethod(_vmul)
+
+    def __init__(self, mode: SpecMode):
+        super().__init__(mode)
+        self._sigma = mode.sigma
+
+    def hom(self, p):
+        return _v_ints(_spec_poly_sigma(p, self._sigma))
+
+    @staticmethod
+    def lift(c: Scalar):
+        return tuple(sorted(c.den.items())), _v_ints(c.num)
+
+    def finish(self, acc, den_key) -> Scalar:
+        polys = {pc: {(e,) if e else (): g for e, g in p.items()} for pc, p in acc.items()}
+        return super().finish(polys, den_key)
 
 
 class _QQiRing:
@@ -153,7 +196,8 @@ class EvalContext:
             raise ValueError("rank must be at least 1")
         self.n = n
         self.mode = mode
-        self.ring = _QQiRing(mode) if mode.kind == "numeric" else _PolyRing(mode)
+        rings = {"generic": _PolyRing, "specialized": _VRing, "numeric": _QQiRing}
+        self.ring = rings[mode.kind](mode)
         self.alpha = [None] + [alpha_vec(i, n) for i in range(1, n + 1)]
         self.cart = [None] + [
             [0] + [cartan_pairing(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
@@ -161,7 +205,8 @@ class EvalContext:
         self._ecoef_cache: dict = {}
         self._kfactor_cache: dict = {}
         self._rank_gate: dict = {}
-        self._pair_memo: dict = {}
+        self._int_tables: list = [None]
+        self._int_scales = [1]
 
     def ecoef(self, i: int, a: int):
         """Coefficient created when a raising letter consumes a matching
@@ -185,6 +230,28 @@ class EvalContext:
                 out = None
             self._ecoef_cache[key] = out
         return out
+
+    def int_levels(self, k: int):
+        """Integer ecoef tables for levels 0..k, and the scale P_k (numeric
+        mode).  A step on words of length l only meets ecoef(i, a) with
+        |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as a gains
+        one Cartan entry per tail letter.  Level l maps i to {a: ecoef(i, a)
+        * s_l} over the nonzero values, s_l the lcm of their denominators;
+        a pairing of length-k words built from these Gaussian integers is
+        the true value times P_k = s_1 ... s_k."""
+        tables = self._int_tables
+        cmax = max(abs(x) for row in self.cart[1:] for x in row[1:])
+        while len(tables) <= k:
+            span = range(-cmax * (len(tables) - 1), cmax * (len(tables) - 1) + 1)
+            vals = [(i, a, self.ecoef(i, a)) for i in range(1, self.n + 1) for a in span]
+            vals = [t for t in vals if t[2] is not None]
+            s = lcm(*(x.denominator for _i, _a, val in vals for x in val))
+            table = [None] + [{} for _ in range(self.n)]
+            for i, a, val in vals:
+                table[i][a] = (int(val[0] * s), int(val[1] * s))
+            tables.append(table)
+            self._int_scales.append(self._int_scales[-1] * s)
+        return tables, self._int_scales[k]
 
     def kfactor(self, mu, wdot: int):
         """Multiplier for commuting a Cartan letter to the vacuum end:
@@ -388,6 +455,20 @@ def weight_alpha_counts(coords, n):
     return a[1:]
 
 
+def _append_words(prefix, remaining, out):
+    """Append prefix + each distinct ordering of the sorted remaining letters
+    to out, in lex order (not a closure, whose cycle would keep out alive)."""
+    if not remaining:
+        out.append(tuple(prefix))
+        return
+    last = None
+    for idx, letter in enumerate(remaining):
+        if letter == last:
+            continue
+        last = letter
+        _append_words(prefix + [letter], remaining[:idx] + remaining[idx + 1 :], out)
+
+
 def fwords_of_weight(coords, n, limit=None):
     """All words in the lowering generators of the given weight, lex order."""
     a = weight_alpha_counts(coords, n)
@@ -397,19 +478,7 @@ def fwords_of_weight(coords, n, limit=None):
     for j in range(1, n + 1):
         letters.extend([j] * a[j - 1])
     out = []
-
-    def rec(prefix, remaining):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        last = None
-        for idx, letter in enumerate(remaining):
-            if letter == last:
-                continue
-            last = letter
-            rec(prefix + [letter], remaining[:idx] + remaining[idx + 1 :])
-
-    rec([], sorted(letters))
+    _append_words([], sorted(letters), out)
     if limit is not None and len(out) > limit:
         raise OracleError(
             "weight %r has %d words, above the enumeration limit %d"
@@ -494,18 +563,9 @@ def _qqi_rows_to_gauss(rows):
     """Clear denominators row by row; entries become Gaussian integers."""
     out = []
     for row in rows:
-        den = 1
-        for re, im in row:
-            den = den * re.denominator // _igcd(den, re.denominator)
-            den = den * im.denominator // _igcd(den, im.denominator)
+        den = lcm(*(x.denominator for entry in row for x in entry))
         out.append([(int(re * den), int(im * den)) for re, im in row])
     return out
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank_gauss(rows) -> int:
@@ -541,37 +601,55 @@ def rank_gauss(rows) -> int:
     return rank
 
 
-def pair_words_qqi(u, w, ctx: EvalContext):
-    """<(raising word u) (lowering word w)> at a numeric point, memoized.
+def _pair_int(u, w, tables, cart, memo):
+    """<(raising word u) (lowering word w)> times P_len(w), for index tuples
+    u, w of equal length, from the tables of ``EvalContext.int_levels``.
 
-    u and w are index tuples; the recursion consumes the rightmost raising
-    letter against each matching lowering slot, so Gram slices share their
-    subproblems across entries.
+    The recursion consumes the rightmost raising letter against each
+    matching lowering slot, so the entries of a Gram slice share their
+    subproblems through memo, which must map ((), ()) to 1.
     """
-    if not u:
-        return QQI_ONE if not w else QQI_ZERO
-    if len(u) != len(w):
-        return QQI_ZERO
     key = (u, w)
-    memo = ctx._pair_memo
     val = memo.get(key)
     if val is not None:
         return val
+    k = len(w)
     c = u[-1]
-    cart_c = ctx.cart[c]
-    acc = QQI_ZERO
-    a = 0
-    for t in range(len(w) - 1, -1, -1):
+    table = tables[k][c]
+    cart_c = cart[c]
+    u1 = u[:-1]
+    re = im = a = 0
+    for t in range(k - 1, -1, -1):
         j = w[t]
         if j == c:
-            coef = ctx.ecoef(c, a)
-            if coef is not None:
-                sub = pair_words_qqi(u[:-1], w[:t] + w[t + 1 :], ctx)
-                if sub != QQI_ZERO:
-                    acc = qqi_add(acc, qqi_mul(coef, sub))
+            e = table.get(a)
+            if e is not None:
+                sr, si = _pair_int(u1, w[:t] + w[t + 1 :], tables, cart, memo)
+                if sr or si:
+                    re += e[0] * sr - e[1] * si
+                    im += e[0] * si + e[1] * sr
         a -= cart_c[j]
-    memo[key] = acc
-    return acc
+    val = (re, im) if re or im else G0
+    memo[key] = val
+    return val
+
+
+def pair_words_qqi(u, w, ctx: EvalContext):
+    """<(raising word u) (lowering word w)> at a numeric point: the integer
+    pairing divided by its scale."""
+    if len(u) != len(w):
+        return QQI_ZERO
+    tables, scale = ctx.int_levels(len(w))
+    re, im = _pair_int(u, w, tables, ctx.cart, {((), ()): G1})
+    return (Fraction(re, scale), Fraction(im, scale))
+
+
+def gram_int_rows(words, ctx: EvalContext):
+    """The Gram slice on words of one weight (all of length k) as Gaussian
+    integers: P_k times the rational Gram, hence of the same rank."""
+    tables, _scale = ctx.int_levels(len(words[0]))
+    memo = {((), ()): G1}
+    return [[_pair_int(tuple(reversed(a)), b, tables, ctx.cart, memo) for b in words] for a in words]
 
 
 def rank_at(weight: Weight, ctx: EvalContext, limit: int = 400) -> int:
@@ -581,10 +659,7 @@ def rank_at(weight: Weight, ctx: EvalContext, limit: int = 400) -> int:
     words = fwords_of_weight(weight.coords, ctx.n, limit=limit)
     if not words:
         return 0
-    rows = [
-        [pair_words_qqi(tuple(reversed(a)), b, ctx) for b in words] for a in words
-    ]
-    return rank_gauss(_qqi_rows_to_gauss(rows))
+    return rank_gauss(gram_int_rows(words, ctx))
 
 
 def ladder_spanning_set(coords, ctx: EvalContext):

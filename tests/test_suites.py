@@ -99,3 +99,40 @@ def test_failure_paths_record_witnesses():
     assert not rep.passed
     assert rep.failures[0].witness == "the witness"
     assert json.loads(rep.to_json())["checks"][0]["witness"] is None
+
+
+def _spy_irreducibility(monkeypatch):
+    """Record the word_limit of every irreducibility run the gate starts."""
+    runs = []
+    original = suites.verify_irreducibility
+
+    def spy(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        runs.append(rep.params["word_limit"])
+        return rep
+
+    monkeypatch.setattr(suites, "verify_irreducibility", spy)
+    return runs
+
+
+def test_narrowed_irreducibility_run_does_not_open_the_inverse_gate(monkeypatch):
+    monkeypatch.setattr(suites, "_IRR_GATE", {})
+    rep = suites.verify_irreducibility(2, 2, word_limit=0)
+    assert rep.passed and not any(c.name.startswith("rank:") for c in rep.checks)
+    runs = _spy_irreducibility(monkeypatch)
+    assert suites.verify_f_inverse(2, 2).passed
+    assert runs == [200]
+
+
+def test_full_scope_verdict_at_another_point_is_reused(monkeypatch):
+    monkeypatch.setattr(suites, "_IRR_GATE", {})
+    assert suites.verify_irreducibility(2, 2, v0=5).passed
+    runs = _spy_irreducibility(monkeypatch)
+    assert suites.verify_f_inverse(2, 2).passed
+    assert runs == []
+
+
+def test_failing_full_scope_verdict_closes_the_inverse_gate(monkeypatch):
+    monkeypatch.setattr(suites, "_IRR_GATE", {(2, 2, (1, -1), 2, 200): False, (2, 2, (1, -1), 3, 200): True})
+    with pytest.raises(OracleError):
+        suites.verify_f_inverse(2, 2)
