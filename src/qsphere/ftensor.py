@@ -16,12 +16,14 @@ from .verma import enumerate_b_indices
 class FTensor:
     """Truncated two-sided lift of the inverse invariant form."""
 
-    __slots__ = ("n", "D", "entries")
+    __slots__ = ("n", "D", "entries", "images")
 
     def __init__(self, n, D, entries):
         self.n = n
         self.D = D
         self.entries = entries  # list of (m, coeff, epart, fpart)
+        # contracted operand images, filled by plane.star for this tensor only
+        self.images = {}
 
     def coeff(self, m) -> Scalar:
         for mm, c, _e, _f in self.entries:

@@ -135,6 +135,10 @@ class PlanePoly:
     def is_zero(self):
         return not self.terms
 
+    def key(self):
+        """Canonical hashable form: sorted (monomial, Scalar key) pairs."""
+        return tuple(sorted((m, c.key()) for m, c in self.terms.items()))
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -293,16 +297,43 @@ def act_generator(g, p: PlanePoly) -> PlanePoly:
 
 def act(x: AlgElt, p: PlanePoly) -> PlanePoly:
     """Action of a word-algebra element: words compose right to left."""
-    acc = PlanePoly(p.n)
-    for w, c in x.terms.items():
-        cur = p
-        for g in reversed(w):
-            cur = act_generator(g, cur)
-            if cur.is_zero():
-                break
-        if not cur.is_zero():
-            acc = acc + cur.scaled(c)
-    return acc
+    return act_all([x], p)[0]
+
+
+def act_all(elts, p: PlanePoly) -> list:
+    """Images of p under each element of elts, in order.
+
+    Each word is walked right to left, and the image of every word suffix
+    is computed once per call and shared by all words that end in it (the
+    expanded root-vector words inside one F part, and across F parts, share
+    long suffixes).  The returned polynomials are fresh objects.
+    """
+    memo = {(): p}
+    out = []
+    for x in elts:
+        acc: dict = {}
+        for w, c in x.terms.items():
+            img = _suffix_image(w, memo)
+            if img:
+                _acc_add(acc, img.terms, c)
+        img = PlanePoly(p.n)
+        img.terms = acc
+        out.append(img)
+    return out
+
+
+def _suffix_image(word, memo):
+    """Image of memo[()] under word, extending the longest memoized suffix
+    leftwards one generator at a time and memoizing every new suffix."""
+    t = 0
+    while word[t:] not in memo:
+        t += 1
+    img = memo[word[t:]]
+    for s in range(t - 1, -1, -1):
+        if img:
+            img = act_generator(word[s], img)
+        memo[word[s:]] = img
+    return img
 
 
 def casimir(n: int) -> PlanePoly:
@@ -363,7 +394,13 @@ def iota(p: PlanePoly) -> PlanePoly:
 
 def star(p: PlanePoly, r: PlanePoly, F) -> PlanePoly:
     """Twisted multiplication: contract the inverse-form tensor through the
-    action and multiply the halves.
+    action and multiply the halves, sum_m c_m (e_m . p) (f_m . r).
+
+    The contraction is shared: the images of an operand under all raising
+    parts (left side) or all lowering parts (right side) come from one
+    suffix-shared walk (`act_all`) and are memoized on F, keyed by the
+    operand's canonical key, so every later star with that operand on that
+    side reuses them.  The memo lives exactly as long as F.
 
     Exactness of the truncation needs F.D >= 2*min(deg p, deg r): a raising
     (or lowering) monomial of total degree beyond twice the polynomial degree
@@ -374,16 +411,24 @@ def star(p: PlanePoly, r: PlanePoly, F) -> PlanePoly:
         raise ValueError(
             "tensor truncation %d is insufficient; need at least %d" % (F.D, need)
         )
-    acc = PlanePoly(p.n)
-    for m, c, ep, fp in F.entries:
-        left = act(ep, p)
-        if left.is_zero():
-            continue
-        right = act(fp, r)
-        if right.is_zero():
-            continue
-        acc = acc + (left * right).scaled(c)
-    return acc
+    lefts, rights = _contracted(F, 2, p), _contracted(F, 3, r)
+    acc: dict = {}
+    for (_m, c, _e, _f), left, right in zip(F.entries, lefts, rights):
+        if left and right:
+            _acc_add(acc, (left * right).terms, c)
+    out = PlanePoly(p.n)
+    out.terms = acc
+    return out
+
+
+def _contracted(F, side, p):
+    """Images of p under the F parts at tuple position side of each entry
+    (2: raising, 3: lowering), memoized on F; callers must not mutate them."""
+    key = (side, p.key())
+    imgs = F.images.get(key)
+    if imgs is None:
+        imgs = F.images[key] = act_all([entry[side] for entry in F.entries], p)
+    return imgs
 
 
 # ---------------------------------------------------------------------------

@@ -701,19 +701,20 @@ def verify_invariant_dims(n=2, max_deg=6, v0=2, **_ignored) -> VerificationRepor
                 sl.candidates_independent,
                 "candidates are dependent at a numeric point",
             )
+    _DIMS_GATE[(n, max_deg, points)] = rep.passed
     return rep
 
 
-_DIMS_GATE: dict = {}
+_DIMS_GATE: dict = {}  # verdicts keyed on (n, max_deg, points)
 
 
 def _ensure_dims_gate(n, max_deg):
-    key = (n, max_deg)
-    ok = _DIMS_GATE.get(key)
-    if ok is None:
-        ok = verify_invariant_dims(n, max_deg).passed
-        _DIMS_GATE[key] = ok
-    if not ok:
+    """Judge by the verdicts at rank n that cover every degree up to max_deg
+    (any points), all of which must pass; with none, rerun at max_deg."""
+    found = [ok for (nn, deg, _points), ok in _DIMS_GATE.items() if nn == n and deg >= max_deg]
+    if not found:
+        found = [verify_invariant_dims(n, max_deg).passed]
+    if not all(found):
         raise OracleError("invariant-dimension gate failed; star closure checks are void")
 
 
@@ -779,26 +780,24 @@ def verify_star(n=2, max_deg=2, **_ignored) -> VerificationReport:
 
 
 def _limit_equal(p, r):
+    """Whether p and r agree at v = 1; a pole there counts as a mismatch."""
+    lhs, rhs = _at_v_one(p), _at_v_one(r)
+    return lhs is not None and lhs == rhs
+
+
+def _at_v_one(p):
+    """The nonzero coefficients of p at v = 1, or None at a pole."""
     one_pt = qqi(1)
-    lhs = {}
+    out = {}
     for m, c in p.terms.items():
         nv = peval_qqi(c.num, one_pt)
         dv = peval_qqi(c.den, one_pt)
         if dv == QQI_ZERO:
-            return False
+            return None
         val = qqi_mul(nv, qqi_inv(dv))
         if val != QQI_ZERO:
-            lhs[m] = val
-    rhs = {}
-    for m, c in r.terms.items():
-        nv = peval_qqi(c.num, one_pt)
-        dv = peval_qqi(c.den, one_pt)
-        if dv == QQI_ZERO:
-            return False
-        val = qqi_mul(nv, qqi_inv(dv))
-        if val != QQI_ZERO:
-            rhs[m] = val
-    return lhs == rhs
+            out[m] = val
+    return out
 
 
 # ---------------------------------------------------------------------------

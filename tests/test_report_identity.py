@@ -2,8 +2,9 @@
 
 Each digest is the SHA-256 of a suite's report JSON (``sort_keys=True``,
 ``elapsed_ms`` removed).  The configurations together exercise the generic,
-specialized and numeric pairing paths.  A digest may only be updated by a
-change that deliberately alters what a suite reports.
+specialized and numeric pairing paths, and the plane suites cover the
+action, the invariant kernels and the star product.  A digest may only be
+updated by a change that deliberately alters what a suite reports.
 """
 
 import hashlib
@@ -22,6 +23,11 @@ GOLDEN = [
     ("f-inverse", 2, 2, "ac202929e86398add3594d986fadfb1c0663e4988f86a5d992c269f9840c1680"),
     ("serre-radical", 2, None, "ec56c91ef40449fdcf25eb42c385cedfa0f96a2b8e7d3e5a8e7359a665ec5c5e"),
     ("xyz", 3, None, "132fe0c37d9cc9cfaac0719b66a78fe123b10e58df3dc90cd3d2087c03fc88fa"),
+    ("module-algebra", 2, None, "75136dfeed37d4efefcfb9027cf424de81626e26af28356d1d29a75432e6bc14"),
+    ("delta-inv", 2, None, "75ad582a8bc5dc9cc0d74ccd480ad6b8d21fca13556765ac644a2dad75b00599"),
+    ("invariant-dims", 2, None, "56a1d2622ff4f450640e76441eba14e13b7e443dcccca853288190253e20f50c"),
+    ("star", 2, None, "048219878b61f221be238b499115b74db05b29b8a4200d5007f32fde330888d6"),
+    ("star", 3, None, "63db581b61a7044ebc10d3a7e139d3611e13d1e445c7ba91e3e645cb72e35804"),
 ]
 
 

@@ -3,6 +3,7 @@ import pytest
 from qsphere.scalars import QQI_ZERO, Scalar, peval_qqi, qqi, qqi_inv, qqi_mul, theta
 from qsphere.plane import PlanePoly, act, casimir, isotropy_operators, star
 from qsphere.ftensor import build_F
+from qsphere.suites import verify_star
 
 
 def x(k, n=2):
@@ -89,3 +90,9 @@ def test_star_is_not_associative_globally():
     F = build_F(n, 4)
     a, b, c = x(-1), x(1), x(1)
     assert star(star(a, b, F), c, F) != star(a, star(b, c, F), F)
+
+
+def test_rank_three_star_suite():
+    rep = verify_star(3)
+    assert rep.passed
+    assert len(rep.checks) == 97

@@ -136,3 +136,39 @@ def test_failing_full_scope_verdict_closes_the_inverse_gate(monkeypatch):
     monkeypatch.setattr(suites, "_IRR_GATE", {(2, 2, (1, -1), 2, 200): False, (2, 2, (1, -1), 3, 200): True})
     with pytest.raises(OracleError):
         suites.verify_f_inverse(2, 2)
+
+
+def _spy_invariant_dims(monkeypatch):
+    """Record the max_deg of every invariant-dims run the star gate starts."""
+    runs = []
+    original = suites.verify_invariant_dims
+
+    def spy(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        runs.append(rep.params["max_deg"])
+        return rep
+
+    monkeypatch.setattr(suites, "verify_invariant_dims", spy)
+    return runs
+
+
+def test_covering_dims_verdict_at_another_point_is_reused(monkeypatch):
+    monkeypatch.setattr(suites, "_DIMS_GATE", {})
+    assert suites.verify_invariant_dims(2, 3, v0=5).passed
+    runs = _spy_invariant_dims(monkeypatch)
+    assert suites.verify_star(2, 1).passed
+    assert runs == []
+
+
+def test_star_gate_reruns_without_a_covering_dims_verdict(monkeypatch):
+    monkeypatch.setattr(suites, "_DIMS_GATE", {})
+    assert suites.verify_invariant_dims(2, 1).passed
+    runs = _spy_invariant_dims(monkeypatch)
+    assert suites.verify_star(2, 1).passed
+    assert runs == [2]
+
+
+def test_failing_covering_dims_verdict_closes_the_star_gate(monkeypatch):
+    monkeypatch.setattr(suites, "_DIMS_GATE", {(2, 4, (2, 3)): False, (2, 6, (5, 3)): True})
+    with pytest.raises(OracleError):
+        suites.verify_star(2, 2)
