@@ -33,6 +33,7 @@ from .verma import (
     b_height,
     b_monomial,
     enumerate_b_indices,
+    fword_count,
     fword_elt,
     fwords_of_weight,
     invariant_form,
@@ -444,9 +445,9 @@ def verify_irreducibility(
 ) -> VerificationReport:
     """Full-slice Gram ranks against basis counts, plus nonzero diagonals.
 
-    Weights whose word enumeration exceeds word_limit are outside the
-    declared scope of the run (the limit is recorded in the report params);
-    at rank 2 the default limit covers every weight up to degree 4.
+    Weights whose word count exceeds word_limit are outside the declared
+    scope of the run (the limit is recorded in the report params); at rank
+    2 the default limit covers every weight up to degree 4.
     """
     sigmas = _sigma_list(sigma)
     points = _check_points(v0)
@@ -468,8 +469,8 @@ def verify_irreducibility(
                 expected = 0 if any(c > 0 for c in mu) else 1
                 if expected and sum(-c for c in mu) > max_deg + 1:
                     continue
-                words = fwords_of_weight(mu, n)
-                if not words or len(words) > word_limit:
+                count = fword_count(mu, n)
+                if count == 0 or count > word_limit:
                     continue
                 for p, ctx in nctxs:
                     r = rank_at(Weight(mu), ctx)

@@ -22,7 +22,7 @@ the radical property of the defining relations, which has its own suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .scalars import (
     G0,
@@ -469,8 +469,29 @@ def _append_words(prefix, remaining, out):
         _append_words(prefix + [letter], remaining[:idx] + remaining[idx + 1 :], out)
 
 
+def fword_count(coords, n):
+    """Number of words in the lowering generators of the given weight: the
+    multinomial (sum a_j)! / prod a_j! of the simple-root counts a_j, 0
+    outside the cone and 1 at the zero weight."""
+    a = weight_alpha_counts(coords, n)
+    if a is None:
+        return 0
+    out = factorial(sum(a))
+    for aj in a:
+        out //= factorial(aj)
+    return out
+
+
 def fwords_of_weight(coords, n, limit=None):
-    """All words in the lowering generators of the given weight, lex order."""
+    """All words in the lowering generators of the given weight, lex order;
+    OracleError, before any enumeration, when there are more than limit."""
+    if limit is not None:
+        count = fword_count(coords, n)
+        if count > limit:
+            raise OracleError(
+                "weight %r has %d words, above the enumeration limit %d"
+                % (tuple(coords), count, limit)
+            )
     a = weight_alpha_counts(coords, n)
     if a is None:
         return []
@@ -479,11 +500,6 @@ def fwords_of_weight(coords, n, limit=None):
         letters.extend([j] * a[j - 1])
     out = []
     _append_words([], sorted(letters), out)
-    if limit is not None and len(out) > limit:
-        raise OracleError(
-            "weight %r has %d words, above the enumeration limit %d"
-            % (tuple(coords), len(out), limit)
-        )
     return out
 
 
@@ -644,12 +660,33 @@ def pair_words_qqi(u, w, ctx: EvalContext):
     return (Fraction(re, scale), Fraction(im, scale))
 
 
+def _symmetric_rows(size, entry):
+    """The size x size matrix of entry(i, j), computed for i <= j only and
+    mirrored; see ``gram_int_rows`` for why a Gram matrix is symmetric."""
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        row = rows[i]
+        for j in range(i, size):
+            row[j] = rows[j][i] = entry(i, j)
+    return rows
+
+
 def gram_int_rows(words, ctx: EvalContext):
     """The Gram slice on words of one weight (all of length k) as Gaussian
-    integers: P_k times the rational Gram, hence of the same rank."""
+    integers: P_k times the rational Gram, hence of the same rank.
+
+    The contravariant form is symmetric in every mode and at every point:
+    <a, b> = eps(omega(a) b), omega is an involutive anti-automorphism and
+    eps o omega = eps, so <b, a> = eps(omega(omega(a) b)) = <a, b>.  Only
+    the entries with i <= j are computed; the others are mirrored.
+    """
     tables, _scale = ctx.int_levels(len(words[0]))
     memo = {((), ()): G1}
-    return [[_pair_int(tuple(reversed(a)), b, tables, ctx.cart, memo) for b in words] for a in words]
+    cart = ctx.cart
+    raising = [tuple(reversed(a)) for a in words]
+    return _symmetric_rows(
+        len(words), lambda i, j: _pair_int(raising[i], words[j], tables, cart, memo)
+    )
 
 
 def rank_at(weight: Weight, ctx: EvalContext, limit: int = 400) -> int:
@@ -687,13 +724,10 @@ def _ladder_rank_ok(coords, ctx: EvalContext, check_points=(2, 3)) -> bool:
     if span:
         for v0 in check_points:
             nctx = EvalContext(ctx.n, SpecMode.numeric(v0, ctx.mode.sigma))
-            rows = [
-                [
-                    scalar_to_qqi(shapovalov(a[2], b[2], nctx), nctx.mode)
-                    for b in span
-                ]
-                for a in span
-            ]
+            rows = _symmetric_rows(
+                len(span),
+                lambda i, j: scalar_to_qqi(shapovalov(span[i][2], span[j][2], nctx), nctx.mode),
+            )
             r = rank_gauss(_qqi_rows_to_gauss(rows))
             if r != expected:
                 ok = False

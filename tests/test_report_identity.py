@@ -20,6 +20,7 @@ GOLDEN = [
     ("span", 2, 3, "78546d719b88c31204e075a5b07439cb229340e6f7760cab17f589f9d88b855e"),
     ("normalizer", 2, 3, "6e30f9d035f28746634874b414e66c329beff9e9cf8391871c2080a349099711"),
     ("irreducibility", 2, 3, "71b0299914ed81c03d8bd02406c947142fc63bb162457ed8a12a280440eac93c"),
+    ("irreducibility", 3, None, "717606a30fe6736937ffa1f789031274a1975316260ba0226bc8f928c0c7385f"),
     ("f-inverse", 2, 2, "ac202929e86398add3594d986fadfb1c0663e4988f86a5d992c269f9840c1680"),
     ("serre-radical", 2, None, "ec56c91ef40449fdcf25eb42c385cedfa0f96a2b8e7d3e5a8e7359a665ec5c5e"),
     ("xyz", 3, None, "132fe0c37d9cc9cfaac0719b66a78fe123b10e58df3dc90cd3d2087c03fc88fa"),

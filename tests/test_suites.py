@@ -4,7 +4,7 @@ import pytest
 
 import qsphere.suites as suites
 from qsphere.report import VerificationReport
-from qsphere.verma import OracleError
+from qsphere.verma import OracleError, fwords_of_weight
 from qsphere.suites import (
     SUITES,
     SUITE_ORDER,
@@ -136,6 +136,27 @@ def test_failing_full_scope_verdict_closes_the_inverse_gate(monkeypatch):
     monkeypatch.setattr(suites, "_IRR_GATE", {(2, 2, (1, -1), 2, 200): False, (2, 2, (1, -1), 3, 200): True})
     with pytest.raises(OracleError):
         suites.verify_f_inverse(2, 2)
+
+
+@pytest.mark.parametrize("word_limit", [30, 29])
+def test_irreducibility_scope_is_the_enumerated_word_limit(monkeypatch, word_limit):
+    """Rank checks run exactly on the weights whose enumerated word list is
+    nonempty and at most word_limit long; two rank-3 weights at degree 2
+    have 30 words, so the two limits give different scopes."""
+    monkeypatch.setattr(suites, "_IRR_GATE", {})
+    n, max_deg = 3, 2
+    rep = suites.verify_irreducibility(n, max_deg, word_limit=word_limit)
+    want = set()
+    for mu in suites._rank_weights(n, max_deg):
+        if not any(c > 0 for c in mu) and sum(-c for c in mu) > max_deg + 1:
+            continue
+        words = fwords_of_weight(mu, n)
+        if words and len(words) <= word_limit:
+            for p in suites._check_points(2):
+                for s in (1, -1):
+                    want.add("rank:mu=%s,v0=%s|sigma=%+d" % (list(mu), p, s))
+    assert rep.passed
+    assert {c.name for c in rep.checks if c.name.startswith("rank:")} == want
 
 
 def _spy_invariant_dims(monkeypatch):

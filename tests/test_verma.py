@@ -4,10 +4,14 @@ from fractions import Fraction
 import pytest
 
 from qsphere.scalars import I_UNIT, ONE, ZERO, Scalar, SpecMode, specialize, theta
+import qsphere.verma as verma
+from qsphere.suites import _rank_weights
 from qsphere.words import AlgElt, Weight, alpha_vec, gen_k, omega, root_vector
 from qsphere.verma import (
     EvalContext,
+    OracleError,
     b_monomial,
+    fword_count,
     fword_elt,
     fwords_of_weight,
     gram,
@@ -204,6 +208,56 @@ def test_weight_combinatorics():
     assert len(fwords_of_weight((-1, -1), 2)) == 3
     assert fwords_of_weight((0, 0), 2) == [()]
     assert sorted(fwords_of_weight((1, -1), 2)) == [(2,)]
+
+
+def _count_by_last_letter(mu, n, memo):
+    """Reference word count that shares nothing with the root-count
+    expansion: a word of length L and weight wt ends in f_j after a word of
+    length L - 1 and weight wt + alpha_j.  A word of weight mu has at most
+    n * sum|mu_c| letters, since each root count is a tail sum of -mu."""
+    alphas = [alpha_vec(j, n) for j in range(1, n + 1)]
+
+    def count(wt, length):
+        if length == 0:
+            return int(not any(wt))
+        key = (wt, length)
+        if key not in memo:
+            memo[key] = sum(
+                count(tuple(c + a for c, a in zip(wt, al)), length - 1) for al in alphas
+            )
+        return memo[key]
+
+    return sum(count(tuple(mu), length) for length in range(n * sum(abs(c) for c in mu) + 1))
+
+
+OUTSIDE_CONE = {
+    1: [(1,), (2,)],
+    2: [(1, 0), (0, 1), (1, 1), (-1, 2)],
+    3: [(1, 0, 0), (0, 0, 1), (3, -1, -1), (0, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_word_count_is_the_enumeration_length(n):
+    memo = {}
+    for mu in _rank_weights(n, 4) + OUTSIDE_CONE[n]:
+        count = fword_count(mu, n)
+        assert count == _count_by_last_letter(mu, n, memo), mu
+        assert len(fwords_of_weight(mu, n, limit=count)) == count, mu
+        message = "has %d words, above the enumeration limit %d$" % (count, count - 1)
+        with pytest.raises(OracleError, match=message):
+            fwords_of_weight(mu, n, limit=count - 1)
+    for mu in OUTSIDE_CONE[n]:
+        assert fword_count(mu, n) == 0, mu
+
+
+def test_over_limit_weight_is_refused_without_enumerating(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("words were enumerated")
+
+    monkeypatch.setattr(verma, "_append_words", refuse)
+    with pytest.raises(OracleError):
+        fwords_of_weight((-4, -2, -1), 3, limit=200)
 
 
 def test_gram_slices():
