@@ -496,14 +496,6 @@ class Scalar:
         return Scalar({(k,): G1}, dict(PONE), _canonical=True)
 
     @staticmethod
-    def q_power(z) -> "Scalar":
-        """q**z for a half-integer z (so v**(2z) with integer exponent)."""
-        t = Fraction(z) * 2
-        if t.denominator != 1:
-            raise ValueError("q-exponent must be a half-integer")
-        return Scalar.v_power(int(t))
-
-    @staticmethod
     def L_power(j: int, k: int) -> "Scalar":
         if j < 1:
             raise ValueError("L-symbol index starts at 1")

@@ -473,7 +473,7 @@ def verify_irreducibility(
                 if count == 0 or count > word_limit:
                     continue
                 for p, ctx in nctxs:
-                    r = rank_at(Weight(mu), ctx)
+                    r = rank_at(Weight(mu), ctx, limit=word_limit)
                     rep.record(
                         "rank:mu=%s,v0=%s|sigma=%+d" % (list(mu), p, s),
                         r == expected,

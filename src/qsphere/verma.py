@@ -9,8 +9,10 @@ quotient module -- reduces to this functional.
 
 The functional is computed once, over the generic field; the specialized
 and numeric modes are its images under ring homomorphisms.  A context
-therefore picks one coefficient ring for its mode, and the single engine
-(``_step`` driven by ``_evaluate``) runs unchanged over either ring.
+therefore picks one of two coefficient rings -- generic Laurent numerators,
+or numerators in v alone for the specialized and numeric modes -- and the
+single engine (``_step`` driven by ``_evaluate``) runs unchanged over
+either.  A numeric value is the specialized value taken at the point.
 
 Equality in the enveloping algebra and in the module is *never* decided by
 rewriting: an element is declared zero exactly when it pairs to zero with a
@@ -38,11 +40,10 @@ from .scalars import (
     _strip,
     peval_qqi,
     pmul,
-    qqi_add,
     qqi_inv,
     qqi_mul,
-    scalar_from_qqi,
     scalar_to_qqi,
+    specialize,
 )
 from .words import AlgElt, Weight, alpha_vec, antipode, cartan_pairing, omega, root_vector
 
@@ -132,55 +133,33 @@ def _v_ints(p):
     return {k[0] if k else 0: g for k, g in p.items()}
 
 
+def _v_tuples(p):
+    """A Laurent polynomial in v alone, from int keys to tuple keys."""
+    return {(e,) if e else (): g for e, g in p.items()}
+
+
 class _VRing(_PolyRing):
     """Laurent numerators in v alone with int exponent keys, for the
-    specialized mode, where every L_j is sent to sigma*i*v^{-1}."""
+    specialized and numeric modes, where every L_j is sent to sigma*i*v^{-1}.
+    A numeric result is the specialized one evaluated at v0."""
 
     eunit = {0: G1}
     mul = staticmethod(_vmul)
 
     def __init__(self, mode: SpecMode):
         super().__init__(mode)
-        self._sigma = mode.sigma
+        self._mode = mode
 
     def hom(self, p):
-        return _v_ints(_spec_poly_sigma(p, self._sigma))
+        return _v_ints(_spec_poly_sigma(p, self._mode.sigma))
 
     @staticmethod
     def lift(c: Scalar):
         return tuple(sorted(c.den.items())), _v_ints(c.num)
 
     def finish(self, acc, den_key) -> Scalar:
-        polys = {pc: {(e,) if e else (): g for e, g in p.items()} for pc, p in acc.items()}
-        return super().finish(polys, den_key)
-
-
-class _QQiRing:
-    """Gaussian rationals at v = v0, for the numeric mode."""
-
-    zero = QQI_ZERO
-    mul = staticmethod(qqi_mul)
-
-    def __init__(self, mode: SpecMode):
-        self._mode = mode
-        self.eunit = qqi_inv(self.hom(_QDIFF))
-
-    def hom(self, p):
-        return peval_qqi(_spec_poly_sigma(p, self._mode.sigma), self._mode.v0)
-
-    @staticmethod
-    def iadd(acc, key, val):
-        s = acc.get(key)
-        acc[key] = val if s is None else (s[0] + val[0], s[1] + val[1])
-
-    def lift(self, c: Scalar):
-        return None, scalar_to_qqi(c, self._mode)
-
-    def finish(self, acc, _den_key) -> Scalar:
-        tot = QQI_ZERO
-        for (_p, c), val in acc.items():
-            tot = qqi_add(tot, qqi_mul(scalar_to_qqi(c, self._mode), val))
-        return scalar_from_qqi(tot)
+        value = super().finish({pc: _v_tuples(p) for pc, p in acc.items()}, den_key)
+        return value if self._mode.kind == "specialized" else specialize(value, self._mode)
 
 
 class OracleError(RuntimeError):
@@ -189,15 +168,15 @@ class OracleError(RuntimeError):
 
 class EvalContext:
     """Rank, specialization mode, coefficient ring and cached root data for
-    one suite run."""
+    one suite run.  The ring is ``_PolyRing`` in generic mode and ``_VRing``
+    in the specialized and numeric modes."""
 
     def __init__(self, n: int, mode: SpecMode):
         if n < 1:
             raise ValueError("rank must be at least 1")
         self.n = n
         self.mode = mode
-        rings = {"generic": _PolyRing, "specialized": _VRing, "numeric": _QQiRing}
-        self.ring = rings[mode.kind](mode)
+        self.ring = (_PolyRing if mode.kind == "generic" else _VRing)(mode)
         self.alpha = [None] + [alpha_vec(i, n) for i in range(1, n + 1)]
         self.cart = [None] + [
             [0] + [cartan_pairing(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
@@ -235,16 +214,19 @@ class EvalContext:
         """Integer ecoef tables for levels 0..k, and the scale P_k (numeric
         mode).  A step on words of length l only meets ecoef(i, a) with
         |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as a gains
-        one Cartan entry per tail letter.  Level l maps i to {a: ecoef(i, a)
-        * s_l} over the nonzero values, s_l the lcm of their denominators;
-        a pairing of length-k words built from these Gaussian integers is
-        the true value times P_k = s_1 ... s_k."""
+        one Cartan entry per tail letter.  Level l maps i to {a: e(i, a)
+        * s_l} over the nonzero values, where e(i, a) is the ring's ecoef
+        numerator evaluated at v0 and divided by q - q^{-1} there, and s_l
+        is the lcm of their denominators; a pairing of length-k words built
+        from these Gaussian integers is the true value times P_k = s_1 ... s_k."""
         tables = self._int_tables
         cmax = max(abs(x) for row in self.cart[1:] for x in row[1:])
+        v0 = self.mode.v0
+        eunit = qqi_inv(peval_qqi(_QDIFF, v0))
         while len(tables) <= k:
             span = range(-cmax * (len(tables) - 1), cmax * (len(tables) - 1) + 1)
             vals = [(i, a, self.ecoef(i, a)) for i in range(1, self.n + 1) for a in span]
-            vals = [t for t in vals if t[2] is not None]
+            vals = [(i, a, qqi_mul(peval_qqi(_v_tuples(e), v0), eunit)) for i, a, e in vals if e]
             s = lcm(*(x.denominator for _i, _a, val in vals for x in val))
             table = [None] + [{} for _ in range(self.n)]
             for i, a, val in vals:
@@ -711,29 +693,27 @@ def ladder_spanning_set(coords, ctx: EvalContext):
     return out
 
 
-def _ladder_rank_ok(coords, ctx: EvalContext, check_points=(2, 3)) -> bool:
+# independent non-root-of-unity points at which the ladder gate ranks
+_GATE_POINTS = (2, 3)
+
+
+def _ladder_rank_ok(coords, ctx: EvalContext) -> bool:
     """Verify rank(Gram of the spanning set) == number of basis monomials
-    at independent numeric points."""
+    at independent numeric points.  The Gram is computed once in the
+    specialized context and mapped to each point; a numeric value is the
+    specialized value taken at the point, so the ranks are exact."""
     key = tuple(coords)
     cached = ctx._rank_gate.get(key)
     if cached is not None:
         return cached
     expected = 0 if b_index_of_weight(coords) is None else 1
-    span = ladder_spanning_set(coords, ctx)
-    ok = True
-    if span:
-        for v0 in check_points:
-            nctx = EvalContext(ctx.n, SpecMode.numeric(v0, ctx.mode.sigma))
-            rows = _symmetric_rows(
-                len(span),
-                lambda i, j: scalar_to_qqi(shapovalov(span[i][2], span[j][2], nctx), nctx.mode),
-            )
-            r = rank_gauss(_qqi_rows_to_gauss(rows))
-            if r != expected:
-                ok = False
-                break
-    else:
-        ok = expected == 0
+    span = [w for _j, _m, w in ladder_spanning_set(coords, ctx)]
+    rows = _symmetric_rows(len(span), lambda i, j: shapovalov(span[i], span[j], ctx))
+    ok = all(
+        rank_gauss(_qqi_rows_to_gauss([[scalar_to_qqi(x, mode) for x in row] for row in rows]))
+        == expected
+        for mode in (SpecMode.numeric(v0, ctx.mode.sigma) for v0 in _GATE_POINTS)
+    )
     ctx._rank_gate[key] = ok
     return ok
 
@@ -744,7 +724,7 @@ def is_zero_in_M(x: AlgElt, ctx: EvalContext) -> bool:
     Sound when used ladder-style: all action checks at lower weight heights
     must have passed already, and the rank gate for this weight must hold.
     """
-    if ctx.mode.kind == "generic":
+    if ctx.mode.kind != "specialized":
         raise ValueError("module oracle needs the specialized weight")
     if x.is_zero():
         return True

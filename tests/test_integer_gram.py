@@ -2,8 +2,10 @@
 rational Gram computed independently through the vacuum engine.
 
 The oracle pairs every two words of a slice with ``shapovalov`` (the trie
-walk ``_evaluate`` over the Gaussian-rational ring), maps the values to the
-numeric point with ``scalar_to_qqi`` and clears denominators row by row.
+walk ``_evaluate``, whose numeric value is the specialized value taken at
+the point), maps the values to the numeric point with ``scalar_to_qqi`` and
+clears denominators row by row.  The level tables are checked against the
+generic ecoef formula, mapped to the point independently of the engine ring.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsphere.scalars import SpecMode, scalar_to_qqi
+from qsphere.scalars import QQI_ZERO, Scalar, SpecMode, scalar_to_qqi
 from qsphere.verma import (
     EvalContext,
     _qqi_rows_to_gauss,
@@ -70,14 +72,24 @@ def test_integer_gram_is_the_scaled_rational_gram(n):
     check()
 
 
+def generic_ecoef(i, a):
+    """(v^{2a} L_i/L_{i-1} - v^{-2a} L_{i-1}/L_i) / (q - q^{-1}), L_0 = 1."""
+    ratio = Scalar.L_power(i, 1) / Scalar.L_power(i - 1, 1) if i > 1 else Scalar.L_power(1, 1)
+    q = Scalar.v_power(2)
+    return (Scalar.v_power(2 * a) * ratio - Scalar.v_power(-2 * a) / ratio) / (q - 1 / q)
+
+
 def test_level_tables_are_the_ecoefs_times_the_lcm_of_their_denominators():
-    ctx = EvalContext(3, SpecMode.numeric((3, 1), -1))
+    mode = SpecMode.numeric((3, 1), -1)
+    ctx = EvalContext(3, mode)
     tables, _scale = ctx.int_levels(6)
     for level in range(1, 7):
         s = ctx.int_levels(level)[1] // ctx.int_levels(level - 1)[1]
         span = 2 * (level - 1)
-        vals = {(i, a): ctx.ecoef(i, a) for i in range(1, 4) for a in range(-span, span + 1)}
-        assert s == lcm(*(x.denominator for v in vals.values() if v is not None for x in v))
+        keys = [(i, a) for i in range(1, 4) for a in range(-span, span + 1)]
+        vals = {(i, a): scalar_to_qqi(generic_ecoef(i, a), mode) for i, a in keys}
+        nonzero = [v for v in vals.values() if v != QQI_ZERO]
+        assert s == lcm(*(x.denominator for v in nonzero for x in v))
         for (i, a), val in vals.items():
-            want = None if val is None else (val[0] * s, val[1] * s)
+            want = None if val == QQI_ZERO else (val[0] * s, val[1] * s)
             assert tables[level][i].get(a) == want, (level, i, a)

@@ -159,6 +159,17 @@ def test_irreducibility_scope_is_the_enumerated_word_limit(monkeypatch, word_lim
     assert {c.name for c in rep.checks if c.name.startswith("rank:")} == want
 
 
+def test_irreducibility_ranks_slices_up_to_the_suite_word_limit(monkeypatch):
+    """A word_limit above rank_at's own default reaches the ranks: the
+    weight (-2, 0, -2) has 420 words and is ranked, not refused."""
+    monkeypatch.setattr(suites, "_IRR_GATE", {})
+    assert suites.fword_count((-2, 0, -2), 3) == 420
+    rep = suites.verify_irreducibility(3, 3, sigma=1, word_limit=500)
+    assert rep.passed
+    assert len(rep.checks) == 104
+    assert "rank:mu=[-2, 0, -2],v0=3|sigma=+1" in {c.name for c in rep.checks}
+
+
 def _spy_invariant_dims(monkeypatch):
     """Record the max_deg of every invariant-dims run the star gate starts."""
     runs = []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsphere.scalars import I_UNIT, ONE, ZERO, Scalar, SpecMode, specialize, theta
+from qsphere.scalars import I_UNIT, ONE, ZERO, Scalar, SpecMode, scalar_to_qqi, specialize, theta
 import qsphere.verma as verma
 from qsphere.suites import _rank_weights
 from qsphere.words import AlgElt, Weight, alpha_vec, gen_k, omega, root_vector
@@ -295,6 +295,61 @@ def test_module_oracle():
     x = AlgElt.f(2) * AlgElt.f(1) + root_vector("f_eps", 2, 2).scaled(Q)
     assert is_zero_in_M(x, ctx)
     assert not is_zero_in_M(AlgElt.f(2) * AlgElt.f(1) - root_vector("f_eps", 2, 2).scaled(Q), ctx)
+
+
+def test_module_oracle_refuses_generic_and_numeric_contexts():
+    for mode in (SpecMode.generic(), SpecMode.numeric(2, 1)):
+        with pytest.raises(ValueError):
+            is_zero_in_M(AlgElt.f(1), EvalContext(2, mode))
+
+
+def _gate_by_numeric_walks(coords, sigma):
+    """The ladder verdict recomputed independently of the gate: the
+    spanning-set Gram walked by vacuum_eval in numeric contexts at v0 = 2
+    and 3, ranked there, against 1 for a basis weight and 0 otherwise."""
+    n = len(coords)
+    expected = 1 if all(c <= 0 for c in coords) else 0
+    sctx = EvalContext(n, SpecMode.specialized(sigma))
+    span = [w for _j, _m, w in verma.ladder_spanning_set(coords, sctx)]
+    for v0 in (2, 3):
+        nctx = EvalContext(n, SpecMode.numeric(v0, sigma))
+        vals = [[vacuum_eval(omega(x) * y, nctx) for y in span] for x in span]
+        rows = [[scalar_to_qqi(v, nctx.mode) for v in row] for row in vals]
+        if verma.rank_gauss(verma._qqi_rows_to_gauss(rows)) != expected:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_ladder_gate_agrees_with_numeric_walks(sigma):
+    ctx = EvalContext(2, SpecMode.specialized(sigma))
+    verdicts = {}
+    for mu in _rank_weights(2, 4):
+        verdicts[mu] = verma._ladder_rank_ok(mu, ctx)
+        assert verdicts[mu] == _gate_by_numeric_walks(mu, sigma), mu
+    assert verdicts[(0, 0)] is False
+    assert True in verdicts.values()
+    assert any(any(c > 0 for c in mu) for mu in verdicts)
+
+
+def test_ladder_gate_ranks_the_specialized_gram_at_both_points(monkeypatch):
+    """Every entry of the specialized spanning-set Gram is mapped to
+    v0 = 2 and to v0 = 3 under the context's branch sign."""
+    mapped = []
+
+    def record(x, mode):
+        mapped.append((x, mode.v0, mode.sigma))
+        return scalar_to_qqi(x, mode)
+
+    monkeypatch.setattr(verma, "scalar_to_qqi", record)
+    coords = (-1, -1, -1)
+    ctx = EvalContext(3, SpecMode.specialized(-1))
+    span = [w for _j, _m, w in verma.ladder_spanning_set(coords, ctx)]
+    assert len(span) > 1 and verma._ladder_rank_ok(coords, ctx)
+    gram = sorted(str(shapovalov(x, y, ctx)) for x in span for y in span)
+    for v0 in (2, 3):
+        assert sorted(str(x) for x, p, s in mapped if p == (v0, 0) and s == -1) == gram, v0
+    assert len(mapped) == 2 * len(gram)
 
 
 def test_generic_zero_oracle():
