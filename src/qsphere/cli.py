@@ -13,11 +13,11 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .report import VerificationReport
-from .suites import DELTA_SUITES, SUITE_DEPS, SUITE_ORDER, SUITES
+from .suites import MIN_RANK, SUITE_DEPS, SUITE_ORDER, SUITES
 from .verma import OracleError
 
 # per-suite defaults for parameters the user left unset
@@ -127,11 +127,9 @@ def _check_config(cfg: SuiteConfig):
 def _validate(name, cfg: SuiteConfig):
     _check_config(cfg)
     kw = _suite_kwargs(name, cfg)
-    n = kw.get("n", 2)
-    if name in DELTA_SUITES and n < 2:
-        raise UsageError("suite %r involves the doubled root and needs --n >= 2" % name)
-    if name == "xyz" and n < 3:
-        raise UsageError("suite 'xyz' instantiates three consecutive columns; needs --n >= 3")
+    least = MIN_RANK.get(name, 1)
+    if kw["n"] < least:
+        raise UsageError("suite %r needs --n >= %d" % (name, least))
     if cfg.mode == "generic" and name not in GENERIC_SUITES:
         raise UsageError("suite %r runs at the specialized weight, not generic" % name)
     if cfg.mode == "specialized" and name in GENERIC_SUITES:
@@ -175,20 +173,9 @@ def run_all(cfg: SuiteConfig) -> VerificationReport:
                 "not run: dependency failed (%s)" % ", ".join(blocked),
             )
             continue
-        try:
-            sub = run_suite(name, cfg)
-        except UsageError:
-            # a globally-set rank may undercut a rank-specific suite; fall
-            # back to that suite's own default rank
-            sub_cfg = SuiteConfig(
-                n=None,
-                max_deg=cfg.max_deg,
-                mode=None,
-                v0=cfg.v0,
-                sigma=cfg.sigma,
-                out=None,
-            )
-            sub = run_suite(name, sub_cfg)
+        # each suite at the requested rank raised to its minimum, in its own mode
+        n = None if cfg.n is None else max(cfg.n, MIN_RANK.get(name, 1))
+        sub = run_suite(name, replace(cfg, n=n, mode=None))
         status[name] = sub.passed
         agg.record(
             "suite:" + name,

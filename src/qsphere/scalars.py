@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +672,6 @@ def theta() -> Scalar:
 # Specialization modes
 # ---------------------------------------------------------------------------
 
-_QQi = tuple  # (Fraction, Fraction)
-
-
 def qqi(re=0, im=0):
     return (Fraction(re), Fraction(im))
 
@@ -712,6 +710,8 @@ def qqi_pow(a, k: int):
 
 QQI_ZERO = qqi(0)
 QQI_ONE = qqi(1)
+# powers of a numeric point compared with 1 to rule out a root of unity
+_ORDER_BOUND = 24
 
 
 @dataclass(frozen=True)
@@ -738,7 +738,7 @@ class SpecMode:
         return SpecMode("specialized", sigma)
 
     @staticmethod
-    def numeric(v0, sigma: int = 1, order_bound: int = 24) -> "SpecMode":
+    def numeric(v0, sigma: int = 1) -> "SpecMode":
         if sigma not in (1, -1):
             raise ValueError("branch sign must be +1 or -1")
         if not isinstance(v0, tuple):
@@ -748,20 +748,11 @@ class SpecMode:
         if v0 == QQI_ZERO:
             raise ValueError("v0 must be nonzero")
         w = v0
-        for _ in range(order_bound):
+        for _ in range(_ORDER_BOUND):
             if w == QQI_ONE:
                 raise ValueError("v0 must not be a root of unity")
             w = qqi_mul(w, v0)
         return SpecMode("numeric", sigma, v0)
-
-    def label(self) -> str:
-        if self.kind == "generic":
-            return "generic"
-        if self.kind == "specialized":
-            return "specialized(sigma=%+d)" % self.sigma
-        re, im = self.v0
-        vs = str(re) if im == 0 else "%s%+si" % (re, im)
-        return "numeric(v0=%s, sigma=%+d)" % (vs, self.sigma)
 
 
 def _spec_mono_sigma(k, sigma):
@@ -805,17 +796,11 @@ def peval_qqi(p, v0, lvals=None):
 
 def scalar_from_qqi(x) -> Scalar:
     re, im = x
-    d = re.denominator * im.denominator // _int_gcd(re.denominator, im.denominator)
+    d = lcm(re.denominator, im.denominator)
     num = {(): (int(re * d), int(im * d))}
     if num[()] == G0:
         return ZERO
     return Scalar(num, {(): (d, 0)})
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def specialize(s: Scalar, mode: SpecMode) -> Scalar:

@@ -1,9 +1,13 @@
 """Verification suites: every displayed identity at desk scale.
 
 Each suite runs a family of exact checks and returns a structured report.
-Oracle-based suites (anything deciding equality inside the module) are
-gated behind the radical soundness of the defining relations; the gate is
-cached per rank and re-verified on demand for standalone runs.
+A suite that leans on another suite's result (``SUITE_DEPS``: the module
+oracle on the radical soundness of the defining relations, the inverse
+tensor on the irreducibility ranks, the star product on the invariant
+dimensions) opens a gate first.  The verdicts of the gate suites go into
+one ledger, keyed on each report's suite, params and mode.  Every verdict
+recorded at the rank that covers the dependent run must pass; when none
+covers it, the gate suite runs once at what the dependent run needs.
 """
 
 from __future__ import annotations
@@ -226,7 +230,7 @@ def verify_serre_radical(n=2, weight_bound=5, **_ignored) -> VerificationReport:
                     ok,
                     "element does not pair to zero generically",
                 )
-    return rep
+    return _record(rep)
 
 
 def _all_words(n, length):
@@ -236,20 +240,62 @@ def _all_words(n, length):
     return [w + (j,) for w in shorter for j in range(1, n + 1)]
 
 
-_GATE_CACHE: dict = {}
+# ---------------------------------------------------------------------------
+# Gates
+# ---------------------------------------------------------------------------
+
+# the verdicts of the gate suites: (suite, sorted params, mode) -> passed
+_LEDGER: dict = {}
 
 
-def ensure_serre_gate(n):
-    """Compact radical check gating every module-oracle suite."""
-    ok = _GATE_CACHE.get(n)
-    if ok is None:
-        rep = verify_serre_radical(n, weight_bound=4)
-        ok = rep.passed
-        _GATE_CACHE[n] = ok
-    if not ok:
-        raise OracleError(
-            "radical gate failed at rank %d: the pairing oracle is unsound" % n
-        )
+def _record(rep):
+    """Enter a gate suite's verdict in the ledger; returns the report."""
+    params = tuple(sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in rep.params.items()))
+    _LEDGER[rep.suite, params, rep.mode] = rep.passed
+    return rep
+
+
+# gate suite -> (whether a recorded run's params and mode cover a dependent
+# run at (max_deg, sigmas); the run that decides the gate when none does;
+# what a failed gate voids).  Reruns go through the module-level names.
+_GATES = {
+    "serre-radical": (
+        lambda p, mode, max_deg, sigmas: p["weight_bound"] >= 4,
+        lambda n, max_deg, sigmas: verify_serre_radical(n, weight_bound=4),
+        "the pairing oracle is unsound",
+    ),
+    "irreducibility": (
+        lambda p, mode, max_deg, sigmas: p["max_deg"] == max_deg
+        and mode == _mode_label(sigmas, kind="numeric")
+        and p["word_limit"] >= _IRR_WORD_LIMIT,
+        lambda n, max_deg, sigmas: verify_irreducibility(
+            n, max_deg, "both" if len(sigmas) == 2 else sigmas[0]
+        ),
+        "inverse-tensor checks are void",
+    ),
+    "invariant-dims": (
+        lambda p, mode, max_deg, sigmas: p["max_deg"] >= 2 * max_deg,
+        lambda n, max_deg, sigmas: verify_invariant_dims(n, 2 * max_deg),
+        "star closure checks are void",
+    ),
+}
+
+
+def ensure_gates(name, n, max_deg=None, sigmas=(1, -1)):
+    """Open the gate of every suite `name` depends on: each verdict in the
+    ledger at rank n that covers this run must pass; with none, the gate
+    suite runs once at this run's need."""
+    for dep in SUITE_DEPS.get(name, ()):
+        covers, rerun, voids = _GATES[dep]
+        found = []
+        for (suite, params, mode), ok in _LEDGER.items():
+            p = dict(params)
+            if suite == dep and p["n"] == n and covers(p, mode, max_deg, sigmas):
+                found.append(ok)
+        if not found:
+            found = [rerun(n, max_deg, sigmas).passed]
+        if not all(found):
+            raise OracleError("%s gate failed at rank %d: %s" % (dep, n, voids))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +331,7 @@ def _span_checks(n, max_deg):
 def verify_span(n=2, max_deg=4, sigma="both") -> VerificationReport:
     sigmas = _sigma_list(sigma)
     rep = VerificationReport("span", {"n": n, "max_deg": max_deg}, _mode_label(sigmas))
-    ensure_serre_gate(n)
+    ensure_gates("span", n)
     with timer(rep):
         checks = _span_checks(n, max_deg)
         for s in sigmas:
@@ -303,7 +349,7 @@ def verify_normalizer(n=2, max_deg=4, sigma="both", m_cap=None) -> VerificationR
     rep = VerificationReport(
         "normalizer", {"n": n, "max_deg": max_deg, "m_cap": m_cap}, _mode_label(sigmas)
     )
-    ensure_serre_gate(n)
+    ensure_gates("normalizer", n)
     with timer(rep):
         # a generator of the deformed-isotropy column j annihilates basis
         # tails supported on columns >= j; the doubled-root generator kills
@@ -488,14 +534,13 @@ def verify_irreducibility(
                     "diagonal form value vanishes",
                 )
         _branch_invariance(rep, sigmas)
-    _IRR_GATE[(n, max_deg, tuple(sigmas), Fraction(v0), word_limit)] = rep.passed
-    return rep
+    return _record(rep)
 
 
 def verify_f_inverse(n=2, max_deg=4, sigma="both") -> VerificationReport:
     sigmas = _sigma_list(sigma)
     rep = VerificationReport("f-inverse", {"n": n, "max_deg": max_deg}, _mode_label(sigmas))
-    _ensure_irreducibility_gate(n, max_deg, sigmas)
+    ensure_gates("f-inverse", n, max_deg, sigmas)
     with timer(rep):
         F = build_F(n, max_deg)
         for s in sigmas:
@@ -526,23 +571,6 @@ def verify_f_inverse(n=2, max_deg=4, sigma="both") -> VerificationReport:
                         )
         _branch_invariance(rep, sigmas)
     return rep
-
-
-_IRR_GATE: dict = {}  # verdicts keyed on (n, max_deg, sigmas, v0, word_limit)
-
-
-def _ensure_irreducibility_gate(n, max_deg, sigmas):
-    """Judge by the full-scope verdicts (any v0, word_limit at least the
-    default), all of which must pass; with none, rerun at the defaults."""
-    key = (n, max_deg, tuple(sigmas))
-    found = [
-        ok for (*k, _v0, lim), ok in _IRR_GATE.items() if tuple(k) == key and lim >= _IRR_WORD_LIMIT
-    ]
-    if not found:
-        sub = verify_irreducibility(n, max_deg, "both" if len(sigmas) == 2 else sigmas[0])
-        found = [sub.passed]
-    if not all(found):
-        raise OracleError("irreducibility gate failed; inverse-tensor checks are void")
 
 
 # ---------------------------------------------------------------------------
@@ -702,30 +730,18 @@ def verify_invariant_dims(n=2, max_deg=6, v0=2, **_ignored) -> VerificationRepor
                 sl.candidates_independent,
                 "candidates are dependent at a numeric point",
             )
-    _DIMS_GATE[(n, max_deg, points)] = rep.passed
-    return rep
-
-
-_DIMS_GATE: dict = {}  # verdicts keyed on (n, max_deg, points)
-
-
-def _ensure_dims_gate(n, max_deg):
-    """Judge by the verdicts at rank n that cover every degree up to max_deg
-    (any points), all of which must pass; with none, rerun at max_deg."""
-    found = [ok for (nn, deg, _points), ok in _DIMS_GATE.items() if nn == n and deg >= max_deg]
-    if not found:
-        found = [verify_invariant_dims(n, max_deg).passed]
-    if not all(found):
-        raise OracleError("invariant-dimension gate failed; star closure checks are void")
+    return _record(rep)
 
 
 def verify_star(n=2, max_deg=2, **_ignored) -> VerificationReport:
     """Closure, associativity on invariants, a non-associativity witness, and
     the classical limit of the twisted product."""
     rep = VerificationReport("star", {"n": n, "max_deg": max_deg}, "symbolic")
-    _ensure_dims_gate(n, 2 * max_deg)
+    ensure_gates("star", n, max_deg)
     with timer(rep):
-        F = build_F(n, 2 * max_deg)
+        # degree 2 at least: the non-associativity witness multiplies
+        # degree-1 coordinates whatever the invariants' degree
+        F = build_F(n, max(2, 2 * max_deg))
         cands = []
         for m in range(max_deg + 1):
             for idx, c in enumerate(candidate_invariants(n, m)):
@@ -845,14 +861,15 @@ SUITE_DEPS = {
     "star": ["invariant-dims"],
 }
 
-# suites whose content involves the doubled-root vectors (rank >= 2 only)
-DELTA_SUITES = {
-    "serre-radical",
-    "xyz",
-    "span",
-    "normalizer",
-    "f-inverse",
-    "delta-inv",
-    "invariant-dims",
-    "star",
+# the least rank a suite has content at: the doubled-root vectors need rank
+# 2, and xyz instantiates three consecutive columns; unlisted suites need 1
+MIN_RANK = {
+    "serre-radical": 2,
+    "xyz": 3,
+    "span": 2,
+    "normalizer": 2,
+    "f-inverse": 2,
+    "delta-inv": 2,
+    "invariant-dims": 2,
+    "star": 2,
 }

@@ -159,7 +159,13 @@ class _VRing(_PolyRing):
 
     def finish(self, acc, den_key) -> Scalar:
         value = super().finish({pc: _v_tuples(p) for pc, p in acc.items()}, den_key)
-        return value if self._mode.kind == "specialized" else specialize(value, self._mode)
+        # a left coefficient multiplies in unspecialized; one that carries an
+        # L-symbol makes the value need the specialization too
+        if self._mode.kind == "specialized" and not any(
+            len(k) > 1 for _p, c in acc for k in (*c.num, *c.den)
+        ):
+            return value
+        return specialize(value, self._mode)
 
 
 class OracleError(RuntimeError):

@@ -48,36 +48,21 @@ def cartan_pairing(i: int, j: int) -> int:
 
 
 class Weight:
-    """An integer weight in the orthogonal basis, optionally relative to the
-    highest weight of the module under study."""
+    """An integer weight in the orthogonal basis."""
 
-    __slots__ = ("coords", "relative")
+    __slots__ = ("coords",)
 
-    def __init__(self, coords, relative=True):
+    def __init__(self, coords):
         self.coords = tuple(coords)
-        self.relative = relative
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Weight)
-            and self.coords == other.coords
-            and self.relative == other.relative
-        )
+        return isinstance(other, Weight) and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.coords, self.relative))
-
-    def __add__(self, other):
-        if self.relative != other.relative and self.relative and other.relative:
-            raise ValueError("cannot add two lambda-relative weights")
-        return Weight(
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-            self.relative or other.relative,
-        )
+        return hash(self.coords)
 
     def __repr__(self):
-        tag = "lambda+" if self.relative else ""
-        return "Weight(%s%s)" % (tag, list(self.coords))
+        return "Weight(%s)" % (list(self.coords),)
 
 
 def weight_of(word, n: int) -> Weight:
@@ -91,7 +76,7 @@ def weight_of(word, n: int) -> Weight:
         s = 1 if kind == "e" else -1
         for idx in range(n):
             coords[idx] += s * av[idx]
-    return Weight(coords, relative=False)
+    return Weight(coords)
 
 
 class AlgElt:

@@ -32,6 +32,13 @@ def test_delta_suite_needs_rank_two():
     assert main(["verify", "xyz", "--n", "2"]) == 2
 
 
+def test_star_at_degree_zero_runs(capsys):
+    """The non-associativity witness needs a degree-2 tensor even when the
+    invariants stop at degree 0."""
+    assert main(["verify", "star", "--n", "2", "--max-deg", "0"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["checks"]) == 4
+
+
 def test_mode_mismatch_is_usage_error():
     assert main(["verify", "factorization", "--mode", "generic"]) == 2
     assert main(["verify", "serre-radical", "--mode", "specialized"]) == 2
@@ -104,8 +111,12 @@ def test_console_entry_point_exists():
 
 def test_oracle_precondition_failure_is_exit_three(monkeypatch):
     import qsphere.suites as suites
+    from qsphere.report import VerificationReport
 
-    monkeypatch.setitem(suites._GATE_CACHE, 2, False)
+    monkeypatch.setattr(suites, "_LEDGER", {})
+    rep = VerificationReport("serre-radical", {"n": 2, "weight_bound": 4}, "generic")
+    rep.record("forced", False, "forced failure")
+    suites._record(rep)
     assert main(["verify", "span", "--n", "2", "--max-deg", "1"]) == 3
 
 
@@ -142,3 +153,28 @@ def test_run_all_aggregate_small(tmp_path):
     assert names[0] == "suite:serre-radical"
     assert len(names) == 12
     assert all(c["status"] == "pass" for c in blob["checks"])
+
+
+def test_run_all_raises_every_suite_to_the_requested_rank(monkeypatch):
+    """`all` runs each suite once, at the requested rank raised to the
+    suite's minimum, and does not pass a mode request on."""
+    import qsphere.suites as suites
+    from qsphere.cli import SuiteConfig, run_all
+    from qsphere.report import VerificationReport
+
+    calls = []
+
+    def stub(name):
+        def run(**kw):
+            calls.append((name, kw["n"]))
+            return VerificationReport(name, kw, "stub")
+
+        return run
+
+    for name in suites.SUITE_ORDER:
+        monkeypatch.setitem(suites.SUITES, name, stub(name))
+    assert run_all(SuiteConfig(n=3, max_deg=1, mode="generic")).passed
+    assert calls == [(name, 3) for name in suites.SUITE_ORDER]
+    calls.clear()
+    assert run_all(SuiteConfig(n=1, mode="specialized")).passed
+    assert calls == [(name, suites.MIN_RANK.get(name, 1)) for name in suites.SUITE_ORDER]

@@ -56,16 +56,18 @@ def lowering_elements(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_vacuum_eval_is_the_specialized_generic_value(n):
+    """The left coefficient may carry an L-symbol, which each mode must
+    specialize along with the engine's value."""
     generic = EvalContext(n, SpecMode.generic())
     contexts = [EvalContext(n, mode) for mode in MODES]
 
     @PROPERTY
-    @given(free_words(n))
-    def check(word):
-        want = reference_vacuum(word, generic)
-        x = AlgElt({word: ONE})
+    @given(free_words(n), st.one_of(COEFFS, st.just(Scalar.L_power(1, 1))))
+    def check(word, c):
+        want = c * reference_vacuum(word, generic)
+        x = AlgElt({word: c})
         for ctx in contexts:
-            assert vacuum_eval(x, ctx) == specialize(want, ctx.mode), (word, ctx.mode)
+            assert vacuum_eval(x, ctx) == specialize(want, ctx.mode), (word, c, ctx.mode)
 
     check()
 

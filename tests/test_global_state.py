@@ -1,0 +1,39 @@
+"""A ratchet on process-global state: a suite run may change no module-level
+dict, list or set of qsphere except the listed memos and the gate ledger.
+Moving one of these into per-run state shortens the list; adding a new
+process-global cache fails the test."""
+
+import copy
+import sys
+
+import qsphere.cli  # noqa: F401  (loads every qsphere module)
+import qsphere.suites as suites
+
+MUTABLE_GLOBALS = {
+    ("qsphere.plane", "_NF_CACHE"),
+    ("qsphere.words", "_ROOT_CACHE"),
+    ("qsphere.verma", "_B_CACHE"),
+    ("qsphere.suites", "_LEDGER"),
+}
+
+
+def _containers():
+    out = {}
+    for modname, mod in sys.modules.items():
+        if mod is None or not (modname == "qsphere" or modname.startswith("qsphere.")):
+            continue
+        for attr, val in vars(mod).items():
+            if not attr.startswith("__") and type(val) in (dict, list, set):
+                out[modname, attr] = val
+    return out
+
+
+def test_a_suite_run_changes_only_the_memos_and_the_ledger():
+    before = {key: copy.copy(val) for key, val in _containers().items()}
+    # parameters no other test runs, so that every memo meets new keys
+    assert suites.verify_star(3, 0).passed
+    assert suites.verify_f_inverse(2, 1, sigma="-1").passed
+    after = _containers()
+    changed = {key for key, val in after.items() if key not in before or before[key] != val}
+    assert changed <= MUTABLE_GLOBALS
+    assert ("qsphere.suites", "_LEDGER") in changed

@@ -6,9 +6,10 @@ import qsphere.suites as suites
 from qsphere.report import VerificationReport
 from qsphere.verma import OracleError, fwords_of_weight
 from qsphere.suites import (
+    SUITE_DEPS,
     SUITES,
     SUITE_ORDER,
-    ensure_serre_gate,
+    ensure_gates,
     serre_elements,
     verify_delta_inv,
     verify_factorization,
@@ -63,12 +64,43 @@ def test_serre_elements_inventory():
     assert "comm[f1,f3]" in labels
 
 
+def _failed(suite, params, mode):
+    """A failing report of a gate suite, entered in the ledger."""
+    rep = VerificationReport(suite, params, mode)
+    rep.record("forced", False, "forced failure")
+    return suites._record(rep)
+
+
 def test_serre_gate_blocks_oracle_suites(monkeypatch):
-    monkeypatch.setitem(suites._GATE_CACHE, 2, False)
+    monkeypatch.setattr(suites, "_LEDGER", {})
+    _failed("serre-radical", {"n": 2, "weight_bound": 4}, "generic")
     with pytest.raises(OracleError):
-        ensure_serre_gate(2)
+        ensure_gates("span", 2)
     with pytest.raises(OracleError):
         verify_span(2, 1)
+
+
+def test_verdict_at_another_rank_does_not_count(monkeypatch):
+    monkeypatch.setattr(suites, "_LEDGER", {})
+    _failed("serre-radical", {"n": 3, "weight_bound": 4}, "generic")
+    runs = _spy(monkeypatch, "verify_serre_radical", "n")
+    ensure_gates("span", 2)
+    assert runs == [2]
+
+
+def test_serre_radical_run_opens_the_gate(monkeypatch):
+    """The suite's own run covers the gate at weight_bound >= 4; after a
+    shallower one the gate reruns once, at 4."""
+    monkeypatch.setattr(suites, "_LEDGER", {})
+    assert SUITES["serre-radical"](n=2).passed
+    runs = _spy(monkeypatch, "verify_serre_radical", "weight_bound")
+    ensure_gates("span", 2)
+    assert runs == []
+    monkeypatch.setattr(suites, "_LEDGER", {})
+    assert SUITES["serre-radical"](n=2, weight_bound=3).passed
+    ensure_gates("span", 2)
+    ensure_gates("normalizer", 2)
+    assert runs == [4]
 
 
 def test_xyz_suite_counts():
@@ -101,22 +133,26 @@ def test_failure_paths_record_witnesses():
     assert json.loads(rep.to_json())["checks"][0]["witness"] is None
 
 
-def _spy_irreducibility(monkeypatch):
-    """Record the word_limit of every irreducibility run the gate starts."""
+def _spy(monkeypatch, fname, param):
+    """Record `param` of every run of the gate suite `fname` a gate starts."""
     runs = []
-    original = suites.verify_irreducibility
+    original = getattr(suites, fname)
 
     def spy(*args, **kwargs):
         rep = original(*args, **kwargs)
-        runs.append(rep.params["word_limit"])
+        runs.append(rep.params[param])
         return rep
 
-    monkeypatch.setattr(suites, "verify_irreducibility", spy)
+    monkeypatch.setattr(suites, fname, spy)
     return runs
 
 
+def _spy_irreducibility(monkeypatch):
+    return _spy(monkeypatch, "verify_irreducibility", "word_limit")
+
+
 def test_narrowed_irreducibility_run_does_not_open_the_inverse_gate(monkeypatch):
-    monkeypatch.setattr(suites, "_IRR_GATE", {})
+    monkeypatch.setattr(suites, "_LEDGER", {})
     rep = suites.verify_irreducibility(2, 2, word_limit=0)
     assert rep.passed and not any(c.name.startswith("rank:") for c in rep.checks)
     runs = _spy_irreducibility(monkeypatch)
@@ -125,15 +161,28 @@ def test_narrowed_irreducibility_run_does_not_open_the_inverse_gate(monkeypatch)
 
 
 def test_full_scope_verdict_at_another_point_is_reused(monkeypatch):
-    monkeypatch.setattr(suites, "_IRR_GATE", {})
+    monkeypatch.setattr(suites, "_LEDGER", {})
     assert suites.verify_irreducibility(2, 2, v0=5).passed
     runs = _spy_irreducibility(monkeypatch)
     assert suites.verify_f_inverse(2, 2).passed
     assert runs == []
 
 
+def test_verdict_on_one_branch_does_not_open_the_gate_for_both(monkeypatch):
+    monkeypatch.setattr(suites, "_LEDGER", {})
+    assert suites.verify_irreducibility(2, 2, sigma=1).passed
+    runs = _spy_irreducibility(monkeypatch)
+    assert suites.verify_f_inverse(2, 2).passed
+    assert runs == [200]
+
+
 def test_failing_full_scope_verdict_closes_the_inverse_gate(monkeypatch):
-    monkeypatch.setattr(suites, "_IRR_GATE", {(2, 2, (1, -1), 2, 200): False, (2, 2, (1, -1), 3, 200): True})
+    monkeypatch.setattr(suites, "_LEDGER", {})
+    params = {"n": 2, "max_deg": 2, "word_limit": 200}
+    _failed("irreducibility", dict(params, points=["2", "3"]), "numeric(sigma=both)")
+    rep = VerificationReport("irreducibility", dict(params, points=["3", "5"]), "numeric(sigma=both)")
+    rep.record("forced", True)
+    suites._record(rep)
     with pytest.raises(OracleError):
         suites.verify_f_inverse(2, 2)
 
@@ -143,7 +192,7 @@ def test_irreducibility_scope_is_the_enumerated_word_limit(monkeypatch, word_lim
     """Rank checks run exactly on the weights whose enumerated word list is
     nonempty and at most word_limit long; two rank-3 weights at degree 2
     have 30 words, so the two limits give different scopes."""
-    monkeypatch.setattr(suites, "_IRR_GATE", {})
+    monkeypatch.setattr(suites, "_LEDGER", {})
     n, max_deg = 3, 2
     rep = suites.verify_irreducibility(n, max_deg, word_limit=word_limit)
     want = set()
@@ -162,7 +211,7 @@ def test_irreducibility_scope_is_the_enumerated_word_limit(monkeypatch, word_lim
 def test_irreducibility_ranks_slices_up_to_the_suite_word_limit(monkeypatch):
     """A word_limit above rank_at's own default reaches the ranks: the
     weight (-2, 0, -2) has 420 words and is ranked, not refused."""
-    monkeypatch.setattr(suites, "_IRR_GATE", {})
+    monkeypatch.setattr(suites, "_LEDGER", {})
     assert suites.fword_count((-2, 0, -2), 3) == 420
     rep = suites.verify_irreducibility(3, 3, sigma=1, word_limit=500)
     assert rep.passed
@@ -171,21 +220,11 @@ def test_irreducibility_ranks_slices_up_to_the_suite_word_limit(monkeypatch):
 
 
 def _spy_invariant_dims(monkeypatch):
-    """Record the max_deg of every invariant-dims run the star gate starts."""
-    runs = []
-    original = suites.verify_invariant_dims
-
-    def spy(*args, **kwargs):
-        rep = original(*args, **kwargs)
-        runs.append(rep.params["max_deg"])
-        return rep
-
-    monkeypatch.setattr(suites, "verify_invariant_dims", spy)
-    return runs
+    return _spy(monkeypatch, "verify_invariant_dims", "max_deg")
 
 
 def test_covering_dims_verdict_at_another_point_is_reused(monkeypatch):
-    monkeypatch.setattr(suites, "_DIMS_GATE", {})
+    monkeypatch.setattr(suites, "_LEDGER", {})
     assert suites.verify_invariant_dims(2, 3, v0=5).passed
     runs = _spy_invariant_dims(monkeypatch)
     assert suites.verify_star(2, 1).passed
@@ -193,7 +232,7 @@ def test_covering_dims_verdict_at_another_point_is_reused(monkeypatch):
 
 
 def test_star_gate_reruns_without_a_covering_dims_verdict(monkeypatch):
-    monkeypatch.setattr(suites, "_DIMS_GATE", {})
+    monkeypatch.setattr(suites, "_LEDGER", {})
     assert suites.verify_invariant_dims(2, 1).passed
     runs = _spy_invariant_dims(monkeypatch)
     assert suites.verify_star(2, 1).passed
@@ -201,6 +240,35 @@ def test_star_gate_reruns_without_a_covering_dims_verdict(monkeypatch):
 
 
 def test_failing_covering_dims_verdict_closes_the_star_gate(monkeypatch):
-    monkeypatch.setattr(suites, "_DIMS_GATE", {(2, 4, (2, 3)): False, (2, 6, (5, 3)): True})
+    monkeypatch.setattr(suites, "_LEDGER", {})
+    _failed("invariant-dims", {"n": 2, "max_deg": 4, "points": ["2", "3"]}, "numeric")
+    rep = VerificationReport("invariant-dims", {"n": 2, "max_deg": 6, "points": ["5", "3"]}, "numeric")
+    rep.record("forced", True)
+    suites._record(rep)
     with pytest.raises(OracleError):
         suites.verify_star(2, 2)
+
+
+GATE_FUNCTIONS = {
+    "serre-radical": "verify_serre_radical",
+    "irreducibility": "verify_irreducibility",
+    "invariant-dims": "verify_invariant_dims",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DEPS))
+def test_a_standalone_suite_reruns_exactly_its_gates(monkeypatch, name):
+    """With an empty ledger, a gated suite runs each suite it depends on
+    once, in dependency order, and no other."""
+    monkeypatch.setattr(suites, "_LEDGER", {})
+    reruns = []
+    for dep, fname in GATE_FUNCTIONS.items():
+        original = getattr(suites, fname)
+
+        def spy(*args, _dep=dep, _original=original, **kwargs):
+            reruns.append(_dep)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(suites, fname, spy)
+    assert SUITES[name](n=2, max_deg=1).passed
+    assert reruns == SUITE_DEPS[name]
