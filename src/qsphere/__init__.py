@@ -13,9 +13,7 @@ from .scalars import Scalar, SpecMode, qfact, qnum, specialize, theta
 from .words import AlgElt, Weight, omega, antipode, qbracket, root_vector, weight_of
 from .verma import (
     EvalContext,
-    GramSlice,
     OracleError,
-    gram,
     invariant_form,
     is_zero_in_M,
     rank_at,
@@ -40,9 +38,7 @@ __all__ = [
     "root_vector",
     "weight_of",
     "EvalContext",
-    "GramSlice",
     "OracleError",
-    "gram",
     "invariant_form",
     "is_zero_in_M",
     "rank_at",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .report import VerificationReport
-from .suites import MIN_RANK, SUITE_DEPS, SUITE_ORDER, SUITES
+from .suites import MIN_RANK, SUITE_DEPS, SUITE_ORDER, SUITES, Session
 from .verma import OracleError
 
 # per-suite defaults for parameters the user left unset
@@ -36,18 +36,16 @@ SUITE_DEFAULTS = {
     "star": {"n": 2, "max_deg": 2},
 }
 
-# which suites accept which specialization request
-GENERIC_SUITES = {"serre-radical", "xyz"}
-
 
 @dataclass
 class SuiteConfig:
     n: int = None
     max_deg: int = None
-    mode: str = None
     v0: Fraction = None
     sigma: str = None
     out: str = None
+    # what the suites of one run share; each suite makes its own when None
+    session: Session = None
 
 
 def _env_default(name, cast=str):
@@ -68,12 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=_env_default("N", int), help="rank")
     v.add_argument(
         "--max-deg", type=int, default=_env_default("MAX_DEG", int), help="degree bound"
-    )
-    v.add_argument(
-        "--mode",
-        choices=("generic", "specialized"),
-        default=_env_default("MODE"),
-        help="weight specialization request",
     )
     v.add_argument(
         "--v",
@@ -130,10 +122,6 @@ def _validate(name, cfg: SuiteConfig):
     least = MIN_RANK.get(name, 1)
     if kw["n"] < least:
         raise UsageError("suite %r needs --n >= %d" % (name, least))
-    if cfg.mode == "generic" and name not in GENERIC_SUITES:
-        raise UsageError("suite %r runs at the specialized weight, not generic" % name)
-    if cfg.mode == "specialized" and name in GENERIC_SUITES:
-        raise UsageError("suite %r is inherently generic" % name)
     return kw
 
 
@@ -145,7 +133,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
     if name not in SUITES:
         raise UsageError("unknown suite %r (choose from %s or 'all')" % (name, ", ".join(SUITE_ORDER)))
     kw = _validate(name, cfg)
-    return SUITES[name](**kw)
+    return SUITES[name](**kw, session=cfg.session)
 
 
 def run_all(cfg: SuiteConfig) -> VerificationReport:
@@ -161,6 +149,7 @@ def run_all(cfg: SuiteConfig) -> VerificationReport:
         "composite",
     )
     t0 = time.monotonic()
+    session = cfg.session or Session()
     status = {}
     for name in SUITE_ORDER:
         deps = SUITE_DEPS.get(name, [])
@@ -173,9 +162,9 @@ def run_all(cfg: SuiteConfig) -> VerificationReport:
                 "not run: dependency failed (%s)" % ", ".join(blocked),
             )
             continue
-        # each suite at the requested rank raised to its minimum, in its own mode
+        # each suite at the requested rank raised to its minimum
         n = None if cfg.n is None else max(cfg.n, MIN_RANK.get(name, 1))
-        sub = run_suite(name, replace(cfg, n=n, mode=None))
+        sub = run_suite(name, replace(cfg, n=n, session=session))
         status[name] = sub.passed
         agg.record(
             "suite:" + name,
@@ -204,7 +193,6 @@ def main(argv=None) -> int:
     cfg = SuiteConfig(
         n=args.n,
         max_deg=args.max_deg,
-        mode=args.mode,
         v0=args.v0,
         sigma=args.sigma,
         out=args.out,

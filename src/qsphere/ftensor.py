@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .scalars import ONE, Scalar, qfact, theta
 from .words import AlgElt, root_vector
-from .verma import enumerate_b_indices
+from .verma import b_monomial, enumerate_b_indices
 
 
 class FTensor:
@@ -56,18 +56,10 @@ def epart_twisted(m, n) -> AlgElt:
     return out
 
 
-def fpart(m, n) -> AlgElt:
-    out = AlgElt.unit()
-    for i, mi in enumerate(m, start=1):
-        if mi:
-            out = out * root_vector("f_eps", i, n) ** mi
-    return out
-
-
 def build_F(n: int, D: int) -> FTensor:
     if D < 0:
         raise ValueError("truncation degree must be non-negative")
     entries = []
     for m in enumerate_b_indices(n, D):
-        entries.append((m, f_coefficient(m, n), epart_twisted(m, n), fpart(m, n)))
+        entries.append((m, f_coefficient(m, n), epart_twisted(m, n), b_monomial(m, n)))
     return FTensor(n, D, entries)

@@ -807,17 +807,13 @@ def specialize(s: Scalar, mode: SpecMode) -> Scalar:
     """Apply the mode's ring homomorphism and re-canonicalize."""
     if mode.kind == "generic":
         return s
+    if mode.kind == "numeric":
+        return scalar_from_qqi(scalar_to_qqi(s, mode))
     num = _spec_poly_sigma(s.num, mode.sigma)
     den = _spec_poly_sigma(s.den, mode.sigma)
     if not den:
         raise ZeroDivisionError("denominator vanishes under specialization")
-    if mode.kind == "specialized":
-        return Scalar(num, den)
-    nv = peval_qqi(num, mode.v0)
-    dv = peval_qqi(den, mode.v0)
-    if dv == QQI_ZERO:
-        raise ZeroDivisionError("denominator vanishes at the numeric point")
-    return scalar_from_qqi(qqi_mul(nv, qqi_inv(dv)))
+    return Scalar(num, den)
 
 
 def scalar_to_qqi(s: Scalar, mode: SpecMode):

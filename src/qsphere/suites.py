@@ -4,10 +4,16 @@ Each suite runs a family of exact checks and returns a structured report.
 A suite that leans on another suite's result (``SUITE_DEPS``: the module
 oracle on the radical soundness of the defining relations, the inverse
 tensor on the irreducibility ranks, the star product on the invariant
-dimensions) opens a gate first.  The verdicts of the gate suites go into
-one ledger, keyed on each report's suite, params and mode.  Every verdict
-recorded at the rank that covers the dependent run must pass; when none
-covers it, the gate suite runs once at what the dependent run needs.
+dimensions) opens a gate first.
+
+What one run shares lives in a ``Session``: the verdicts of the gate
+suites, keyed on each report's suite, params and mode, and one
+``EvalContext`` per rank and mode, whose engine tables and ladder-gate
+verdicts carry over from one suite to the next.  Every suite takes a
+``session``; one that uses it makes a fresh one when it gets none, so two
+standalone calls share nothing.  Every verdict in the session at the rank
+that covers the dependent run must pass; when none covers it, the gate
+suite runs once, in the same session, at what the dependent run needs.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .verma import (
     shapovalov,
     vacuum_eval,
 )
-from .ftensor import build_F, epart_twisted, fpart
+from .ftensor import build_F, epart_twisted
 from .plane import (
     PlanePoly,
     act,
@@ -127,19 +133,21 @@ def _factorization_rhs(m, mode) -> Scalar:
     return out
 
 
-def verify_factorization(n=2, max_deg=4, sigma="both") -> VerificationReport:
+def verify_factorization(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
     sigmas = _sigma_list(sigma)
+    session = session or Session()
     rep = VerificationReport(
         "factorization", {"n": n, "max_deg": max_deg}, _mode_label(sigmas)
     )
     with timer(rep):
         indices = enumerate_b_indices(n, max_deg)
+        monomials = [(m, b_monomial(m, n)) for m in indices]
         for s in sigmas:
-            ctx = EvalContext(n, SpecMode.specialized(s))
+            ctx = session.context(n, SpecMode.specialized(s))
             for k in indices:
                 eomega = omega(_epart_plain(k, n))
-                for m in indices:
-                    lhs = pair_lowering(eomega, b_monomial(m, n), ctx)
+                for m, b in monomials:
+                    lhs = pair_lowering(eomega, b, ctx)
                     rhs = _factorization_rhs(m, ctx.mode) if k == m else ZERO
                     rep.record(
                         "k=%s,m=%s|sigma=%+d" % (list(k), list(m), s),
@@ -150,15 +158,16 @@ def verify_factorization(n=2, max_deg=4, sigma="both") -> VerificationReport:
     return rep
 
 
-def verify_harish(n=2, max_deg=4, sigma="both") -> VerificationReport:
+def verify_harish(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
     """Powers of one raising/lowering pair: the product formula with shifted
     q-numbers and the specialized closed form both match the engine."""
     sigmas = _sigma_list(sigma)
+    session = session or Session()
     rep = VerificationReport("harish", {"n": n, "max_deg": max_deg}, _mode_label(sigmas))
     with timer(rep):
         half = Fraction(1, 2)
         for s in sigmas:
-            ctx = EvalContext(n, SpecMode.specialized(s))
+            ctx = session.context(n, SpecMode.specialized(s))
             for i in range(1, n + 1):
                 shift = specialize(Scalar.L_power(i, 1), ctx.mode)
                 e_i = root_vector("e_eps", i, n)
@@ -212,10 +221,11 @@ def serre_elements(n):
     return out
 
 
-def verify_serre_radical(n=2, weight_bound=5, **_ignored) -> VerificationReport:
+def verify_serre_radical(n=2, weight_bound=5, session=None) -> VerificationReport:
+    session = session or Session()
     rep = VerificationReport("serre-radical", {"n": n, "weight_bound": weight_bound}, "generic")
     with timer(rep):
-        ctx = EvalContext(n, SpecMode.generic())
+        ctx = session.context(n, SpecMode.generic())
         for label, s in serre_elements(n):
             ht = len(next(iter(s.terms)))
             max_tail = weight_bound - ht
@@ -230,7 +240,7 @@ def verify_serre_radical(n=2, weight_bound=5, **_ignored) -> VerificationReport:
                     ok,
                     "element does not pair to zero generically",
                 )
-    return _record(rep)
+    return session.record(rep)
 
 
 def _all_words(n, length):
@@ -244,58 +254,79 @@ def _all_words(n, length):
 # Gates
 # ---------------------------------------------------------------------------
 
-# the verdicts of the gate suites: (suite, sorted params, mode) -> passed
-_LEDGER: dict = {}
-
-
-def _record(rep):
-    """Enter a gate suite's verdict in the ledger; returns the report."""
-    params = tuple(sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in rep.params.items()))
-    _LEDGER[rep.suite, params, rep.mode] = rep.passed
-    return rep
-
-
 # gate suite -> (whether a recorded run's params and mode cover a dependent
 # run at (max_deg, sigmas); the run that decides the gate when none does;
 # what a failed gate voids).  Reruns go through the module-level names.
 _GATES = {
     "serre-radical": (
         lambda p, mode, max_deg, sigmas: p["weight_bound"] >= 4,
-        lambda n, max_deg, sigmas: verify_serre_radical(n, weight_bound=4),
+        lambda session, n, max_deg, sigmas: verify_serre_radical(
+            n, weight_bound=4, session=session
+        ),
         "the pairing oracle is unsound",
     ),
     "irreducibility": (
         lambda p, mode, max_deg, sigmas: p["max_deg"] == max_deg
         and mode == _mode_label(sigmas, kind="numeric")
         and p["word_limit"] >= _IRR_WORD_LIMIT,
-        lambda n, max_deg, sigmas: verify_irreducibility(
-            n, max_deg, "both" if len(sigmas) == 2 else sigmas[0]
+        lambda session, n, max_deg, sigmas: verify_irreducibility(
+            n, max_deg, "both" if len(sigmas) == 2 else sigmas[0], session=session
         ),
         "inverse-tensor checks are void",
     ),
     "invariant-dims": (
         lambda p, mode, max_deg, sigmas: p["max_deg"] >= 2 * max_deg,
-        lambda n, max_deg, sigmas: verify_invariant_dims(n, 2 * max_deg),
+        lambda session, n, max_deg, sigmas: verify_invariant_dims(
+            n, 2 * max_deg, session=session
+        ),
         "star closure checks are void",
     ),
 }
 
 
-def ensure_gates(name, n, max_deg=None, sigmas=(1, -1)):
-    """Open the gate of every suite `name` depends on: each verdict in the
-    ledger at rank n that covers this run must pass; with none, the gate
-    suite runs once at this run's need."""
-    for dep in SUITE_DEPS.get(name, ()):
-        covers, rerun, voids = _GATES[dep]
-        found = []
-        for (suite, params, mode), ok in _LEDGER.items():
-            p = dict(params)
-            if suite == dep and p["n"] == n and covers(p, mode, max_deg, sigmas):
-                found.append(ok)
-        if not found:
-            found = [rerun(n, max_deg, sigmas).passed]
-        if not all(found):
-            raise OracleError("%s gate failed at rank %d: %s" % (dep, n, voids))
+class Session:
+    """What one run shares: the gate verdicts and the engine contexts.
+
+    ``verdicts`` maps (suite, sorted params, mode) to whether that gate
+    suite's report passed.  ``contexts`` holds one ``EvalContext`` per
+    (rank, mode); its tables and ladder-gate verdicts depend on nothing
+    else, so suites that share a context get the results they would get
+    alone.
+    """
+
+    def __init__(self):
+        self.verdicts: dict = {}
+        self.contexts: dict = {}
+
+    def context(self, n, mode) -> EvalContext:
+        ctx = self.contexts.get((n, mode))
+        if ctx is None:
+            ctx = self.contexts[n, mode] = EvalContext(n, mode)
+        return ctx
+
+    def record(self, rep):
+        """Enter a gate suite's verdict; returns the report."""
+        params = tuple(
+            sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in rep.params.items())
+        )
+        self.verdicts[rep.suite, params, rep.mode] = rep.passed
+        return rep
+
+    def ensure_gates(self, name, n, max_deg=None, sigmas=(1, -1)):
+        """Open the gate of every suite `name` depends on: each verdict at
+        rank n that covers this run must pass; with none, the gate suite
+        runs once in this session at this run's need."""
+        for dep in SUITE_DEPS.get(name, ()):
+            covers, rerun, voids = _GATES[dep]
+            found = []
+            for (suite, params, mode), ok in self.verdicts.items():
+                p = dict(params)
+                if suite == dep and p["n"] == n and covers(p, mode, max_deg, sigmas):
+                    found.append(ok)
+            if not found:
+                found = [rerun(self, n, max_deg, sigmas).passed]
+            if not all(found):
+                raise OracleError("%s gate failed at rank %d: %s" % (dep, n, voids))
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +359,15 @@ def _span_checks(n, max_deg):
     return checks
 
 
-def verify_span(n=2, max_deg=4, sigma="both") -> VerificationReport:
+def verify_span(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
     sigmas = _sigma_list(sigma)
+    session = session or Session()
     rep = VerificationReport("span", {"n": n, "max_deg": max_deg}, _mode_label(sigmas))
-    ensure_gates("span", n)
+    session.ensure_gates("span", n)
     with timer(rep):
         checks = _span_checks(n, max_deg)
         for s in sigmas:
-            ctx = EvalContext(n, SpecMode.specialized(s))
+            ctx = session.context(n, SpecMode.specialized(s))
             for _ht, name, x in checks:
                 ok = is_zero_in_M(x, ctx)
                 rep.record("%s|sigma=%+d" % (name, s), ok, "difference is nonzero in the module")
@@ -343,13 +375,16 @@ def verify_span(n=2, max_deg=4, sigma="both") -> VerificationReport:
     return rep
 
 
-def verify_normalizer(n=2, max_deg=4, sigma="both", m_cap=None) -> VerificationReport:
+def verify_normalizer(
+    n=2, max_deg=4, sigma="both", m_cap=None, session=None
+) -> VerificationReport:
     sigmas = _sigma_list(sigma)
+    session = session or Session()
     m_cap = n if m_cap is None else min(m_cap, n)
     rep = VerificationReport(
         "normalizer", {"n": n, "max_deg": max_deg, "m_cap": m_cap}, _mode_label(sigmas)
     )
-    ensure_gates("normalizer", n)
+    session.ensure_gates("normalizer", n)
     with timer(rep):
         # a generator of the deformed-isotropy column j annihilates basis
         # tails supported on columns >= j; the doubled-root generator kills
@@ -358,7 +393,7 @@ def verify_normalizer(n=2, max_deg=4, sigma="both", m_cap=None) -> VerificationR
         gens += [("f%d" % j, AlgElt.f(j), j) for j in range(2, m_cap + 1)]
         tail_deg = max(0, max_deg - 1)
         for s in sigmas:
-            ctx = EvalContext(n, SpecMode.specialized(s))
+            ctx = session.context(n, SpecMode.specialized(s))
             for gname, g, first in gens:
                 for m in _b_tails(n, tail_deg, first=first):
                     x = g * b_monomial(m, n)
@@ -414,7 +449,8 @@ def _b_tails(n, max_total, first=2):
 # Appendix identities
 # ---------------------------------------------------------------------------
 
-def verify_xyz(n=3, triples=120, seed=2024, **_ignored) -> VerificationReport:
+def verify_xyz(n=3, triples=120, seed=2024, session=None) -> VerificationReport:
+    session = session or Session()
     rep = VerificationReport("xyz", {"n": n, "triples": triples, "seed": seed}, "generic")
     with timer(rep):
         rng = random.Random(seed)
@@ -434,7 +470,7 @@ def verify_xyz(n=3, triples=120, seed=2024, **_ignored) -> VerificationReport:
                 "bracket-identity:%d-random-triples" % triples, bad == 0, "%d failures" % bad
             )
         # (b) the two vanishing conclusions, through the generic oracle
-        ctx = EvalContext(n, SpecMode.generic())
+        ctx = session.context(n, SpecMode.generic())
         for i in range(2, n):
             x, y, z = AlgElt.f(i - 1), AlgElt.f(i), AlgElt.f(i + 1)
             c1 = qbracket(qbracket(x, y, _QBAR), qbracket(y, z, _Q), ONE)
@@ -487,7 +523,7 @@ def _rank_weights(n, max_deg):
 
 
 def verify_irreducibility(
-    n=2, max_deg=4, sigma="both", v0=2, word_limit=_IRR_WORD_LIMIT
+    n=2, max_deg=4, sigma="both", v0=2, word_limit=_IRR_WORD_LIMIT, session=None
 ) -> VerificationReport:
     """Full-slice Gram ranks against basis counts, plus nonzero diagonals.
 
@@ -496,6 +532,7 @@ def verify_irreducibility(
     2 the default limit covers every weight up to degree 4.
     """
     sigmas = _sigma_list(sigma)
+    session = session or Session()
     points = _check_points(v0)
     rep = VerificationReport(
         "irreducibility",
@@ -509,8 +546,8 @@ def verify_irreducibility(
     )
     with timer(rep):
         for s in sigmas:
-            sctx = EvalContext(n, SpecMode.specialized(s))
-            nctxs = [(p, EvalContext(n, SpecMode.numeric(p, s))) for p in points]
+            sctx = session.context(n, SpecMode.specialized(s))
+            nctxs = [(p, session.context(n, SpecMode.numeric(p, s))) for p in points]
             for mu in _rank_weights(n, max_deg):
                 expected = 0 if any(c > 0 for c in mu) else 1
                 if expected and sum(-c for c in mu) > max_deg + 1:
@@ -534,17 +571,18 @@ def verify_irreducibility(
                     "diagonal form value vanishes",
                 )
         _branch_invariance(rep, sigmas)
-    return _record(rep)
+    return session.record(rep)
 
 
-def verify_f_inverse(n=2, max_deg=4, sigma="both") -> VerificationReport:
+def verify_f_inverse(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
     sigmas = _sigma_list(sigma)
+    session = session or Session()
     rep = VerificationReport("f-inverse", {"n": n, "max_deg": max_deg}, _mode_label(sigmas))
-    ensure_gates("f-inverse", n, max_deg, sigmas)
+    session.ensure_gates("f-inverse", n, max_deg, sigmas)
     with timer(rep):
         F = build_F(n, max_deg)
         for s in sigmas:
-            ctx = EvalContext(n, SpecMode.specialized(s))
+            ctx = session.context(n, SpecMode.specialized(s))
             for m, coeff, ep, fp in F.entries:
                 val = coeff * invariant_form(fp, ep, ctx)
                 rep.record(
@@ -563,7 +601,7 @@ def verify_f_inverse(n=2, max_deg=4, sigma="both") -> VerificationReport:
                     for mb in ms:
                         if ma == mb:
                             continue
-                        val = invariant_form(fpart(mb, n), epart_twisted(ma, n), ctx)
+                        val = invariant_form(b_monomial(mb, n), epart_twisted(ma, n), ctx)
                         rep.record(
                             "offdiag:m=%s,k=%s|sigma=%+d" % (list(ma), list(mb), s),
                             val.is_zero(),
@@ -596,7 +634,7 @@ def _plane_generators(n):
     return gens
 
 
-def verify_module_algebra(n=2, cases=200, seed=5, **_ignored) -> VerificationReport:
+def verify_module_algebra(n=2, cases=200, seed=5, session=None) -> VerificationReport:
     rep = VerificationReport("module-algebra", {"n": n, "cases": cases, "seed": seed}, "symbolic")
     with timer(rep):
         # (a) the raw-word action respects each defining relation
@@ -669,7 +707,7 @@ def _random_plane_poly(rng, n):
     return p
 
 
-def verify_delta_inv(n=2, kmax=6, **_ignored) -> VerificationReport:
+def verify_delta_inv(n=2, kmax=6, session=None) -> VerificationReport:
     rep = VerificationReport("delta-inv", {"n": n, "kmax": kmax}, "symbolic")
     with timer(rep):
         x0 = PlanePoly.coordinate(0, n)
@@ -704,7 +742,8 @@ def verify_delta_inv(n=2, kmax=6, **_ignored) -> VerificationReport:
     return rep
 
 
-def verify_invariant_dims(n=2, max_deg=6, v0=2, **_ignored) -> VerificationReport:
+def verify_invariant_dims(n=2, max_deg=6, v0=2, session=None) -> VerificationReport:
+    session = session or Session()
     points = _check_points(v0)
     rep = VerificationReport(
         "invariant-dims",
@@ -730,14 +769,15 @@ def verify_invariant_dims(n=2, max_deg=6, v0=2, **_ignored) -> VerificationRepor
                 sl.candidates_independent,
                 "candidates are dependent at a numeric point",
             )
-    return _record(rep)
+    return session.record(rep)
 
 
-def verify_star(n=2, max_deg=2, **_ignored) -> VerificationReport:
+def verify_star(n=2, max_deg=2, session=None) -> VerificationReport:
     """Closure, associativity on invariants, a non-associativity witness, and
     the classical limit of the twisted product."""
+    session = session or Session()
     rep = VerificationReport("star", {"n": n, "max_deg": max_deg}, "symbolic")
-    ensure_gates("star", n, max_deg)
+    session.ensure_gates("star", n, max_deg)
     with timer(rep):
         # degree 2 at least: the non-associativity witness multiplies
         # degree-1 coordinates whatever the invariants' degree

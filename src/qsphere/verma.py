@@ -502,19 +502,12 @@ def b_index_of_weight(coords):
     return tuple(-c for c in coords)
 
 
-_B_CACHE: dict = {}
-
-
 def b_monomial(m, n) -> AlgElt:
     """The basis monomial f_{eps_1}^{m_1} ... f_{eps_n}^{m_n}."""
-    key = (tuple(m), n)
-    out = _B_CACHE.get(key)
-    if out is None:
-        out = AlgElt.unit()
-        for i, mi in enumerate(m, start=1):
-            if mi:
-                out = out * root_vector("f_eps", i, n) ** mi
-        _B_CACHE[key] = out
+    out = AlgElt.unit()
+    for i, mi in enumerate(m, start=1):
+        if mi:
+            out = out * root_vector("f_eps", i, n) ** mi
     return out
 
 
@@ -540,28 +533,6 @@ def enumerate_b_indices(n, max_total):
 # ---------------------------------------------------------------------------
 # Gram matrices, ranks, and the module oracle
 # ---------------------------------------------------------------------------
-
-class GramSlice:
-    """The contravariant form on all lowering words of one weight."""
-
-    __slots__ = ("weight", "words", "entries")
-
-    def __init__(self, weight, words, entries):
-        self.weight = weight
-        self.words = words
-        self.entries = entries
-
-    @property
-    def size(self):
-        return len(self.words)
-
-
-def gram(weight: Weight, ctx: EvalContext, limit: int = 400) -> GramSlice:
-    words = fwords_of_weight(weight.coords, ctx.n, limit=limit)
-    elts = [fword_elt(w) for w in words]
-    entries = [[shapovalov(a, b, ctx) for b in elts] for a in elts]
-    return GramSlice(weight, words, entries)
-
 
 def _qqi_rows_to_gauss(rows):
     """Clear denominators row by row; entries become Gaussian integers."""

@@ -232,8 +232,6 @@ def qbracket(a: AlgElt, b: AlgElt, c: Scalar) -> AlgElt:
 _Q = scalars.Scalar.v_power(2)
 _QBAR = scalars.Scalar.v_power(-2)
 
-_ROOT_CACHE: dict = {}
-
 
 def root_vector(kind: str, i: int, n: int) -> AlgElt:
     """Composite root vectors as fully expanded word combinations.
@@ -242,10 +240,6 @@ def root_vector(kind: str, i: int, n: int) -> AlgElt:
     "e_delta", "f_delta".  The eps-families nest i simple generators; the
     delta vectors live at the doubled short coordinate sum and need n >= 2.
     """
-    key = (kind, i, n)
-    cached = _ROOT_CACHE.get(key)
-    if cached is not None:
-        return cached
     if kind in ("e_delta", "f_delta"):
         if n < 2:
             raise ValueError("delta root vectors need rank >= 2")
@@ -269,7 +263,6 @@ def root_vector(kind: str, i: int, n: int) -> AlgElt:
                 out = qbracket(AlgElt.e(j), out, _QBAR)
         else:
             raise ValueError("unknown root-vector kind %r" % kind)
-    _ROOT_CACHE[key] = out
     return out
 
 

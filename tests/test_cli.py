@@ -39,11 +39,6 @@ def test_star_at_degree_zero_runs(capsys):
     assert len(json.loads(capsys.readouterr().out)["checks"]) == 4
 
 
-def test_mode_mismatch_is_usage_error():
-    assert main(["verify", "factorization", "--mode", "generic"]) == 2
-    assert main(["verify", "serre-radical", "--mode", "specialized"]) == 2
-
-
 def test_bad_numeric_point_is_usage_error():
     assert main(["verify", "irreducibility", "--v", "1"]) == 2
     assert main(["verify", "irreducibility", "--v", "0"]) == 2
@@ -113,10 +108,13 @@ def test_oracle_precondition_failure_is_exit_three(monkeypatch):
     import qsphere.suites as suites
     from qsphere.report import VerificationReport
 
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    rep = VerificationReport("serre-radical", {"n": 2, "weight_bound": 4}, "generic")
-    rep.record("forced", False, "forced failure")
-    suites._record(rep)
+    def failing_serre(n, weight_bound=5, session=None):
+        rep = VerificationReport("serre-radical", {"n": n, "weight_bound": weight_bound}, "generic")
+        rep.record("forced", False, "forced failure")
+        return session.record(rep)
+
+    # the gate of span reruns the radical suite in span's own session
+    monkeypatch.setattr(suites, "verify_serre_radical", failing_serre)
     assert main(["verify", "span", "--n", "2", "--max-deg", "1"]) == 3
 
 
@@ -157,24 +155,27 @@ def test_run_all_aggregate_small(tmp_path):
 
 def test_run_all_raises_every_suite_to_the_requested_rank(monkeypatch):
     """`all` runs each suite once, at the requested rank raised to the
-    suite's minimum, and does not pass a mode request on."""
+    suite's minimum, and hands every suite the same session."""
     import qsphere.suites as suites
     from qsphere.cli import SuiteConfig, run_all
     from qsphere.report import VerificationReport
 
     calls = []
+    sessions = []
 
     def stub(name):
         def run(**kw):
             calls.append((name, kw["n"]))
+            sessions.append(kw["session"])
             return VerificationReport(name, kw, "stub")
 
         return run
 
     for name in suites.SUITE_ORDER:
         monkeypatch.setitem(suites.SUITES, name, stub(name))
-    assert run_all(SuiteConfig(n=3, max_deg=1, mode="generic")).passed
+    assert run_all(SuiteConfig(n=3, max_deg=1)).passed
     assert calls == [(name, 3) for name in suites.SUITE_ORDER]
+    assert sessions[0] is not None and all(s is sessions[0] for s in sessions)
     calls.clear()
-    assert run_all(SuiteConfig(n=1, mode="specialized")).passed
+    assert run_all(SuiteConfig(n=1)).passed
     assert calls == [(name, suites.MIN_RANK.get(name, 1)) for name in suites.SUITE_ORDER]

@@ -1,7 +1,7 @@
 """A ratchet on process-global state: a suite run may change no module-level
-dict, list or set of qsphere except the listed memos and the gate ledger.
-Moving one of these into per-run state shortens the list; adding a new
-process-global cache fails the test."""
+dict, list or set of qsphere except the listed memo; gate verdicts and
+engine contexts live in the run's session.  Moving the memo into per-run
+state empties the list; adding a new process-global cache fails the test."""
 
 import copy
 import sys
@@ -9,12 +9,7 @@ import sys
 import qsphere.cli  # noqa: F401  (loads every qsphere module)
 import qsphere.suites as suites
 
-MUTABLE_GLOBALS = {
-    ("qsphere.plane", "_NF_CACHE"),
-    ("qsphere.words", "_ROOT_CACHE"),
-    ("qsphere.verma", "_B_CACHE"),
-    ("qsphere.suites", "_LEDGER"),
-}
+MUTABLE_GLOBALS = {("qsphere.plane", "_NF_CACHE")}
 
 
 def _containers():
@@ -31,9 +26,10 @@ def _containers():
 def test_a_suite_run_changes_only_the_memos_and_the_ledger():
     before = {key: copy.copy(val) for key, val in _containers().items()}
     # parameters no other test runs, so that every memo meets new keys
-    assert suites.verify_star(3, 0).passed
-    assert suites.verify_f_inverse(2, 1, sigma="-1").passed
+    session = suites.Session()
+    assert suites.verify_star(3, 0, session=session).passed
+    assert suites.verify_f_inverse(2, 1, sigma="-1", session=session).passed
     after = _containers()
     changed = {key for key, val in after.items() if key not in before or before[key] != val}
     assert changed <= MUTABLE_GLOBALS
-    assert ("qsphere.suites", "_LEDGER") in changed
+    assert session.verdicts and session.contexts

@@ -3,13 +3,14 @@ import json
 import pytest
 
 import qsphere.suites as suites
+import qsphere.verma as verma
 from qsphere.report import VerificationReport
 from qsphere.verma import OracleError, fwords_of_weight
 from qsphere.suites import (
     SUITE_DEPS,
     SUITES,
     SUITE_ORDER,
-    ensure_gates,
+    Session,
     serre_elements,
     verify_delta_inv,
     verify_factorization,
@@ -64,43 +65,92 @@ def test_serre_elements_inventory():
     assert "comm[f1,f3]" in labels
 
 
-def _failed(suite, params, mode):
-    """A failing report of a gate suite, entered in the ledger."""
+def _failed(session, suite, params, mode):
+    """A failing report of a gate suite, entered in the session."""
     rep = VerificationReport(suite, params, mode)
     rep.record("forced", False, "forced failure")
-    return suites._record(rep)
+    return session.record(rep)
 
 
-def test_serre_gate_blocks_oracle_suites(monkeypatch):
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    _failed("serre-radical", {"n": 2, "weight_bound": 4}, "generic")
+def _passed(session, suite, params, mode):
+    rep = VerificationReport(suite, params, mode)
+    rep.record("forced", True)
+    return session.record(rep)
+
+
+def test_serre_gate_blocks_oracle_suites():
+    session = Session()
+    _failed(session, "serre-radical", {"n": 2, "weight_bound": 4}, "generic")
     with pytest.raises(OracleError):
-        ensure_gates("span", 2)
+        session.ensure_gates("span", 2)
     with pytest.raises(OracleError):
-        verify_span(2, 1)
+        verify_span(2, 1, session=session)
+
+
+def test_a_verdict_stays_in_its_session(monkeypatch):
+    """A failing verdict gates only calls made with its own session."""
+    failing = Session()
+    _failed(failing, "serre-radical", {"n": 2, "weight_bound": 4}, "generic")
+    runs = _spy(monkeypatch, "verify_serre_radical", "n")
+    other = Session()
+    other.ensure_gates("span", 2)
+    assert verify_span(2, 1, session=other).passed
+    assert verify_span(2, 1).passed
+    assert runs == [2, 2]
+    with pytest.raises(OracleError):
+        failing.ensure_gates("span", 2)
 
 
 def test_verdict_at_another_rank_does_not_count(monkeypatch):
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    _failed("serre-radical", {"n": 3, "weight_bound": 4}, "generic")
+    session = Session()
+    _failed(session, "serre-radical", {"n": 3, "weight_bound": 4}, "generic")
     runs = _spy(monkeypatch, "verify_serre_radical", "n")
-    ensure_gates("span", 2)
+    session.ensure_gates("span", 2)
     assert runs == [2]
 
 
 def test_serre_radical_run_opens_the_gate(monkeypatch):
     """The suite's own run covers the gate at weight_bound >= 4; after a
     shallower one the gate reruns once, at 4."""
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    assert SUITES["serre-radical"](n=2).passed
+    session = Session()
+    assert SUITES["serre-radical"](n=2, session=session).passed
     runs = _spy(monkeypatch, "verify_serre_radical", "weight_bound")
-    ensure_gates("span", 2)
+    session.ensure_gates("span", 2)
     assert runs == []
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    assert SUITES["serre-radical"](n=2, weight_bound=3).passed
-    ensure_gates("span", 2)
-    ensure_gates("normalizer", 2)
+    session = Session()
+    assert SUITES["serre-radical"](n=2, weight_bound=3, session=session).passed
+    session.ensure_gates("span", 2)
+    session.ensure_gates("normalizer", 2)
     assert runs == [4]
+
+
+def _spy_ladder_gates(monkeypatch):
+    """Record the (branch sign, weight) of every ladder gate computed, not
+    read from its context."""
+    computed = []
+    original = verma._ladder_rank_ok
+
+    def spy(coords, ctx):
+        if tuple(coords) not in ctx._rank_gate:
+            computed.append((ctx.mode.sigma, tuple(coords)))
+        return original(coords, ctx)
+
+    monkeypatch.setattr(verma, "_ladder_rank_ok", spy)
+    return computed
+
+
+def test_normalizer_reuses_the_ladder_gates_of_span(monkeypatch):
+    """At rank 2, 14 of normalizer's 16 gate weights are ones span has
+    already certified; in one session normalizer computes only the other 2."""
+    computed = _spy_ladder_gates(monkeypatch)
+    assert suites.verify_normalizer(2, session=Session()).passed
+    wanted = set(computed)
+    assert len(wanted) == len(computed) == 16
+    session = Session()
+    assert verify_span(2, session=session).passed
+    computed.clear()
+    assert suites.verify_normalizer(2, session=session).passed
+    assert len(set(computed)) == len(computed) == 2 and set(computed) <= wanted
 
 
 def test_xyz_suite_counts():
@@ -152,47 +202,44 @@ def _spy_irreducibility(monkeypatch):
 
 
 def test_narrowed_irreducibility_run_does_not_open_the_inverse_gate(monkeypatch):
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    rep = suites.verify_irreducibility(2, 2, word_limit=0)
+    session = Session()
+    rep = suites.verify_irreducibility(2, 2, word_limit=0, session=session)
     assert rep.passed and not any(c.name.startswith("rank:") for c in rep.checks)
     runs = _spy_irreducibility(monkeypatch)
-    assert suites.verify_f_inverse(2, 2).passed
+    assert suites.verify_f_inverse(2, 2, session=session).passed
     assert runs == [200]
 
 
 def test_full_scope_verdict_at_another_point_is_reused(monkeypatch):
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    assert suites.verify_irreducibility(2, 2, v0=5).passed
+    session = Session()
+    assert suites.verify_irreducibility(2, 2, v0=5, session=session).passed
     runs = _spy_irreducibility(monkeypatch)
-    assert suites.verify_f_inverse(2, 2).passed
+    assert suites.verify_f_inverse(2, 2, session=session).passed
     assert runs == []
 
 
 def test_verdict_on_one_branch_does_not_open_the_gate_for_both(monkeypatch):
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    assert suites.verify_irreducibility(2, 2, sigma=1).passed
+    session = Session()
+    assert suites.verify_irreducibility(2, 2, sigma=1, session=session).passed
     runs = _spy_irreducibility(monkeypatch)
-    assert suites.verify_f_inverse(2, 2).passed
+    assert suites.verify_f_inverse(2, 2, session=session).passed
     assert runs == [200]
 
 
-def test_failing_full_scope_verdict_closes_the_inverse_gate(monkeypatch):
-    monkeypatch.setattr(suites, "_LEDGER", {})
+def test_failing_full_scope_verdict_closes_the_inverse_gate():
+    session = Session()
     params = {"n": 2, "max_deg": 2, "word_limit": 200}
-    _failed("irreducibility", dict(params, points=["2", "3"]), "numeric(sigma=both)")
-    rep = VerificationReport("irreducibility", dict(params, points=["3", "5"]), "numeric(sigma=both)")
-    rep.record("forced", True)
-    suites._record(rep)
+    _failed(session, "irreducibility", dict(params, points=["2", "3"]), "numeric(sigma=both)")
+    _passed(session, "irreducibility", dict(params, points=["3", "5"]), "numeric(sigma=both)")
     with pytest.raises(OracleError):
-        suites.verify_f_inverse(2, 2)
+        suites.verify_f_inverse(2, 2, session=session)
 
 
 @pytest.mark.parametrize("word_limit", [30, 29])
-def test_irreducibility_scope_is_the_enumerated_word_limit(monkeypatch, word_limit):
+def test_irreducibility_scope_is_the_enumerated_word_limit(word_limit):
     """Rank checks run exactly on the weights whose enumerated word list is
     nonempty and at most word_limit long; two rank-3 weights at degree 2
     have 30 words, so the two limits give different scopes."""
-    monkeypatch.setattr(suites, "_LEDGER", {})
     n, max_deg = 3, 2
     rep = suites.verify_irreducibility(n, max_deg, word_limit=word_limit)
     want = set()
@@ -208,10 +255,9 @@ def test_irreducibility_scope_is_the_enumerated_word_limit(monkeypatch, word_lim
     assert {c.name for c in rep.checks if c.name.startswith("rank:")} == want
 
 
-def test_irreducibility_ranks_slices_up_to_the_suite_word_limit(monkeypatch):
+def test_irreducibility_ranks_slices_up_to_the_suite_word_limit():
     """A word_limit above rank_at's own default reaches the ranks: the
     weight (-2, 0, -2) has 420 words and is ranked, not refused."""
-    monkeypatch.setattr(suites, "_LEDGER", {})
     assert suites.fword_count((-2, 0, -2), 3) == 420
     rep = suites.verify_irreducibility(3, 3, sigma=1, word_limit=500)
     assert rep.passed
@@ -224,29 +270,27 @@ def _spy_invariant_dims(monkeypatch):
 
 
 def test_covering_dims_verdict_at_another_point_is_reused(monkeypatch):
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    assert suites.verify_invariant_dims(2, 3, v0=5).passed
+    session = Session()
+    assert suites.verify_invariant_dims(2, 3, v0=5, session=session).passed
     runs = _spy_invariant_dims(monkeypatch)
-    assert suites.verify_star(2, 1).passed
+    assert suites.verify_star(2, 1, session=session).passed
     assert runs == []
 
 
 def test_star_gate_reruns_without_a_covering_dims_verdict(monkeypatch):
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    assert suites.verify_invariant_dims(2, 1).passed
+    session = Session()
+    assert suites.verify_invariant_dims(2, 1, session=session).passed
     runs = _spy_invariant_dims(monkeypatch)
-    assert suites.verify_star(2, 1).passed
+    assert suites.verify_star(2, 1, session=session).passed
     assert runs == [2]
 
 
-def test_failing_covering_dims_verdict_closes_the_star_gate(monkeypatch):
-    monkeypatch.setattr(suites, "_LEDGER", {})
-    _failed("invariant-dims", {"n": 2, "max_deg": 4, "points": ["2", "3"]}, "numeric")
-    rep = VerificationReport("invariant-dims", {"n": 2, "max_deg": 6, "points": ["5", "3"]}, "numeric")
-    rep.record("forced", True)
-    suites._record(rep)
+def test_failing_covering_dims_verdict_closes_the_star_gate():
+    session = Session()
+    _failed(session, "invariant-dims", {"n": 2, "max_deg": 4, "points": ["2", "3"]}, "numeric")
+    _passed(session, "invariant-dims", {"n": 2, "max_deg": 6, "points": ["5", "3"]}, "numeric")
     with pytest.raises(OracleError):
-        suites.verify_star(2, 2)
+        suites.verify_star(2, 2, session=session)
 
 
 GATE_FUNCTIONS = {
@@ -258,9 +302,8 @@ GATE_FUNCTIONS = {
 
 @pytest.mark.parametrize("name", sorted(SUITE_DEPS))
 def test_a_standalone_suite_reruns_exactly_its_gates(monkeypatch, name):
-    """With an empty ledger, a gated suite runs each suite it depends on
-    once, in dependency order, and no other."""
-    monkeypatch.setattr(suites, "_LEDGER", {})
+    """Without a session, a gated suite runs each suite it depends on once,
+    in dependency order, and no other."""
     reruns = []
     for dep, fname in GATE_FUNCTIONS.items():
         original = getattr(suites, fname)

@@ -14,7 +14,6 @@ from qsphere.verma import (
     fword_count,
     fword_elt,
     fwords_of_weight,
-    gram,
     invariant_form,
     is_zero_generic,
     is_zero_in_M,
@@ -258,16 +257,6 @@ def test_over_limit_weight_is_refused_without_enumerating(monkeypatch):
     monkeypatch.setattr(verma, "_append_words", refuse)
     with pytest.raises(OracleError):
         fwords_of_weight((-4, -2, -1), 3, limit=200)
-
-
-def test_gram_slices():
-    ctx = EvalContext(2, SpecMode.specialized(1))
-    g = gram(Weight((-1, 0)), ctx)
-    assert g.size == 1 and g.words == [(1,)]
-    g3 = gram(Weight((-1, -1)), ctx)
-    assert g3.size == 3
-    g0 = gram(Weight((0, 0)), ctx)
-    assert g0.entries[0][0] == ONE
 
 
 def test_rank_examples():
