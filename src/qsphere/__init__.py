@@ -10,7 +10,7 @@ functions in `qsphere.suites`.
 """
 
 from .scalars import Scalar, SpecMode, qfact, qnum, specialize, theta
-from .words import AlgElt, Weight, omega, antipode, qbracket, root_vector, weight_of
+from .words import AlgElt, omega, antipode, qbracket, root_vector, weight_of
 from .verma import (
     EvalContext,
     OracleError,
@@ -31,7 +31,6 @@ __all__ = [
     "specialize",
     "theta",
     "AlgElt",
-    "Weight",
     "omega",
     "antipode",
     "qbracket",

@@ -12,7 +12,7 @@ multiplication by the inverse-form tensor.
 from __future__ import annotations
 
 from .scalars import ONE, ZERO, Scalar, SpecMode, scalar_to_qqi
-from .words import AlgElt, alpha_vec
+from .words import AlgElt, Combination, acc_add, alpha_vec
 
 _Q = Scalar.v_power(2)
 _QBAR = Scalar.v_power(-2)
@@ -63,13 +63,12 @@ def normalize_word(word, n) -> dict:
             out = _scaled(normalize_word(head + (j, i) + tail, n), _QBAR)
         else:
             jj = i  # i = jj > 0, j = -jj
-            acc = dict(normalize_word(head + (-jj, jj) + tail, n))
+            out = dict(normalize_word(head + (-jj, jj) + tail, n))
             if jj == 1:
-                _acc_add(acc, normalize_word(head + (0, 0) + tail, n), _QM1)
+                acc_add(out, normalize_word(head + (0, 0) + tail, n).items(), _QM1)
             else:
-                _acc_add(acc, normalize_word(head + (jj - 1, -jj + 1) + tail, n), _Q)
-                _acc_add(acc, normalize_word(head + (-jj + 1, jj - 1) + tail, n), -_QBAR)
-            out = {m: c for m, c in acc.items() if c}
+                acc_add(out, normalize_word(head + (jj - 1, -jj + 1) + tail, n).items(), _Q)
+                acc_add(out, normalize_word(head + (-jj + 1, jj - 1) + tail, n).items(), -_QBAR)
     _NF_CACHE[key] = out
     return out
 
@@ -92,31 +91,17 @@ def _scaled(d, c):
     return {m: c * cc for m, cc in d.items()}
 
 
-def _acc_add(acc, d, c=None):
-    for m, cc in d.items():
-        val = cc if c is None else c * cc
-        cur = acc.get(m)
-        cur = val if cur is None else cur + val
-        if cur:
-            acc[m] = cur
-        else:
-            acc.pop(m, None)
-
-
-class PlanePoly:
+class PlanePoly(Combination):
     """Scalar combination of normal-ordered coordinate monomials."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(c, Scalar):
-                    c = Scalar._promote(c)
-                if c:
-                    self.terms[tuple(m)] = c
+        super().__init__(terms)
+
+    def _empty(self):
+        return PlanePoly(self.n)
 
     @staticmethod
     def unit(n) -> "PlanePoly":
@@ -128,44 +113,10 @@ class PlanePoly:
 
     @staticmethod
     def from_word(word, n) -> "PlanePoly":
-        p = PlanePoly(n)
-        p.terms = dict(normalize_word(word, n))
-        return p
-
-    def is_zero(self):
-        return not self.terms
-
-    def key(self):
-        """Canonical hashable form: sorted (monomial, Scalar key) pairs."""
-        return tuple(sorted((m, c.key()) for m, c in self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+        return PlanePoly(n)._with(dict(normalize_word(word, n)))
 
     def __eq__(self, other):
         return isinstance(other, PlanePoly) and self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other):
-        out = PlanePoly(self.n)
-        out.terms = dict(self.terms)
-        _acc_add(out.terms, other.terms)
-        return out
-
-    def __neg__(self):
-        out = PlanePoly(self.n)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "PlanePoly":
-        if not isinstance(c, Scalar):
-            c = Scalar._promote(c)
-        out = PlanePoly(self.n)
-        if c:
-            out.terms = {m: c * cc for m, cc in self.terms.items()}
-        return out
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -175,15 +126,12 @@ class PlanePoly:
         for m1, c1 in self.terms.items():
             w1 = _mono_word(m1, n)
             for m2, c2 in other.terms.items():
-                nf = normalize_word(w1 + _mono_word(m2, n), n)
-                _acc_add(acc, nf, c1 * c2)
-        out = PlanePoly(n)
-        out.terms = {m: c for m, c in acc.items() if c}
-        return out
-
-    __rmul__ = __mul__
+                acc_add(acc, normalize_word(w1 + _mono_word(m2, n), n).items(), c1 * c2)
+        return self._with(acc)
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative plane powers are undefined")
         out = PlanePoly.unit(self.n)
         for _ in range(k):
             out = out * self
@@ -249,7 +197,7 @@ def act_gen_on_word(g, word, n) -> dict:
         w = word_weight(word, n)
         e = 2 * sum(a * b for a, b in zip(mu, w))
         fac = Scalar.v_power(e) if e else ONE
-        _acc_add(acc, normalize_word(word, n), fac)
+        acc_add(acc, normalize_word(word, n).items(), fac)
         return acc
     i = g[1]
     av = alpha_vec(i, n)
@@ -261,7 +209,7 @@ def act_gen_on_word(g, word, n) -> dict:
             if hit is not None:
                 nk, sgn = hit
                 nf = normalize_word(word[:t] + (nk,) + word[t + 1 :], n)
-                _acc_add(acc, nf, sgn * Scalar.v_power(suff))
+                acc_add(acc, nf.items(), sgn * Scalar.v_power(suff))
             wk = index_weight(k, n)
             suff += 2 * sum(a * b for a, b in zip(av, wk))
     else:
@@ -272,7 +220,7 @@ def act_gen_on_word(g, word, n) -> dict:
             if hit is not None:
                 nk, sgn = hit
                 nf = normalize_word(word[:t] + (nk,) + word[t + 1 :], n)
-                _acc_add(acc, nf, sgn * Scalar.v_power(pref))
+                acc_add(acc, nf.items(), sgn * Scalar.v_power(pref))
             wk = index_weight(k, n)
             pref -= 2 * sum(a * b for a, b in zip(av, wk))
     return acc
@@ -283,16 +231,8 @@ def act_generator(g, p: PlanePoly) -> PlanePoly:
     n = p.n
     acc: dict = {}
     for m, c in p.terms.items():
-        for tm, tc in act_gen_on_word(g, _mono_word(m, n), n).items():
-            cur = acc.get(tm)
-            cur = c * tc if cur is None else cur + c * tc
-            if cur:
-                acc[tm] = cur
-            else:
-                acc.pop(tm, None)
-    out = PlanePoly(n)
-    out.terms = acc
-    return out
+        acc_add(acc, act_gen_on_word(g, _mono_word(m, n), n).items(), c)
+    return p._with(acc)
 
 
 def act(x: AlgElt, p: PlanePoly) -> PlanePoly:
@@ -315,10 +255,8 @@ def act_all(elts, p: PlanePoly) -> list:
         for w, c in x.terms.items():
             img = _suffix_image(w, memo)
             if img:
-                _acc_add(acc, img.terms, c)
-        img = PlanePoly(p.n)
-        img.terms = acc
-        out.append(img)
+                acc_add(acc, img.terms.items(), c)
+        out.append(p._with(acc))
     return out
 
 
@@ -350,8 +288,7 @@ def casimir(n: int) -> PlanePoly:
 def chev_twist(x: AlgElt) -> AlgElt:
     """Algebra automorphism e -> -f, f -> -e, K -> K^{-1} (the plane-side
     compatibility twist; involutive)."""
-    out = AlgElt()
-    terms = {}
+    terms: dict = {}
     for w, c in x.terms.items():
         sign = 1
         nw = []
@@ -364,15 +301,8 @@ def chev_twist(x: AlgElt) -> AlgElt:
             else:
                 nw.append(("e", g[1]))
                 sign = -sign
-        cc = c if sign > 0 else -c
-        cur = terms.get(tuple(nw))
-        cur = cc if cur is None else cur + cc
-        if cur:
-            terms[tuple(nw)] = cur
-        else:
-            terms.pop(tuple(nw), None)
-    out.terms = terms
-    return out
+        acc_add(terms, [(tuple(nw), c if sign > 0 else -c)])
+    return x._with(terms)
 
 
 def iota(p: PlanePoly) -> PlanePoly:
@@ -382,10 +312,8 @@ def iota(p: PlanePoly) -> PlanePoly:
     for m, c in p.terms.items():
         word = _mono_word(m, n)
         rword = tuple(-k for k in reversed(word))
-        _acc_add(acc, normalize_word(rword, n), c)
-    out = PlanePoly(n)
-    out.terms = {m: c for m, c in acc.items() if c}
-    return out
+        acc_add(acc, normalize_word(rword, n).items(), c)
+    return p._with(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +343,8 @@ def star(p: PlanePoly, r: PlanePoly, F) -> PlanePoly:
     acc: dict = {}
     for (_m, c, _e, _f), left, right in zip(F.entries, lefts, rights):
         if left and right:
-            _acc_add(acc, (left * right).terms, c)
-    out = PlanePoly(p.n)
-    out.terms = acc
-    return out
+            acc_add(acc, (left * right).terms.items(), c)
+    return p._with(acc)
 
 
 def _contracted(F, side, p):
@@ -542,7 +468,7 @@ def candidate_invariants(n, m):
     return out
 
 
-def invariant_subspace(n, m, v0s=(2, 3), sigma=1):
+def invariant_subspace(n, m, v0s=(2, 3)):
     """Dimension and basis of the weight-zero degree-m joint kernel.
 
     The kernel is computed by exact linear algebra at each numeric point;
@@ -557,7 +483,7 @@ def invariant_subspace(n, m, v0s=(2, 3), sigma=1):
     dims = []
     kernels = []
     for v0 in v0s:
-        mode = SpecMode.numeric(v0, sigma)
+        mode = SpecMode.numeric(v0)
         rows = []
         for op in ops:
             rows.extend(operator_matrix(op, basis, n, mode))
@@ -574,7 +500,7 @@ def invariant_subspace(n, m, v0s=(2, 3), sigma=1):
     # independence: coordinates of the candidates at each numeric point
     independent = True
     for v0 in v0s:
-        mode = SpecMode.numeric(v0, sigma)
+        mode = SpecMode.numeric(v0)
         rows = []
         for c in cands:
             rows.append([scalar_to_qqi(c.terms.get(mono, ZERO), mode) for mono in basis])

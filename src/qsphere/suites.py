@@ -36,7 +36,7 @@ from .scalars import (
     specialize,
     theta,
 )
-from .words import AlgElt, Weight, alpha_vec, omega, qbracket, root_vector
+from .words import AlgElt, acc_add, alpha_vec, omega, qbracket, root_vector
 from .verma import (
     EvalContext,
     OracleError,
@@ -179,16 +179,8 @@ def verify_harish(n=2, max_deg=4, sigma="both", session=None) -> VerificationRep
                         prod = prod * (qnum(l * half) / qnum(half))
                     for l in range(m):
                         prod = prod * qnum(-l * half, shift=shift)
-                    closed = ONE
-                    if m:
-                        closed = (
-                            qfact(m)
-                            * (ONE / theta()) ** m
-                            * specialize(Scalar.L_power(i, -m), ctx.mode)
-                            * Scalar.v_power(-m)
-                        )
-                        if m % 2:
-                            closed = -closed
+                    m_ei = [m if j == i else 0 for j in range(1, n + 1)]
+                    closed = _factorization_rhs(m_ei, ctx.mode)
                     ok = engine == prod == closed
                     rep.record(
                         "i=%d,m=%d|sigma=%+d" % (i, m, s),
@@ -375,14 +367,11 @@ def verify_span(n=2, max_deg=4, sigma="both", session=None) -> VerificationRepor
     return rep
 
 
-def verify_normalizer(
-    n=2, max_deg=4, sigma="both", m_cap=None, session=None
-) -> VerificationReport:
+def verify_normalizer(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
     sigmas = _sigma_list(sigma)
     session = session or Session()
-    m_cap = n if m_cap is None else min(m_cap, n)
     rep = VerificationReport(
-        "normalizer", {"n": n, "max_deg": max_deg, "m_cap": m_cap}, _mode_label(sigmas)
+        "normalizer", {"n": n, "max_deg": max_deg, "m_cap": n}, _mode_label(sigmas)
     )
     session.ensure_gates("normalizer", n)
     with timer(rep):
@@ -390,7 +379,7 @@ def verify_normalizer(
         # tails supported on columns >= j; the doubled-root generator kills
         # every tail beyond the first column
         gens = [("fdelta", root_vector("f_delta", 1, n), 2)]
-        gens += [("f%d" % j, AlgElt.f(j), j) for j in range(2, m_cap + 1)]
+        gens += [("f%d" % j, AlgElt.f(j), j) for j in range(2, n + 1)]
         tail_deg = max(0, max_deg - 1)
         for s in sigmas:
             ctx = session.context(n, SpecMode.specialized(s))
@@ -420,9 +409,8 @@ def verify_normalizer(
             fdelta = root_vector("f_delta", 1, n)
             for i in range(1, n + 1):
                 x = AlgElt.e(i) * fdelta
-                wt = x.weight(n)
                 bad = None
-                for w in fwords_of_weight(wt.coords, n):
+                for w in fwords_of_weight(x.weight(n), n):
                     val = vacuum_eval(omega(fword_elt(w)) * x, ctx)
                     if not val.is_zero():
                         bad = (w, str(val))
@@ -556,7 +544,7 @@ def verify_irreducibility(
                 if count == 0 or count > word_limit:
                     continue
                 for p, ctx in nctxs:
-                    r = rank_at(Weight(mu), ctx, limit=word_limit)
+                    r = rank_at(mu, ctx, limit=word_limit)
                     rep.record(
                         "rank:mu=%s,v0=%s|sigma=%+d" % (list(mu), p, s),
                         r == expected,
@@ -641,22 +629,12 @@ def verify_module_algebra(n=2, cases=200, seed=5, session=None) -> VerificationR
         for lw, rdict in _plane_relations(n):
             for g in _plane_generators(n):
                 lhs = act_gen_on_word(g, lw, n)
-                acc: dict = {}
+                rhs: dict = {}
                 for w, c in rdict.items():
-                    for tm, tc in act_gen_on_word(g, w, n).items():
-                        cur = acc.get(tm)
-                        cur = c * tc if cur is None else cur + c * tc
-                        if cur:
-                            acc[tm] = cur
-                        else:
-                            acc.pop(tm, None)
-                lp = PlanePoly(n)
-                lp.terms = {m: c for m, c in lhs.items() if c}
-                rp = PlanePoly(n)
-                rp.terms = acc
+                    acc_add(rhs, act_gen_on_word(g, w, n).items(), c)
                 rep.record(
                     "relation:%s,gen=%s" % (list(lw), _gen_label(g)),
-                    lp == rp,
+                    lhs == rhs,
                     "action does not descend through the relation",
                 )
         # (b) commutator compatibility on random polynomials

@@ -45,7 +45,7 @@ from .scalars import (
     scalar_to_qqi,
     specialize,
 )
-from .words import AlgElt, Weight, alpha_vec, antipode, cartan_pairing, omega, root_vector
+from .words import AlgElt, alpha_vec, antipode, cartan_pairing, omega, root_vector
 
 _QDIFF = {(2,): G1, (-2,): (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
 _ONE_KEY = tuple(PONE.items())
@@ -190,6 +190,7 @@ class EvalContext:
         self._ecoef_cache: dict = {}
         self._kfactor_cache: dict = {}
         self._rank_gate: dict = {}
+        self._spans: dict = {}
         self._int_tables: list = [None]
         self._int_scales = [1]
 
@@ -648,11 +649,11 @@ def gram_int_rows(words, ctx: EvalContext):
     )
 
 
-def rank_at(weight: Weight, ctx: EvalContext, limit: int = 400) -> int:
-    """Rank of the full Gram slice at a numeric point."""
+def rank_at(coords, ctx: EvalContext, limit: int = 400) -> int:
+    """Rank of the full Gram slice of a weight at a numeric point."""
     if ctx.mode.kind != "numeric":
         raise ValueError("rank computations require a numeric mode")
-    words = fwords_of_weight(weight.coords, ctx.n, limit=limit)
+    words = fwords_of_weight(coords, ctx.n, limit=limit)
     if not words:
         return 0
     return rank_gauss(gram_int_rows(words, ctx))
@@ -660,13 +661,17 @@ def rank_at(weight: Weight, ctx: EvalContext, limit: int = 400) -> int:
 
 def ladder_spanning_set(coords, ctx: EvalContext):
     """Generator-prepended basis monomials spanning the weight space,
-    granted the ladder facts at lower heights."""
-    out = []
-    for j in range(1, ctx.n + 1):
-        up = tuple(c + a for c, a in zip(coords, ctx.alpha[j]))
-        m = b_index_of_weight(up)
-        if m is not None:
-            out.append((j, m, AlgElt.f(j) * b_monomial(m, ctx.n)))
+    granted the ladder facts at lower heights; built once per context and
+    weight, so callers must not mutate the list."""
+    key = tuple(coords)
+    out = ctx._spans.get(key)
+    if out is None:
+        out = ctx._spans[key] = []
+        for j in range(1, ctx.n + 1):
+            up = tuple(c + a for c, a in zip(coords, ctx.alpha[j]))
+            m = b_index_of_weight(up)
+            if m is not None:
+                out.append((j, m, AlgElt.f(j) * b_monomial(m, ctx.n)))
     return out
 
 
@@ -706,12 +711,12 @@ def is_zero_in_M(x: AlgElt, ctx: EvalContext) -> bool:
     if x.is_zero():
         return True
     wt = x.weight(ctx.n)
-    if not _ladder_rank_ok(wt.coords, ctx):
+    if not _ladder_rank_ok(wt, ctx):
         raise OracleError(
             "rank gate failed at weight %r: form rank does not match the "
-            "basis count" % (wt.coords,)
+            "basis count" % (wt,)
         )
-    for _j, _m, w in ladder_spanning_set(wt.coords, ctx):
+    for _j, _m, w in ladder_spanning_set(wt, ctx):
         if not shapovalov(w, x, ctx).is_zero():
             return False
     return True
@@ -724,8 +729,7 @@ def is_zero_generic(x: AlgElt, ctx: EvalContext, limit: int = 400) -> bool:
         raise ValueError("generic mode required")
     if x.is_zero():
         return True
-    wt = x.weight(ctx.n)
-    for w in fwords_of_weight(wt.coords, ctx.n, limit=limit):
+    for w in fwords_of_weight(x.weight(ctx.n), ctx.n, limit=limit):
         if not shapovalov(fword_elt(w), x, ctx).is_zero():
             return False
     return True

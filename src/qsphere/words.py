@@ -47,26 +47,8 @@ def cartan_pairing(i: int, j: int) -> int:
     return 0
 
 
-class Weight:
-    """An integer weight in the orthogonal basis."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(coords)
-
-    def __eq__(self, other):
-        return isinstance(other, Weight) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "Weight(%s)" % (list(self.coords),)
-
-
-def weight_of(word, n: int) -> Weight:
-    """Sum of generator weights; K-letters are weightless."""
+def weight_of(word, n: int) -> tuple:
+    """Coordinates of the sum of generator weights; K-letters are weightless."""
     coords = [0] * n
     for g in word:
         kind = g[0]
@@ -76,22 +58,91 @@ def weight_of(word, n: int) -> Weight:
         s = 1 if kind == "e" else -1
         for idx in range(n):
             coords[idx] += s * av[idx]
-    return Weight(coords)
+    return tuple(coords)
 
 
-class AlgElt:
-    """Finite linear combination of free words with scalar coefficients."""
+def acc_add(acc, items, c=None):
+    """Add c*v (v when c is None) into acc[k] for every (k, v) in items and
+    drop each sum that is zero.  A dict filled only through this keeps no
+    zero coefficient, so dict equality decides equality of combinations."""
+    for k, v in items:
+        if c is not None:
+            v = c * v
+        cur = acc.get(k)
+        if cur is not None:
+            v = cur + v
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+
+
+class Combination:
+    """Finite combination of hashable keys with nonzero Scalar coefficients.
+
+    Subclasses supply the key product (`__mul__`), powers, equality and
+    `_empty`, which makes the zero element of the same kind."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            for w, c in terms.items():
+            for k, c in terms.items():
                 if not isinstance(c, Scalar):
                     c = Scalar._promote(c)
                 if c:
-                    self.terms[tuple(w)] = c
+                    self.terms[tuple(k)] = c
+
+    def _empty(self):
+        raise NotImplementedError
+
+    def _with(self, terms):
+        out = self._empty()
+        out.terms = terms
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def key(self):
+        """Canonical hashable form: sorted (key, Scalar key) pairs."""
+        return tuple(sorted((k, c.key()) for k, c in self.terms.items()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        acc_add(out, other.terms.items())
+        return self._with(out)
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Scalar)):
+            return self.scaled(other)
+        return NotImplemented
+
+    def scaled(self, c):
+        if not isinstance(c, Scalar):
+            c = Scalar._promote(c)
+        if not c:
+            return self._empty()
+        return self._with({k: c * cc for k, cc in self.terms.items()})
+
+
+class AlgElt(Combination):
+    """Finite linear combination of free words with scalar coefficients."""
+
+    __slots__ = ()
+
+    def _empty(self):
+        return AlgElt()
 
     @staticmethod
     def unit() -> "AlgElt":
@@ -113,72 +164,21 @@ class AlgElt:
     def K(mu) -> "AlgElt":
         return AlgElt.generator(gen_k(mu))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, AlgElt):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted((w, c.key()) for w, c in self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        e = AlgElt()
-        e.terms = out
-        return e
-
-    def __neg__(self):
-        e = AlgElt()
-        e.terms = {w: -c for w, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        return self + (-other)
+        return hash(self.key())
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scaled(other)
         out: dict = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        e = AlgElt()
-        e.terms = out
-        return e
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def scaled(self, c) -> "AlgElt":
-        if not isinstance(c, Scalar):
-            c = Scalar._promote(c)
-        if not c:
-            return AlgElt()
-        e = AlgElt()
-        e.terms = {w: c * cc for w, cc in self.terms.items()}
-        return e
+            acc_add(out, ((w1 + w2, c2) for w2, c2 in other.terms.items()), c1)
+        return self._with(out)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -190,8 +190,9 @@ class AlgElt:
 
     # -- structure ------------------------------------------------------------
 
-    def weight(self, n: int) -> Weight:
-        """Common weight of all words; raises if the element is mixed."""
+    def weight(self, n: int) -> tuple:
+        """Common weight coordinates of all words; raises if the element is
+        mixed."""
         wt = None
         for w in self.terms:
             cur = weight_of(w, n)
@@ -268,13 +269,7 @@ def root_vector(kind: str, i: int, n: int) -> AlgElt:
 
 def omega(x: AlgElt) -> AlgElt:
     """Chevalley anti-involution: reverses words, swaps e <-> f, fixes K."""
-    out = AlgElt()
-    terms = {}
-    for w, c in x.terms.items():
-        nw = tuple(_omega_gen(g) for g in reversed(w))
-        terms[nw] = c
-    out.terms = terms
-    return out
+    return x._with({tuple(_omega_gen(g) for g in reversed(w)): c for w, c in x.terms.items()})
 
 
 def _omega_gen(g):
@@ -309,7 +304,6 @@ def knormal(x: AlgElt, n: int) -> AlgElt:
     have identical images, so expansion identities involving K-letters are
     compared after this normalization.
     """
-    out = AlgElt()
     terms: dict = {}
     for w, c in x.terms.items():
         mu = [0] * n
@@ -327,16 +321,8 @@ def knormal(x: AlgElt, n: int) -> AlgElt:
                 letters.append(g)
         if any(mu):
             letters.append(gen_k(tuple(mu)))
-        nw = tuple(letters)
-        cc = c * Scalar.v_power(vexp) if vexp else c
-        cur = terms.get(nw)
-        cur = cc if cur is None else cur + cc
-        if cur:
-            terms[nw] = cur
-        else:
-            terms.pop(nw, None)
-    out.terms = terms
-    return out
+        acc_add(terms, [(tuple(letters), c * Scalar.v_power(vexp) if vexp else c)])
+    return x._with(terms)
 
 
 def _antipode_gen(g, n, inverse):

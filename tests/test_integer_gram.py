@@ -26,7 +26,7 @@ from qsphere.verma import (
     rank_gauss,
     shapovalov,
 )
-from qsphere.words import Weight, alpha_vec
+from qsphere.words import alpha_vec
 
 POINTS = [2, Fraction(5, 2), (3, 1)]
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -67,7 +67,7 @@ def test_integer_gram_is_the_scaled_rational_gram(n):
             for row, want_row in zip(rows, want):
                 for (re, im), (wre, wim) in zip(row, want_row):
                     assert (re, im) == (wre * scale, wim * scale), (mu, ctx.mode)
-            assert rank_at(Weight(mu), ctx) == rank_gauss(_qqi_rows_to_gauss(want)), (mu, ctx.mode)
+            assert rank_at(mu, ctx) == rank_gauss(_qqi_rows_to_gauss(want)), (mu, ctx.mode)
 
     check()
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from qsphere.scalars import ONE, Scalar
 from qsphere.words import AlgElt, alpha_vec, root_vector
 from qsphere.plane import (
@@ -58,6 +60,14 @@ def test_multiply():
     assert one * p == p
     assert p == PlanePoly.from_word((1, -1), n)
     assert (x(0) * x(0)) * x(0) == PlanePoly(n, {(0, 0, 3, 0, 0): ONE})
+
+
+def test_powers():
+    p = x(1) + x(-1)
+    assert p ** 0 == PlanePoly.unit(2)
+    assert p ** 2 == p * p
+    with pytest.raises(ValueError):
+        p ** -1
 
 
 def test_normalization_is_associative_on_random_words():

@@ -6,7 +6,7 @@ import pytest
 from qsphere.scalars import I_UNIT, ONE, ZERO, Scalar, SpecMode, scalar_to_qqi, specialize, theta
 import qsphere.verma as verma
 from qsphere.suites import _rank_weights
-from qsphere.words import AlgElt, Weight, alpha_vec, gen_k, omega, root_vector
+from qsphere.words import AlgElt, alpha_vec, gen_k, omega, root_vector
 from qsphere.verma import (
     EvalContext,
     OracleError,
@@ -262,17 +262,17 @@ def test_over_limit_weight_is_refused_without_enumerating(monkeypatch):
 def test_rank_examples():
     for v0 in (2, 3, Fraction(5, 2)):
         ctx = EvalContext(2, SpecMode.numeric(v0, 1))
-        assert rank_at(Weight((-1, -1)), ctx) == 1
-        assert rank_at(Weight((-2, 0)), ctx) == 1
-        assert rank_at(Weight((1, 0)), ctx) == 0
-        assert rank_at(Weight((1, -1)), ctx) == 0  # the singular direction
-        assert rank_at(Weight((0, -1)), ctx) == 1
+        assert rank_at((-1, -1), ctx) == 1
+        assert rank_at((-2, 0), ctx) == 1
+        assert rank_at((1, 0), ctx) == 0
+        assert rank_at((1, -1), ctx) == 0  # the singular direction
+        assert rank_at((0, -1), ctx) == 1
 
 
 def test_rank_requires_numeric_mode():
     ctx = EvalContext(2, SpecMode.specialized(1))
     with pytest.raises(ValueError):
-        rank_at(Weight((-1, 0)), ctx)
+        rank_at((-1, 0), ctx)
 
 
 def test_module_oracle():
@@ -284,6 +284,17 @@ def test_module_oracle():
     x = AlgElt.f(2) * AlgElt.f(1) + root_vector("f_eps", 2, 2).scaled(Q)
     assert is_zero_in_M(x, ctx)
     assert not is_zero_in_M(AlgElt.f(2) * AlgElt.f(1) - root_vector("f_eps", 2, 2).scaled(Q), ctx)
+
+
+def test_spanning_set_is_built_once_per_context_and_weight(monkeypatch):
+    """The rank gate and every zero test at one weight share one spanning set."""
+    built = []
+    original = verma.b_monomial
+    monkeypatch.setattr(verma, "b_monomial", lambda m, n: built.append(m) or original(m, n))
+    ctx = EvalContext(2, SpecMode.specialized(1))
+    x = AlgElt.f(2) * AlgElt.f(1) + root_vector("f_eps", 2, 2).scaled(Q)
+    assert is_zero_in_M(x, ctx) and is_zero_in_M(x.scaled(2), ctx)
+    assert len(built) == len(verma.ladder_spanning_set(x.weight(2), ctx)) > 0
 
 
 def test_module_oracle_refuses_generic_and_numeric_contexts():
