@@ -9,6 +9,7 @@ pre-seeded through QSPHERE_* environment variables.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -17,23 +18,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .report import VerificationReport
-from .suites import MIN_RANK, SUITE_DEPS, SUITE_ORDER, SUITES, Session
+from .suites import SUITE_BY_NAME, SUITE_LIST, SUITES, Session
 from .verma import OracleError
 
-# per-suite defaults for parameters the user left unset
+# what each suite runs with where a flag is unset: its signature's defaults,
+# read once from the registered functions (a stub put into SUITES later
+# does not change them)
 SUITE_DEFAULTS = {
-    "factorization": {"n": 2, "max_deg": 4, "sigma": "both"},
-    "span": {"n": 2, "max_deg": 4, "sigma": "both"},
-    "normalizer": {"n": 2, "max_deg": 4, "sigma": "both"},
-    "harish": {"n": 2, "max_deg": 4, "sigma": "both"},
-    "serre-radical": {"n": 2, "weight_bound": 5},
-    "xyz": {"n": 3},
-    "irreducibility": {"n": 2, "max_deg": 4, "sigma": "both", "v0": 2},
-    "f-inverse": {"n": 2, "max_deg": 4, "sigma": "both"},
-    "module-algebra": {"n": 2},
-    "delta-inv": {"n": 2, "kmax": 6},
-    "invariant-dims": {"n": 2, "max_deg": 4, "v0": 2},
-    "star": {"n": 2, "max_deg": 2},
+    s.name: {
+        k: p.default for k, p in inspect.signature(s.fn).parameters.items() if k != "session"
+    }
+    for s in SUITE_LIST
 }
 
 
@@ -83,17 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _suite_kwargs(name, cfg: SuiteConfig):
-    kw = dict(SUITE_DEFAULTS[name])
+def _suite_kwargs(suite, cfg: SuiteConfig):
+    kw = dict(SUITE_DEFAULTS[suite.name])
     if cfg.n is not None:
         kw["n"] = cfg.n
-    if cfg.max_deg is not None:
-        if "max_deg" in kw:
-            kw["max_deg"] = cfg.max_deg
-        elif "weight_bound" in kw:
-            kw["weight_bound"] = cfg.max_deg
-        elif "kmax" in kw:
-            kw["kmax"] = cfg.max_deg
+    if cfg.max_deg is not None and suite.deg is not None:
+        kw[suite.deg] = cfg.max_deg
     if cfg.sigma is not None and "sigma" in kw:
         kw["sigma"] = cfg.sigma
     if cfg.v0 is not None and "v0" in kw:
@@ -116,12 +106,11 @@ def _check_config(cfg: SuiteConfig):
             raise UsageError("--v must avoid 0 and the unit points")
 
 
-def _validate(name, cfg: SuiteConfig):
+def _validate(suite, cfg: SuiteConfig):
     _check_config(cfg)
-    kw = _suite_kwargs(name, cfg)
-    least = MIN_RANK.get(name, 1)
-    if kw["n"] < least:
-        raise UsageError("suite %r needs --n >= %d" % (name, least))
+    kw = _suite_kwargs(suite, cfg)
+    if kw["n"] < suite.min_rank:
+        raise UsageError("suite %r needs --n >= %d" % (suite.name, suite.min_rank))
     return kw
 
 
@@ -131,13 +120,14 @@ class UsageError(ValueError):
 
 def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
     if name not in SUITES:
-        raise UsageError("unknown suite %r (choose from %s or 'all')" % (name, ", ".join(SUITE_ORDER)))
-    kw = _validate(name, cfg)
+        raise UsageError("unknown suite %r (choose from %s or 'all')" % (name, ", ".join(SUITES)))
+    kw = _validate(SUITE_BY_NAME[name], cfg)
     return SUITES[name](**kw, session=cfg.session)
 
 
 def run_all(cfg: SuiteConfig) -> VerificationReport:
     _check_config(cfg)
+    runs = {}
     agg = VerificationReport(
         "all",
         {
@@ -145,15 +135,17 @@ def run_all(cfg: SuiteConfig) -> VerificationReport:
             "max_deg": cfg.max_deg,
             "v": str(cfg.v0) if cfg.v0 is not None else None,
             "sigma": cfg.sigma,
+            # what each sub-suite that ran was run with
+            "runs": runs,
         },
         "composite",
     )
     t0 = time.monotonic()
     session = cfg.session or Session()
     status = {}
-    for name in SUITE_ORDER:
-        deps = SUITE_DEPS.get(name, [])
-        blocked = [d for d in deps if status.get(d) is False]
+    for suite in SUITE_LIST:
+        name = suite.name
+        blocked = [d for d in suite.deps if status.get(d) is False]
         if blocked:
             status[name] = False
             agg.record(
@@ -163,9 +155,10 @@ def run_all(cfg: SuiteConfig) -> VerificationReport:
             )
             continue
         # each suite at the requested rank raised to its minimum
-        n = None if cfg.n is None else max(cfg.n, MIN_RANK.get(name, 1))
+        n = None if cfg.n is None else max(cfg.n, suite.min_rank)
         sub = run_suite(name, replace(cfg, n=n, session=session))
         status[name] = sub.passed
+        runs[name] = {"params": sub.params, "mode": sub.mode}
         agg.record(
             "suite:" + name,
             sub.passed,

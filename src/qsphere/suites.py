@@ -1,10 +1,12 @@
 """Verification suites: every displayed identity at desk scale.
 
 Each suite runs a family of exact checks and returns a structured report.
-A suite that leans on another suite's result (``SUITE_DEPS``: the module
-oracle on the radical soundness of the defining relations, the inverse
-tensor on the irreducibility ranks, the star product on the invariant
-dimensions) opens a gate first.
+``SUITE_LIST`` holds one record per suite: its function, least rank, the
+parameter ``--max-deg`` sets, the suites it depends on and, for a gate
+suite, the rule that decides a dependent run.  A suite that leans on
+another suite's result (the module oracle on the radical soundness of the
+defining relations, the inverse tensor on the irreducibility ranks, the
+star product on the invariant dimensions) opens a gate first.
 
 What one run shares lives in a ``Session``: the verdicts of the gate
 suites, keyed on each report's suite, params and mode, and one
@@ -19,6 +21,7 @@ suite runs once, in the same session, at what the dependent run needs.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
@@ -246,36 +249,6 @@ def _all_words(n, length):
 # Gates
 # ---------------------------------------------------------------------------
 
-# gate suite -> (whether a recorded run's params and mode cover a dependent
-# run at (max_deg, sigmas); the run that decides the gate when none does;
-# what a failed gate voids).  Reruns go through the module-level names.
-_GATES = {
-    "serre-radical": (
-        lambda p, mode, max_deg, sigmas: p["weight_bound"] >= 4,
-        lambda session, n, max_deg, sigmas: verify_serre_radical(
-            n, weight_bound=4, session=session
-        ),
-        "the pairing oracle is unsound",
-    ),
-    "irreducibility": (
-        lambda p, mode, max_deg, sigmas: p["max_deg"] == max_deg
-        and mode == _mode_label(sigmas, kind="numeric")
-        and p["word_limit"] >= _IRR_WORD_LIMIT,
-        lambda session, n, max_deg, sigmas: verify_irreducibility(
-            n, max_deg, "both" if len(sigmas) == 2 else sigmas[0], session=session
-        ),
-        "inverse-tensor checks are void",
-    ),
-    "invariant-dims": (
-        lambda p, mode, max_deg, sigmas: p["max_deg"] >= 2 * max_deg,
-        lambda session, n, max_deg, sigmas: verify_invariant_dims(
-            n, 2 * max_deg, session=session
-        ),
-        "star closure checks are void",
-    ),
-}
-
-
 class Session:
     """What one run shares: the gate verdicts and the engine contexts.
 
@@ -308,17 +281,17 @@ class Session:
         """Open the gate of every suite `name` depends on: each verdict at
         rank n that covers this run must pass; with none, the gate suite
         runs once in this session at this run's need."""
-        for dep in SUITE_DEPS.get(name, ()):
-            covers, rerun, voids = _GATES[dep]
+        for dep in SUITE_BY_NAME[name].deps:
+            gate = SUITE_BY_NAME[dep].gate
             found = []
             for (suite, params, mode), ok in self.verdicts.items():
                 p = dict(params)
-                if suite == dep and p["n"] == n and covers(p, mode, max_deg, sigmas):
+                if suite == dep and p["n"] == n and gate.covers(p, mode, max_deg, sigmas):
                     found.append(ok)
             if not found:
-                found = [rerun(self, n, max_deg, sigmas).passed]
+                found = [gate.rerun(self, n, max_deg, sigmas).passed]
             if not all(found):
-                raise OracleError("%s gate failed at rank %d: %s" % (dep, n, voids))
+                raise OracleError("%s gate failed at rank %d: %s" % (dep, n, gate.voids))
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +693,7 @@ def verify_delta_inv(n=2, kmax=6, session=None) -> VerificationReport:
     return rep
 
 
-def verify_invariant_dims(n=2, max_deg=6, v0=2, session=None) -> VerificationReport:
+def verify_invariant_dims(n=2, max_deg=4, v0=2, session=None) -> VerificationReport:
     session = session or Session()
     points = _check_points(v0)
     rep = VerificationReport(
@@ -839,55 +812,60 @@ def _at_v_one(p):
 # Registry
 # ---------------------------------------------------------------------------
 
-SUITES = {
-    "factorization": verify_factorization,
-    "span": verify_span,
-    "normalizer": verify_normalizer,
-    "harish": verify_harish,
-    "serre-radical": verify_serre_radical,
-    "xyz": verify_xyz,
-    "irreducibility": verify_irreducibility,
-    "f-inverse": verify_f_inverse,
-    "module-algebra": verify_module_algebra,
-    "delta-inv": verify_delta_inv,
-    "invariant-dims": verify_invariant_dims,
-    "star": verify_star,
-}
+@dataclass(frozen=True)
+class Gate:
+    """How a gate suite decides a dependent run at (max_deg, sigmas)."""
 
-# dependency-respecting execution order: the radical gate first, then rank
-# evidence, then everything that leans on the oracles, ending with the plane
-SUITE_ORDER = [
-    "serre-radical",
-    "xyz",
-    "factorization",
-    "harish",
-    "irreducibility",
-    "span",
-    "normalizer",
-    "f-inverse",
-    "module-algebra",
-    "delta-inv",
-    "invariant-dims",
-    "star",
+    covers: object  # (params, mode, max_deg, sigmas) -> whether a recorded run covers it
+    rerun: object  # (session, n, max_deg, sigmas) -> the report that decides it when none does
+    voids: str  # what a failed gate voids
+
+
+@dataclass(frozen=True)
+class Suite:
+    name: str
+    fn: object
+    # the least rank with content: the doubled-root vectors need rank 2, and
+    # xyz instantiates three consecutive columns
+    min_rank: int = 1
+    deg: str = "max_deg"  # the parameter --max-deg sets; None for none
+    deps: tuple = ()  # gate suites that must pass first
+    gate: Gate = None
+
+
+# in a dependency-respecting order: the radical gate first, then rank evidence,
+# then everything that leans on the oracles, ending with the plane.  Gate
+# reruns call the module-level names, so a patched name is the one that runs.
+SUITE_LIST = [
+    Suite("serre-radical", verify_serre_radical, 2, "weight_bound", gate=Gate(
+        lambda p, mode, max_deg, sigmas: p["weight_bound"] >= 4,
+        lambda session, n, max_deg, sigmas: verify_serre_radical(n, weight_bound=4, session=session),
+        "the pairing oracle is unsound",
+    )),
+    Suite("xyz", verify_xyz, 3, None),
+    Suite("factorization", verify_factorization),
+    Suite("harish", verify_harish),
+    Suite("irreducibility", verify_irreducibility, gate=Gate(
+        lambda p, mode, max_deg, sigmas: p["max_deg"] == max_deg
+        and mode == _mode_label(sigmas, kind="numeric")
+        and p["word_limit"] >= _IRR_WORD_LIMIT,
+        lambda session, n, max_deg, sigmas: verify_irreducibility(
+            n, max_deg, "both" if len(sigmas) == 2 else sigmas[0], session=session
+        ),
+        "inverse-tensor checks are void",
+    )),
+    Suite("span", verify_span, 2, deps=("serre-radical",)),
+    Suite("normalizer", verify_normalizer, 2, deps=("serre-radical",)),
+    Suite("f-inverse", verify_f_inverse, 2, deps=("serre-radical", "irreducibility")),
+    Suite("module-algebra", verify_module_algebra, deg=None),
+    Suite("delta-inv", verify_delta_inv, 2, "kmax"),
+    Suite("invariant-dims", verify_invariant_dims, 2, gate=Gate(
+        lambda p, mode, max_deg, sigmas: p["max_deg"] >= 2 * max_deg,
+        lambda session, n, max_deg, sigmas: verify_invariant_dims(n, 2 * max_deg, session=session),
+        "star closure checks are void",
+    )),
+    Suite("star", verify_star, 2, deps=("invariant-dims",)),
 ]
-
-# suites that must not run once a fatal dependency failed
-SUITE_DEPS = {
-    "span": ["serre-radical"],
-    "normalizer": ["serre-radical"],
-    "f-inverse": ["serre-radical", "irreducibility"],
-    "star": ["invariant-dims"],
-}
-
-# the least rank a suite has content at: the doubled-root vectors need rank
-# 2, and xyz instantiates three consecutive columns; unlisted suites need 1
-MIN_RANK = {
-    "serre-radical": 2,
-    "xyz": 3,
-    "span": 2,
-    "normalizer": 2,
-    "f-inverse": 2,
-    "delta-inv": 2,
-    "invariant-dims": 2,
-    "star": 2,
-}
+SUITE_BY_NAME = {s.name: s for s in SUITE_LIST}
+# name -> suite function; the CLI looks a suite up here at call time
+SUITES = {s.name: s.fn for s in SUITE_LIST}

@@ -1,10 +1,15 @@
+import inspect
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from qsphere.cli import main
+import qsphere.suites as suites
+from qsphere.cli import SuiteConfig, main, run_suite
+from qsphere.report import VerificationReport
+from qsphere.suites import SUITE_LIST
 
 
 def test_pass_run_writes_report(tmp_path):
@@ -122,7 +127,7 @@ def test_run_all_skips_dependents_of_a_fatal_suite(tmp_path, monkeypatch):
     import qsphere.suites as suites
     from qsphere.report import VerificationReport
 
-    def failing_serre(**kw):
+    def failing_serre(session=None, **kw):
         rep = VerificationReport("serre-radical", kw, "generic")
         rep.record("forced", False, "forced failure")
         return rep
@@ -171,11 +176,59 @@ def test_run_all_raises_every_suite_to_the_requested_rank(monkeypatch):
 
         return run
 
-    for name in suites.SUITE_ORDER:
-        monkeypatch.setitem(suites.SUITES, name, stub(name))
+    for suite in SUITE_LIST:
+        monkeypatch.setitem(suites.SUITES, suite.name, stub(suite.name))
     assert run_all(SuiteConfig(n=3, max_deg=1)).passed
-    assert calls == [(name, 3) for name in suites.SUITE_ORDER]
+    assert calls == [(suite.name, 3) for suite in SUITE_LIST]
     assert sessions[0] is not None and all(s is sessions[0] for s in sessions)
     calls.clear()
     assert run_all(SuiteConfig(n=1)).passed
-    assert calls == [(name, suites.MIN_RANK.get(name, 1)) for name in suites.SUITE_ORDER]
+    assert calls == [(suite.name, suite.min_rank) for suite in SUITE_LIST]
+
+
+def test_run_all_reports_what_each_suite_ran_with(tmp_path):
+    """`all` records every sub-suite's params and mode: --max-deg reaches
+    weight_bound and kmax, and ranks are raised to each suite's minimum."""
+    out = tmp_path / "all.json"
+    # degree 2: the star product at degree 3 alone takes seconds
+    assert main(["verify", "all", "--n", "1", "--max-deg", "2", "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["params"]["runs"]
+    assert list(runs) == sorted(s.name for s in SUITE_LIST)
+    assert runs["xyz"] == {"params": {"n": 3, "triples": 120, "seed": 2024}, "mode": "generic"}
+    assert runs["serre-radical"]["params"] == {"n": 2, "weight_bound": 2}
+    assert runs["delta-inv"]["params"] == {"n": 2, "kmax": 2}
+    assert runs["module-algebra"]["params"] == {"n": 1, "cases": 200, "seed": 5}
+    assert runs["harish"] == {"params": {"n": 1, "max_deg": 2}, "mode": "specialized(sigma=both)"}
+
+
+def _signature_defaults(fn):
+    params = inspect.signature(fn).parameters
+    return {k: p.default for k, p in params.items() if k != "session"}
+
+
+@pytest.mark.parametrize("suite", SUITE_LIST, ids=lambda s: s.name)
+def test_flags_reach_the_parameters_a_suite_takes(monkeypatch, suite):
+    """--max-deg sets the suite's degree parameter, --sigma and --v reach
+    only the suites that take them, and an unset flag leaves the suite
+    function's own default."""
+    seen = []
+
+    def capture(session=None, **kw):
+        seen.append(kw)
+        return VerificationReport(suite.name, kw, "stub")
+
+    monkeypatch.setitem(suites.SUITES, suite.name, capture)
+    run_suite(suite.name, SuiteConfig(n=3, max_deg=1, sigma="+1", v0="5"))
+    kw = seen.pop()
+    inspect.signature(suite.fn).bind(**kw)
+    defaults = _signature_defaults(suite.fn)
+    want = dict(defaults, n=3)
+    if suite.deg is not None:
+        want[suite.deg] = 1
+    if "sigma" in defaults:
+        want["sigma"] = "+1"
+    if "v0" in defaults:
+        want["v0"] = Fraction(5)
+    assert kw == want
+    run_suite(suite.name, SuiteConfig())
+    assert seen.pop() == defaults

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from qsphere.cli import SuiteConfig, run_suite
+from qsphere.cli import SuiteConfig, run_all, run_suite
 
 GOLDEN = [
     ("factorization", 3, 2, "cfe88dd6456a04615af2d93d2dd4f3322a3d23a976321323810cf36ed4b5a790"),
@@ -31,11 +31,19 @@ GOLDEN = [
     ("star", 3, None, "63db581b61a7044ebc10d3a7e139d3611e13d1e445c7ba91e3e645cb72e35804"),
 ]
 
+# `verify all --n 2` with every other flag unset: its ``params.runs`` fixes the
+# params, rank and mode every suite resolves to by default
+ALL_R2 = "c75b3f0ed2a8d8e89e705f07ebde58a6bf31c2f043608d96eba30920c1650003"
+
+
+def _digest(report):
+    blob = report.to_dict()
+    blob.pop("elapsed_ms")
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
 
 def report_digest(name, n, max_deg):
-    report = run_suite(name, SuiteConfig(n=n, max_deg=max_deg)).to_dict()
-    report.pop("elapsed_ms")
-    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return _digest(run_suite(name, SuiteConfig(n=n, max_deg=max_deg)))
 
 
 @pytest.mark.parametrize(
@@ -43,3 +51,7 @@ def report_digest(name, n, max_deg):
 )
 def test_report_is_unchanged(name, n, max_deg, digest):
     assert report_digest(name, n, max_deg) == digest
+
+
+def test_all_report_is_unchanged():
+    assert _digest(run_all(SuiteConfig(n=2))) == ALL_R2

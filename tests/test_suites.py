@@ -7,9 +7,9 @@ import qsphere.verma as verma
 from qsphere.report import VerificationReport
 from qsphere.verma import OracleError, fwords_of_weight
 from qsphere.suites import (
-    SUITE_DEPS,
+    SUITE_BY_NAME,
+    SUITE_LIST,
     SUITES,
-    SUITE_ORDER,
     Session,
     serre_elements,
     verify_delta_inv,
@@ -22,8 +22,22 @@ from qsphere.suites import (
 
 
 def test_registry_is_complete():
-    assert set(SUITES) == set(SUITE_ORDER)
+    assert list(SUITES) == [s.name for s in SUITE_LIST]
+    assert all(SUITES[s.name] is s.fn for s in SUITE_LIST)
     assert len(SUITES) == 12
+
+
+def test_suite_table_is_consistent():
+    """Names are unique; a suite depends only on earlier suites that have a
+    gate rule; every gate rule decides some suite's dependency."""
+    names = [s.name for s in SUITE_LIST]
+    assert len(set(names)) == len(names)
+    for i, suite in enumerate(SUITE_LIST):
+        for dep in suite.deps:
+            assert dep in names[:i], (suite.name, dep)
+            assert SUITE_BY_NAME[dep].gate is not None, (suite.name, dep)
+    deps = {dep for s in SUITE_LIST for dep in s.deps}
+    assert {s.name for s in SUITE_LIST if s.gate is not None} == deps
 
 
 def test_report_schema():
@@ -293,14 +307,11 @@ def test_failing_covering_dims_verdict_closes_the_star_gate():
         suites.verify_star(2, 2, session=session)
 
 
-GATE_FUNCTIONS = {
-    "serre-radical": "verify_serre_radical",
-    "irreducibility": "verify_irreducibility",
-    "invariant-dims": "verify_invariant_dims",
-}
+# gate suite -> the module-level name its gate rule reruns
+GATE_FUNCTIONS = {s.name: SUITES[s.name].__name__ for s in SUITE_LIST if s.gate is not None}
 
 
-@pytest.mark.parametrize("name", sorted(SUITE_DEPS))
+@pytest.mark.parametrize("name", sorted(s.name for s in SUITE_LIST if s.deps))
 def test_a_standalone_suite_reruns_exactly_its_gates(monkeypatch, name):
     """Without a session, a gated suite runs each suite it depends on once,
     in dependency order, and no other."""
@@ -314,4 +325,4 @@ def test_a_standalone_suite_reruns_exactly_its_gates(monkeypatch, name):
 
         monkeypatch.setattr(suites, fname, spy)
     assert SUITES[name](n=2, max_deg=1).passed
-    assert reruns == SUITE_DEPS[name]
+    assert reruns == list(SUITE_BY_NAME[name].deps)
