@@ -2,8 +2,9 @@
 
 Consumers are scripts and CI.  Exit status: 0 all checks pass, 1 at least
 one check failed, 2 usage error, 3 an oracle precondition was violated,
-4 engine fault (any other exception escaping a suite).  Flags can be
-pre-seeded through QSPHERE_* environment variables.
+4 engine fault (any other exception escaping a suite); a reader that
+closes stdout early does not change it.  Flags can be pre-seeded through
+QSPHERE_* environment variables.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def _emit(report: VerificationReport, out_path):
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        # flushed here, so a closed reader shows up inside main's try
+        print(text, flush=True)
 
 
 def main(argv=None) -> int:
@@ -205,7 +207,12 @@ def main(argv=None) -> int:
         traceback.print_exc(file=sys.stderr)
         print("engine fault: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 4
-    _emit(report, cfg.out)
+    try:
+        _emit(report, cfg.out)
+    except BrokenPipeError:
+        # the reader closed stdout early: the verdict still decides the exit
+        # status, and stdout goes to devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else 1
 
 

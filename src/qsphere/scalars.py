@@ -1,21 +1,21 @@
-"""Exact arithmetic in the coefficient field of the engine.
+"""Exact arithmetic in the coefficient ring of the engine.
 
-All computations happen over
-
-    K = Frac( Z[i][ v^{+-1}, L_1^{+-1}, ..., L_n^{+-1} ] ),
-
+The paper works in K = Frac( Z[i][ v^{+-1}, L_1^{+-1}, ..., L_n^{+-1} ] ),
 where v is a formal square root of the deformation parameter q and L_j is
 the Cartan eigenvalue symbol attached to the j-th orthogonal weight
 coordinate.  Adjoining the imaginary unit makes the distinguished weight
 (L_j^2 = -q^{-1}) exactly representable: under the specialization map the
 symbols become L_j = sigma*i*v^{-1} with a branch sign sigma = +-1.
 
-Scalars are stored as reduced fractions of Laurent polynomials in a fixed
-canonical form, so equality of field elements is literal equality of the
-stored data.  Monomials are exponent tuples with index 0 the power of v and
-index j >= 1 the power of L_j; trailing zeros are stripped, which lets
-scalars built for different ranks interoperate.  Coefficients are Gaussian
-integers stored as (real, imag) pairs of Python ints.
+Every value the engine forms divides only by polynomials in v, so a Scalar
+lives in the subring of K whose denominators are a polynomial in v times an
+L-monomial; dividing by anything else raises ArithmeticError.  Scalars are
+stored as reduced fractions of Laurent polynomials in a fixed canonical
+form, so equality is literal equality of the stored data.  Monomials are
+exponent tuples with index 0 the power of v and index j >= 1 the power of
+L_j; trailing zeros are stripped, which lets scalars built for different
+ranks interoperate.  Coefficients are Gaussian integers stored as
+(real, imag) pairs of Python ints.
 """
 
 from __future__ import annotations
@@ -247,17 +247,6 @@ def _gcontent(p):
 
 def _pdiv_exact(p, d):
     """Exact multivariate division; raises ArithmeticError if not exact."""
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(d) == 1:
-        (k, c), = d.items()
-        out = {}
-        for km, cm in p.items():
-            q = _mono_mul(km, _mono_neg(k)) if k else km
-            if any(e < 0 for e in q):
-                raise ArithmeticError("inexact monomial division")
-            out[q] = _gdiv_exact(cm, c)
-        return out
     nv = _nvars(p, d)
     dk, dc = _lead(d, nv)
     dk = _okey(dk, nv)
@@ -276,7 +265,7 @@ def _pdiv_exact(p, d):
     return quo
 
 
-# ---- gcd machinery (on polynomials with non-negative exponents) ----------
+# ---- gcd machinery (polynomials in v with non-negative exponents) ---------
 
 def _gprim(p):
     """Divide by Gaussian content, normalize sign of the content."""
@@ -332,99 +321,6 @@ def _pgcd_uni(p, r):
     return g
 
 
-def _split_main(p, nv):
-    out: dict = {}
-    for k, c in p.items():
-        kk = _okey(k, nv)
-        e = kk[nv - 1]
-        sub = _strip(kk[: nv - 1])
-        out.setdefault(e, {})[sub] = c
-    return out
-
-
-def _join_main(parts, nv):
-    out = {}
-    for e, sub in parts.items():
-        for k, c in sub.items():
-            kk = list(_okey(k, nv - 1)) + [e]
-            out[_strip(tuple(kk))] = c
-    return out
-
-
-def _poly_list_gcd(polys):
-    g: dict = {}
-    for p in polys:
-        g = _pgcd(g, p)
-        if g == PONE:
-            return dict(PONE)
-    return g
-
-
-def _prem_main(a, b):
-    """Pseudo-remainder of main-variable poly dicts with poly coefficients."""
-    db = max(b)
-    lb = b[db]
-    while a and max(a) >= db:
-        da = max(a)
-        la = a[da]
-        na = {}
-        for e, c in a.items():
-            if e == da:
-                continue
-            na[e] = pmul(lb, c)
-        for e, c in b.items():
-            if e == db:
-                continue
-            k = e + da - db
-            t = psub(na.get(k, {}), pmul(la, c))
-            if t:
-                na[k] = t
-            else:
-                na.pop(k, None)
-        a = na
-    return a
-
-
-def _pgcd(p, r):
-    """GCD of polynomials with non-negative exponents, up to units."""
-    if not p:
-        return dict(r)
-    if not r:
-        return dict(p)
-    if p == r:
-        return dict(p)
-    if len(p) == 1 or len(r) == 1:
-        # monomial case: common monomial part times coefficient gcd
-        mp = _min_exps(p)
-        mr = _min_exps(r)
-        nv = max(len(mp), len(mr))
-        common = _strip(tuple(min(a, b) for a, b in zip(_okey(mp, nv), _okey(mr, nv))))
-        g = _ggcd(_gcontent(p), _gcontent(r))
-        return {common: g}
-    nv = _nvars(p, r)
-    if nv <= 1:
-        return _pgcd_uni(p, r)
-    ps = _split_main(p, nv)
-    rs = _split_main(r, nv)
-    cont_p = _poly_list_gcd(list(ps.values()))
-    cont_r = _poly_list_gcd(list(rs.values()))
-    cont = _pgcd(cont_p, cont_r)
-    a = {e: _pdiv_exact(c, cont_p) for e, c in ps.items()} if cont_p != PONE else ps
-    b = {e: _pdiv_exact(c, cont_r) for e, c in rs.items()} if cont_r != PONE else rs
-    if max(a) < max(b):
-        a, b = b, a
-    while b:
-        rem = _prem_main(a, b)
-        if rem:
-            cc = _poly_list_gcd(list(rem.values()))
-            rem = {e: _pdiv_exact(c, cc) for e, c in rem.items()}
-        a, b = b, rem
-    g = _join_main(a, nv)
-    if cont != PONE:
-        g = pmul(g, cont)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Scalars: reduced fractions of Laurent polynomials
 # ---------------------------------------------------------------------------
@@ -438,10 +334,22 @@ def _canonical_pair(num, den):
     md = _min_exps(den)
     npoly = _mshift(num, _mono_neg(mn)) if mn else dict(num)
     dpoly = _mshift(den, _mono_neg(md)) if md else dict(den)
-    g = _pgcd(npoly, dpoly)
-    if g and g != PONE and (len(g) > 1 or next(iter(g.items())) != ((), G1)):
-        npoly = _pdiv_exact(npoly, g)
-        dpoly = _pdiv_exact(dpoly, g)
+    if any(len(k) > 1 for k in dpoly):
+        raise ArithmeticError("denominator is not a polynomial in v times an L-monomial")
+    if len(dpoly) > 1:
+        # a factor of a v-polynomial is one, so it divides num exactly when
+        # it divides the v-polynomial of each L-monomial of num
+        parts: dict = {}
+        for k, c in npoly.items():
+            parts.setdefault(k[1:], {})[k[:1]] = c
+        g = dpoly
+        for part in parts.values():
+            g = _pgcd_uni(g, part)
+            if len(g) == 1:
+                break
+        if len(g) > 1:
+            npoly = _pdiv_exact(npoly, g)
+            dpoly = _pdiv_exact(dpoly, g)
     gc = _ggcd(_gcontent(npoly), _gcontent(dpoly))
     if gc not in (G1, G0):
         npoly = {k: _gdiv_exact(c, gc) for k, c in npoly.items()}
@@ -458,7 +366,7 @@ def _canonical_pair(num, den):
 
 
 class Scalar:
-    """An element of the exact coefficient field, in reduced canonical form."""
+    """An element of the exact coefficient ring, in reduced canonical form."""
 
     __slots__ = ("num", "den", "_key")
 
@@ -531,7 +439,7 @@ class Scalar:
     def __hash__(self):
         return hash(self.key())
 
-    # -- field operations ------------------------------------------------------
+    # -- ring operations -------------------------------------------------------
 
     @staticmethod
     def _promote(x):

@@ -45,7 +45,7 @@ from .scalars import (
     scalar_to_qqi,
     specialize,
 )
-from .words import AlgElt, alpha_vec, antipode, cartan_pairing, omega, root_vector
+from .words import AlgElt, alpha_vec, antipode, cartan_pairing, root_vector
 
 _QDIFF = {(2,): G1, (-2,): (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
 _ONE_KEY = tuple(PONE.items())
@@ -399,7 +399,7 @@ def pair_lowering(x: AlgElt, y: AlgElt, ctx: EvalContext) -> Scalar:
     evaluation across all words of both sides."""
     xt = _pure_f_indices(x)
     if xt is None:
-        return vacuum_eval(omega(x) * y, ctx)
+        raise ValueError("the left factor must be a pure lowering element")
     left = [(tuple(("e", j) for j in w), c) for w, c in xt]
     return pair_left(left, y, ctx)
 
@@ -420,12 +420,13 @@ def shapovalov(x: AlgElt, y: AlgElt, ctx: EvalContext) -> Scalar:
 
 def invariant_form(x: AlgElt, y: AlgElt, ctx: EvalContext) -> Scalar:
     """The invariant pairing of x (highest-weight side) against y (lowest-
-    weight side): the vacuum value of antipode^{-1}(y) x."""
+    weight side): the vacuum value of antipode^{-1}(y) x, for a pure
+    lowering x and a y without lowering letters."""
     gy = antipode(y, ctx.n, inverse=True)
     left = _left_token_words(gy)
-    if left is not None and _pure_f_indices(x) is not None:
-        return pair_left(left, x, ctx)
-    return vacuum_eval(gy * x, ctx)
+    if left is None:
+        raise ValueError("the raising factor must have no lowering letters")
+    return pair_left(left, x, ctx)
 
 
 # ---------------------------------------------------------------------------

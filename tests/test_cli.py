@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -79,6 +80,17 @@ def test_engine_fault_is_exit_four(monkeypatch, capsys):
     assert "engine fault" in err and "inverse of zero" in err
 
 
+def test_denominator_outside_the_ring_is_an_engine_fault(monkeypatch, capsys):
+    from qsphere.scalars import ONE, Scalar
+
+    def harish_dividing_by_an_L_polynomial(**kw):
+        ONE / (ONE + Scalar.L_power(1, 1))
+
+    monkeypatch.setitem(suites.SUITES, "harish", harish_dividing_by_an_L_polynomial)
+    assert main(["verify", "harish", "--n", "2", "--max-deg", "1"]) == 4
+    assert "engine fault: ArithmeticError" in capsys.readouterr().err
+
+
 def test_sigma_flag_single_branch(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["verify", "harish", "--n", "2", "--max-deg", "1", "--sigma", "-1", "--out", str(out)])
@@ -107,6 +119,32 @@ def test_console_entry_point_exists():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["suite"] == "delta-inv"
+
+
+def test_closed_stdout_keeps_the_passing_exit_status():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qsphere.cli", "verify", "delta-inv", "--n", "2", "--max-deg", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert err == ""
+
+
+def test_closed_stdout_keeps_the_failing_exit_status(monkeypatch):
+    def failing_harish(session=None, **kw):
+        rep = VerificationReport("harish", kw, "stub")
+        rep.record("forced", False, "forced failure")
+        return rep
+
+    monkeypatch.setitem(suites.SUITES, "harish", failing_harish)
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w") as closed_pipe:
+        monkeypatch.setattr(sys, "stdout", closed_pipe)
+        assert main(["verify", "harish", "--n", "2", "--max-deg", "1"]) == 1
 
 
 def test_oracle_precondition_failure_is_exit_three(monkeypatch):

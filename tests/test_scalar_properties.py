@@ -1,23 +1,31 @@
-"""Property tests for the coefficient field: the field axioms of ``Scalar``,
+"""Property tests for the coefficient ring: the ring axioms of ``Scalar``,
+inverses of its units, canonical forms against evaluation at random points,
 and the specialization maps as ring homomorphisms.
 
+A ``Scalar`` is a fraction whose numerator is a Laurent polynomial in v and
+the L_j and whose denominator is a polynomial in v times an L-monomial.
 Scalars are drawn as short sums of products of v-powers, Gaussian integers,
-q-numbers (plain and Cartan-shifted) and L-powers, so numerators and
-denominators are multivariate and canonicalization has gcds to cancel.
+q-numbers (plain and Cartan-shifted) and L-powers, so numerators are
+multivariate and canonicalization has gcds to cancel.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsphere.scalars import (
+    G1,
     ONE,
+    QQI_ZERO,
     ZERO,
     Scalar,
     SpecMode,
+    peval_qqi,
+    pmul,
     qnum,
     qqi_add,
+    qqi_inv,
     qqi_mul,
     scalar_to_qqi,
     specialize,
@@ -25,14 +33,18 @@ from qsphere.scalars import (
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
-ATOMS = st.one_of(
+L_POWERS = st.tuples(st.integers(1, 2), st.integers(-2, 2)).map(lambda t: Scalar.L_power(*t))
+V_ATOMS = st.one_of(
     st.integers(-3, 3).map(Scalar.v_power),
     st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(lambda g: Scalar.gauss(*g)),
     st.integers(1, 3).map(qnum),
+)
+ATOMS = st.one_of(
+    V_ATOMS,
     st.tuples(st.integers(1, 2), st.integers(1, 2)).map(
         lambda t: qnum(t[0], Scalar.L_power(t[1], 1))
     ),
-    st.tuples(st.integers(1, 2), st.integers(-2, 2)).map(lambda t: Scalar.L_power(*t)),
+    L_POWERS,
 )
 
 
@@ -50,7 +62,13 @@ def _sum(terms):
     return out
 
 
-SCALARS = st.lists(st.lists(ATOMS, min_size=1, max_size=2).map(_product), min_size=1, max_size=2).map(_sum)
+def _sums_of_products(atoms):
+    return st.lists(st.lists(atoms, min_size=1, max_size=2).map(_product), min_size=1, max_size=2).map(_sum)
+
+
+SCALARS = _sums_of_products(ATOMS)
+# a v-fraction times an L-monomial: a unit of the ring once it is nonzero
+UNITS = st.tuples(_sums_of_products(V_ATOMS), L_POWERS).map(lambda t: t[0] * t[1])
 
 SPECIALIZED = [SpecMode.specialized(1), SpecMode.specialized(-1)]
 NUMERIC = [SpecMode.numeric(2, 1), SpecMode.numeric(Fraction(5, 2), -1), SpecMode.numeric((3, 1), 1)]
@@ -68,11 +86,50 @@ def test_ring_axioms(a, b, c):
 
 
 @PROPERTY
-@given(SCALARS)
-def test_nonzero_scalars_are_invertible(a):
+@given(UNITS, SCALARS)
+def test_nonzero_scalars_are_invertible(a, b):
     if not a.is_zero():
         assert a * (1 / a) == ONE
         assert a / a == ONE
+        assert (b / a) * a == b
+
+
+def _strip(k):
+    while k and k[-1] == 0:
+        k = k[:-1]
+    return k
+
+
+def _laurent(nvars):
+    keys = st.tuples(*[st.integers(-2, 3)] * nvars).map(_strip)
+    coeffs = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(lambda c: c != (0, 0))
+    return st.dictionaries(keys, coeffs, min_size=1, max_size=4)
+
+
+L_MONOMIALS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda t: _strip((0,) + t))
+POINTS = st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 4)).filter(
+    lambda t: t[:2] != (0, 0)
+).map(lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])))
+
+
+def _value(num, den, v0, lvals):
+    d = peval_qqi(den, v0, lvals)
+    assert d != QQI_ZERO
+    return qqi_mul(peval_qqi(num, v0, lvals), qqi_inv(d))
+
+
+@PROPERTY
+@given(_laurent(3), _laurent(1), _laurent(1), L_MONOMIALS, st.lists(POINTS, min_size=3, max_size=3))
+def test_canonical_form_keeps_the_value_at_random_points(num, den, common, lmono, point):
+    # an L-numerator over a v-only denominator times an L-monomial, with a
+    # common v-factor to cancel; evaluation at (v0, L_1, L_2) is the oracle
+    num = pmul(num, common)
+    den = pmul(pmul(den, common), {lmono: G1})
+    s = Scalar(num, den)
+    assert all(len(k) <= 1 for k in s.den)
+    v0, lvals = point[0], point[1:]
+    assume(peval_qqi(den, v0, lvals) != QQI_ZERO)
+    assert _value(s.num, s.den, v0, lvals) == _value(num, den, v0, lvals)
 
 
 @PROPERTY

@@ -162,15 +162,29 @@ def test_common_factors_cancel_in_canonical_form():
         return s
 
     for _ in range(25):
+        # denominators are v-polynomials, up to an L-monomial
         a = rand_poly_scalar()
-        b = rand_poly_scalar()
-        g = rand_poly_scalar()
+        b = rand_poly_scalar(with_l=False) * Scalar.L_power(rng.randint(1, 2), rng.randint(-1, 1))
+        g = rand_poly_scalar(with_l=False)
         if b.is_zero() or g.is_zero():
             continue
         lhs = (a * g) / (b * g)
         rhs = a / b
         assert lhs == rhs
         assert (lhs.num, lhs.den) == (rhs.num, rhs.den)
+
+
+def test_denominators_are_v_polynomials_up_to_an_L_monomial():
+    L1, L2 = Scalar.L_power(1, 1), Scalar.L_power(2, 1)
+    den = L1 * L2 * L2 * (V(1) - ONE)
+    s = (V(1) + L1) / den
+    assert s * den == V(1) + L1
+    assert all(len(k) <= 1 for k in s.den)
+    assert (L1 / L2).den == ONE.den
+    with pytest.raises(ArithmeticError, match="not a polynomial in v"):
+        ONE / (ONE + L1)
+    with pytest.raises(ArithmeticError, match="not a polynomial in v"):
+        V(1) / (V(1) * L1 - L2 * L2)
 
 
 def test_serialization_shape():

@@ -164,6 +164,21 @@ def test_shapovalov_examples():
     assert shapovalov(fe1, root_vector("f_eps", 2, 2), ctx) == ZERO
 
 
+def test_pair_lowering_rejects_a_left_factor_with_raising_letters():
+    ctx = EvalContext(2, SpecMode.specialized(1))
+    with pytest.raises(ValueError, match="left factor"):
+        pair_lowering(AlgElt.e(1) * AlgElt.f(1), AlgElt.f(1), ctx)
+
+
+def test_invariant_form_rejects_a_raising_factor_with_lowering_letters():
+    ctx = EvalContext(2, SpecMode.specialized(1))
+    with pytest.raises(ValueError, match="raising factor"):
+        invariant_form(AlgElt.f(1), AlgElt.f(1) * AlgElt.e(1), ctx)
+    # the lowering side is checked by pair_left
+    with pytest.raises(ValueError, match="right factor"):
+        invariant_form(AlgElt.e(1), AlgElt.e(1), ctx)
+
+
 def test_pair_engine_agrees_with_direct_product_evaluation():
     rng = random.Random(55)
     for n in (2, 3):
