@@ -456,7 +456,8 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         if self.den == other.den:
-            return Scalar(padd(self.num, other.num), dict(self.den))
+            # over den 1 the sum of canonical numerators is canonical
+            return Scalar(padd(self.num, other.num), dict(self.den), _canonical=self.den == PONE)
         num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
         return Scalar(num, pmul(self.den, other.den))
 
@@ -478,6 +479,8 @@ class Scalar:
         other = Scalar._promote(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == PONE == other.den:
+            return Scalar(pmul(self.num, other.num), dict(PONE), _canonical=True)
         return Scalar(pmul(self.num, other.num), pmul(self.den, other.den))
 
     __rmul__ = __mul__

@@ -35,6 +35,7 @@ from .scalars import (
     ZERO,
     Scalar,
     SpecMode,
+    _gmul,
     _mono_neg,
     _spec_poly_sigma,
     _strip,
@@ -42,6 +43,7 @@ from .scalars import (
     pmul,
     qqi_inv,
     qqi_mul,
+    qqi_pow,
     scalar_to_qqi,
     specialize,
 )
@@ -50,7 +52,8 @@ from .words import AlgElt, alpha_vec, antipode, cartan_pairing, root_vector
 _QDIFF = {(2,): G1, (-2,): (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
 _ONE_KEY = tuple(PONE.items())
 
-# A coefficient ring of the engine provides: ``zero``; ``eunit``, the factor
+# A coefficient ring of the engine (``_PolyRing`` on dicts, ``_PackedRing``
+# on packed ints) provides: ``zero``, its one value 0; ``eunit``, the factor
 # each raising letter contributes; ``mul``; ``iadd(acc, key, val)``, adding
 # val into acc[key]; ``hom``, the image of a generic Laurent polynomial;
 # ``lift``, a scalar as (group key, ring element); and ``finish``, turning
@@ -71,6 +74,7 @@ class _PolyRing:
     mul = staticmethod(pmul)
 
     def __init__(self, mode: SpecMode):
+        self._mode = mode
         self._den_cache = {0: PONE, 1: _QDIFF}
 
     @staticmethod
@@ -116,49 +120,109 @@ class _PolyRing:
         return part
 
 
-def _vmul(p, r):
-    """Product of Laurent polynomials in v keyed by int exponents."""
-    out: dict = {}
-    for e1, (a, b) in p.items():
-        for e2, (c, d) in r.items():
-            re, im = out.get(e1 + e2, G0)
-            out[e1 + e2] = (re + a * c - b * d, im + a * d + b * c)
-    return {e: g for e, g in out.items() if g != G0}
+# A packed value (lo, re, im, l1, w) is the Laurent polynomial in v whose
+# coefficient of v^(lo+k) is re_k + i*im_k, where re_k and im_k are the
+# signed w-bit slots k of the ints re and im (Kronecker substitution: re is
+# the sum of re_k * 2^(w*k)).  l1 bounds the sum of |re_k| + |im_k|, so the
+# slots are exact while l1 < 2^(w-1).  A product's bound is the product of
+# the bounds and a sum's the sum; an operation whose bound reaches the slot,
+# or whose operands differ in width, first repacks both operands with their
+# exact norms at one width that holds the new bound.
+
+_PZERO = (0, 0, 0, 0, 32)  # the one packed zero: the engine filters c != zero
 
 
-def _v_ints(p):
-    """A Laurent polynomial in v alone, from tuple keys to int keys."""
+def _slot_width(bound: int) -> int:
+    """The smallest multiple of 32 bits whose signed slot holds |c| <= bound."""
+    return 32 * (bound.bit_length() // 32 + 1)
+
+
+def _packed(lo, re, im, l1, w=32):
+    """Slots re, im from v^lo of norm l1, packed at width w or wider."""
+    w = max(w, _slot_width(l1))
+    return lo, sum(c << w * k for k, c in enumerate(re)), sum(c << w * k for k, c in enumerate(im)), l1, w
+
+
+def _slots(val):
+    """(lo, re slots, im slots, exact l1 norm) of a packed value."""
+    lo, re, im, _l1, w = val
+    n = max(re.bit_length(), im.bit_length()) // w + 1
+    half = 1 << (w - 1)
+    bias = sum(half << w * k for k in range(n))  # lifts each signed slot into [0, 2^w)
+    re, im = ([((x + bias) >> w * k) % (2 * half) - half for k in range(n)] for x in (re, im))
+    return lo, re, im, sum(map(abs, re)) + sum(map(abs, im))
+
+
+def _pack_poly(p):
+    """The packed value of a Laurent polynomial in v alone (tuple keys)."""
     if any(len(k) > 1 for k in p):
         raise ValueError("an L-symbol reached the specialized ring")
-    return {k[0] if k else 0: g for k, g in p.items()}
+    terms = {k[0] if k else 0: g for k, g in p.items()}
+    span = range(min(terms, default=0), max(terms, default=0) + 1)
+    re, im = zip(*(terms.get(e, G0) for e in span))
+    return _packed(span.start, re, im, sum(map(abs, re)) + sum(map(abs, im)))
 
 
-def _v_tuples(p):
-    """A Laurent polynomial in v alone, from int keys to tuple keys."""
-    return {(e,) if e else (): g for e, g in p.items()}
+def _unpack_poly(val):
+    """The Laurent polynomial in v (tuple keys) of a packed value."""
+    lo, re, im, _l1 = _slots(val)
+    return {(lo + k,) if lo + k else (): g for k, g in enumerate(zip(re, im)) if g != G0}
 
 
-class _VRing(_PolyRing):
-    """Laurent numerators in v alone with int exponent keys, for the
-    specialized and numeric modes, where every L_j is sent to sigma*i*v^{-1}.
-    A numeric result is the specialized one evaluated at v0."""
+def _common_width(p, r, bound):
+    """p and r with exact norms l1, l1', at one width that holds bound(l1, l1')."""
+    sp, sr = _slots(p), _slots(r)
+    w = max(p[4], r[4], _slot_width(bound(sp[3], sr[3])))
+    return _packed(*sp, w), _packed(*sr, w)
 
-    eunit = {0: G1}
-    mul = staticmethod(_vmul)
 
-    def __init__(self, mode: SpecMode):
-        super().__init__(mode)
-        self._mode = mode
+def _kmul(p, r):
+    lo, a, b, l1, w = p
+    lo2, c, d, l2, w2 = r
+    bound = l1 * l2
+    if bound >> (w - 1) or w != w2:
+        (lo, a, b, l1, w), (lo2, c, d, l2, _w) = _common_width(p, r, int.__mul__)
+        bound = l1 * l2
+    return (lo + lo2, a * c - b * d, a * d + b * c, bound, w) if bound else _PZERO
+
+
+def _kiadd(acc, key, val):
+    s = acc.get(key)
+    if s is None:
+        acc[key] = val
+        return
+    lo, a, b, l1, w = s
+    lo2, c, d, l2, w2 = val
+    bound = l1 + l2
+    if bound >> (w - 1) or w != w2:
+        (lo, a, b, l1, w), (lo2, c, d, l2, _w) = _common_width(s, val, int.__add__)
+        bound = l1 + l2
+    if lo > lo2:
+        lo, lo2, a, b, c, d = lo2, lo, c, d, a, b
+    a += c << (lo2 - lo) * w
+    b += d << (lo2 - lo) * w
+    acc[key] = (lo, a, b, bound, w) if a or b else _PZERO
+
+
+class _PackedRing(_PolyRing):
+    """Packed Laurent numerators in v alone, for the specialized and numeric
+    modes, where every L_j is sent to sigma*i*v^{-1}.  A numeric result is
+    the specialized one evaluated at v0."""
+
+    zero = _PZERO
+    eunit = _pack_poly(PONE)
+    mul = staticmethod(_kmul)
+    iadd = staticmethod(_kiadd)
 
     def hom(self, p):
-        return _v_ints(_spec_poly_sigma(p, self._mode.sigma))
+        return _pack_poly(_spec_poly_sigma(p, self._mode.sigma))
 
     @staticmethod
     def lift(c: Scalar):
-        return tuple(sorted(c.den.items())), _v_ints(c.num)
+        return tuple(sorted(c.den.items())), _pack_poly(c.num)
 
     def finish(self, acc, den_key) -> Scalar:
-        value = super().finish({pc: _v_tuples(p) for pc, p in acc.items()}, den_key)
+        value = super().finish({pc: _unpack_poly(p) for pc, p in acc.items()}, den_key)
         # a left coefficient multiplies in unspecialized; one that carries an
         # L-symbol makes the value need the specialization too
         if self._mode.kind == "specialized" and not any(
@@ -174,15 +238,15 @@ class OracleError(RuntimeError):
 
 class EvalContext:
     """Rank, specialization mode, coefficient ring and cached root data for
-    one suite run.  The ring is ``_PolyRing`` in generic mode and ``_VRing``
-    in the specialized and numeric modes."""
+    one suite run.  The ring is ``_PolyRing`` in generic mode and
+    ``_PackedRing`` in the specialized and numeric modes."""
 
     def __init__(self, n: int, mode: SpecMode):
         if n < 1:
             raise ValueError("rank must be at least 1")
         self.n = n
         self.mode = mode
-        self.ring = (_PolyRing if mode.kind == "generic" else _VRing)(mode)
+        self.ring = (_PolyRing if mode.kind == "generic" else _PackedRing)(mode)
         self.alpha = [None] + [alpha_vec(i, n) for i in range(1, n + 1)]
         self.cart = [None] + [
             [0] + [cartan_pairing(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
@@ -229,11 +293,24 @@ class EvalContext:
         tables = self._int_tables
         cmax = max(abs(x) for row in self.cart[1:] for x in row[1:])
         v0 = self.mode.v0
+        d = lcm(v0[0].denominator, v0[1].denominator)
+        z = (int(v0[0] * d), int(v0[1] * d))  # v0 = z / d
         eunit = qqi_inv(peval_qqi(_QDIFF, v0))
         while len(tables) <= k:
             span = range(-cmax * (len(tables) - 1), cmax * (len(tables) - 1) + 1)
-            vals = [(i, a, self.ecoef(i, a)) for i in range(1, self.n + 1) for a in span]
-            vals = [(i, a, qqi_mul(peval_qqi(_v_tuples(e), v0), eunit)) for i, a, e in vals if e]
+            vals = [(i, a, _slots(e)) for i in range(1, self.n + 1) for a in span if (e := self.ecoef(i, a))]
+            lo = min(sl[0] for _i, _a, sl in vals)
+            top = max(sl[0] + len(sl[1]) for _i, _a, sl in vals) - lo - 1
+            # v0^(lo+j) = pw[j] * v0^lo / d^top with pw[j] = z^j d^(top-j) in
+            # Z[i]; g = v0^lo / d^top / (q - q^{-1}) is common to the level
+            pw = [G1]
+            for _ in range(top):
+                pw.append(_gmul(pw[-1], z))
+            pw = [(x * d ** (top - j), y * d ** (top - j)) for j, (x, y) in enumerate(pw)]
+            g = qqi_mul(qqi_pow(v0, lo), (eunit[0] / d**top, eunit[1] / d**top))
+            for idx, (i, a, (elo, re, im, _l1)) in enumerate(vals):
+                terms = [_gmul(c, p) for c, p in zip(zip(re, im), pw[elo - lo :])]
+                vals[idx] = (i, a, qqi_mul((sum(t[0] for t in terms), sum(t[1] for t in terms)), g))
             s = lcm(*(x.denominator for _i, _a, val in vals for x in val))
             table = [None] + [{} for _ in range(self.n)]
             for i, a, val in vals:

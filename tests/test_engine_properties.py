@@ -1,5 +1,6 @@
 """Property tests: the vacuum engine against the independent reference
-rewriter, in every mode, at ranks 2 and 3.
+rewriter, in every mode, at ranks 2 and 3, and the packed coefficient ring
+of the specialized engine against a dict convolution.
 
 The reference computes the generic value once; each mode's engine result
 must equal its image under the mode's specialization.
@@ -9,8 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsphere.scalars import ONE, Scalar, SpecMode, scalar_from_qqi, specialize
-from qsphere.verma import EvalContext, fword_elt, pair_lowering, pair_words_qqi, vacuum_eval
+from qsphere import verma
+from qsphere.scalars import ONE, Scalar, SpecMode, _spec_poly_sigma, _strip, scalar_from_qqi, specialize
+from qsphere.verma import (
+    EvalContext,
+    _pack_poly,
+    _unpack_poly,
+    fword_elt,
+    pair_lowering,
+    pair_words_qqi,
+    vacuum_eval,
+)
 from qsphere.words import AlgElt, gen_k, omega
 
 from test_verma import reference_vacuum
@@ -98,3 +108,127 @@ def test_memoized_numeric_pairing_matches_vacuum_eval(n):
             assert got == vacuum_eval(direct, ctx), ctx.mode
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# The packed ring of the specialized engine against a dict convolution
+# ---------------------------------------------------------------------------
+
+
+def dict_mul(p, r):
+    """Product of Laurent polynomials in v over Z[i] keyed by exponent
+    tuples: a plain convolution, the oracle for the packed product."""
+    out = {}
+    for k1, (a, b) in p.items():
+        for k2, (c, d) in r.items():
+            e = (k1[0] if k1 else 0) + (k2[0] if k2 else 0)
+            re, im = out.get(e, (0, 0))
+            out[e] = (re + a * c - b * d, im + a * d + b * c)
+    return {(e,) if e else (): g for e, g in out.items() if g != (0, 0)}
+
+
+def dict_add(p, r):
+    out = dict(p)
+    for k, (c, d) in r.items():
+        re, im = out.get(k, (0, 0))
+        out[k] = (re + c, im + d)
+    return {k: g for k, g in out.items() if g != (0, 0)}
+
+
+# coefficients from units to 2^40, so that packing, sums and products cross
+# the 32-, 64- and 96-bit slots
+PARTS = st.one_of(st.integers(-3, 3), st.integers(-(2**20), 2**20), st.integers(-(2**40), 2**40))
+GAUSS = st.tuples(PARTS, PARTS)
+VPOLYS = st.dictionaries(st.integers(-12, 12).map(lambda e: (e,) if e else ()), GAUSS, max_size=6).map(
+    lambda p: {k: g for k, g in p.items() if g != (0, 0)}
+)
+RING = EvalContext(2, SpecMode.specialized(1)).ring
+
+
+def _fold(polys, ops, mul, add, pack=lambda p: p):
+    acc = pack(polys[0])
+    for op, p in zip(ops, polys[1:]):
+        acc = mul(acc, pack(p)) if op else add(acc, pack(p))
+    return acc
+
+
+def _packed_add(x, y):
+    acc = {"k": x}
+    RING.iadd(acc, "k", y)
+    return acc["k"]
+
+
+def _packed_fold(polys, ops):
+    return _fold(polys, ops, RING.mul, _packed_add, _pack_poly)
+
+
+@PROPERTY
+@given(st.lists(VPOLYS, min_size=1, max_size=6), st.lists(st.booleans(), min_size=5, max_size=5))
+def test_packed_ring_matches_the_dict_convolution(polys, ops):
+    """Chains of products and sums, unpacked once at the end; a zero result,
+    a sum that cancels and a product by zero are the ring's one zero."""
+    for chain in (polys, polys[::-1]):
+        want = _fold(chain, ops, dict_mul, dict_add)
+        got = _packed_fold(chain, ops)
+        assert _unpack_poly(got) == want
+        assert (got == RING.zero) == (not want)
+        assert _packed_add(got, _pack_poly({k: (-a, -b) for k, (a, b) in want.items()})) == RING.zero
+        assert RING.mul(got, RING.zero) == RING.mul(RING.zero, got) == RING.zero
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from("ab"), VPOLYS), max_size=8))
+def test_packed_iadd_matches_the_dict_sum(items):
+    got, want = {}, {}
+    for key, p in items:
+        RING.iadd(got, key, _pack_poly(p))
+        want[key] = dict_add(want.get(key, {}), p)
+    assert {k: _unpack_poly(v) for k, v in got.items()} == want
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-12, 12), st.integers(-2, 2), st.integers(-2, 2)).map(_strip), GAUSS, max_size=6
+    ),
+    st.sampled_from([1, -1]),
+)
+def test_packed_hom_and_lift_are_the_specialized_polynomials(p, sigma):
+    p = {k: g for k, g in p.items() if g != (0, 0)}
+    ring = EvalContext(2, SpecMode.specialized(sigma)).ring
+    assert _unpack_poly(ring.hom(p)) == _spec_poly_sigma(p, sigma)
+    c = Scalar(_spec_poly_sigma(p, sigma)) / (Scalar.v_power(2) + ONE)
+    key, val = ring.lift(c)
+    assert key == tuple(sorted(c.den.items())) and _unpack_poly(val) == c.num
+
+
+# The l1 norm of (1 + v)^k is 2^k, and (2 v^-1)^k and (-2i v^-1)^k have one
+# coefficient of that size, the bound itself: the products and the doubled
+# sums of these chains cross 2^31 and 2^63, some exactly at +2^31 or +2^63i
+CHAINS = [[{(): (1, 0), (1,): (1, 0)}] * k for k in (34, 71)] + [
+    [{(-1,): g}] * k for g, k in (((2, 0), 30), ((0, -2), 31), ((0, -2), 63))
+]
+
+
+def _chain(chain):
+    """The chain's product and doubled product, packed and by the oracle."""
+    ops = [True] * (len(chain) - 1)
+    want = _fold(chain, ops, dict_mul, dict_add)
+    got = _packed_fold(chain, ops)
+    return [got, _packed_add(got, got)], [want, dict_add(want, want)]
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_packed_chains_widen_across_the_slot_bound(chain):
+    got, want = _chain(chain)
+    assert [_unpack_poly(x) for x in got] == want
+    assert got[1][4] > 32
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_an_undersized_slot_fails_the_comparison(chain, monkeypatch):
+    """The same chains with the width rule fixed at 32 bits: the slots
+    overflow and the unpacked values differ from the convolution."""
+    monkeypatch.setattr(verma, "_slot_width", lambda bound: 32)
+    got, want = _chain(chain)
+    assert [_unpack_poly(x) for x in got] != want

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsphere.scalars import QQI_ZERO, Scalar, SpecMode, scalar_to_qqi
+from qsphere.scalars import QQI_ZERO, Scalar, SpecMode, peval_qqi, qqi_inv, qqi_mul, scalar_to_qqi
 from qsphere.verma import (
     EvalContext,
     _qqi_rows_to_gauss,
+    _unpack_poly,
     fword_elt,
     fwords_of_weight,
     gram_int_rows,
@@ -93,3 +94,29 @@ def test_level_tables_are_the_ecoefs_times_the_lcm_of_their_denominators():
         for (i, a), val in vals.items():
             want = None if val == QQI_ZERO else (val[0] * s, val[1] * s)
             assert tables[level][i].get(a) == want, (level, i, a)
+
+
+@pytest.mark.parametrize("v0", [2, 3, Fraction(7, 3), (3, 1)])
+def test_level_tables_equal_the_rational_evaluation_route(v0):
+    """The integer evaluation of the packed ecoef numerators against the
+    same numerators unpacked and evaluated at v0 over the Gaussian
+    rationals, one level at a time."""
+    ctx = EvalContext(3, SpecMode.numeric(v0, 1))
+    tables, scale = ctx.int_levels(6)
+    eunit = qqi_inv(peval_qqi({(2,): (1, 0), (-2,): (-1, 0)}, ctx.mode.v0))
+    want_scale = 1
+    for level in range(1, 7):
+        span = 2 * (level - 1)
+        vals = {
+            (i, a): qqi_mul(peval_qqi(_unpack_poly(e), ctx.mode.v0), eunit)
+            for i in range(1, 4)
+            for a in range(-span, span + 1)
+            if (e := ctx.ecoef(i, a))
+        }
+        s = lcm(*(x.denominator for v in vals.values() for x in v))
+        want = [None] + [{} for _ in range(3)]
+        for (i, a), (re, im) in vals.items():
+            want[i][a] = (int(re * s), int(im * s))
+        assert tables[level] == want, (v0, level)
+        want_scale *= s
+    assert scale == want_scale

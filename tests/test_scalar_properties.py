@@ -17,12 +17,17 @@ from hypothesis import strategies as st
 from qsphere.scalars import (
     G1,
     ONE,
+    PONE,
     QQI_ZERO,
     ZERO,
     Scalar,
     SpecMode,
+    _canonical_pair,
+    _strip,
+    padd,
     peval_qqi,
     pmul,
+    psub,
     qnum,
     qqi_add,
     qqi_inv,
@@ -152,3 +157,21 @@ def test_scalar_to_qqi_is_a_ring_homomorphism(a, b):
         # the numeric map factors through the specialized one
         spec = SpecMode.specialized(mode.sigma)
         assert scalar_to_qqi(specialize(a, spec), mode) == qa, mode
+
+
+# Laurent polynomials in v and the L_j, as scalars with denominator 1
+POLYS = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2)).map(_strip),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    max_size=4,
+).map(lambda p: Scalar({k: g for k, g in p.items() if g != (0, 0)}))
+
+
+@PROPERTY
+@given(POLYS, POLYS)
+def test_products_and_sums_over_denominator_one_are_canonical(a, b):
+    """Over denominator 1 a product or sum skips canonicalization; its
+    numerator must be the canonical pair of the same numerator."""
+    assert a.den == b.den == PONE
+    for got, num in ((a * b, pmul(a.num, b.num)), (a + b, padd(a.num, b.num)), (a - b, psub(a.num, b.num))):
+        assert (got.num, got.den) == _canonical_pair(num, PONE)
