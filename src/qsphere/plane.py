@@ -480,8 +480,10 @@ def invariant_subspace(n, m, v0s=(2, 3)):
 
     basis = monomials_of_degree(n, m, weight=(0,) * n)
     ops = isotropy_operators(n)
+    cands = candidate_invariants(n, m)
     dims = []
     kernels = []
+    independent = True
     for v0 in v0s:
         mode = SpecMode.numeric(v0)
         rows = []
@@ -492,20 +494,14 @@ def invariant_subspace(n, m, v0s=(2, 3)):
         ker = nullspace_qqi(rows, len(basis))
         dims.append(len(ker))
         kernels.append(ker)
+        # independence: coordinates of the candidates at the point
+        coords = [[scalar_to_qqi(c.terms.get(mono, ZERO), mode) for mono in basis] for c in cands]
+        if rank_gauss(_qqi_rows_to_gauss(coords)) != len(cands):
+            independent = False
     if len(set(dims)) != 1:
         raise RuntimeError("kernel dimensions disagree across numeric points: %r" % dims)
 
-    cands = candidate_invariants(n, m)
     inside = all(act(op, c).is_zero() for c in cands for op in ops)
-    # independence: coordinates of the candidates at each numeric point
-    independent = True
-    for v0 in v0s:
-        mode = SpecMode.numeric(v0)
-        rows = []
-        for c in cands:
-            rows.append([scalar_to_qqi(c.terms.get(mono, ZERO), mode) for mono in basis])
-        if rank_gauss(_qqi_rows_to_gauss(rows)) != len(cands):
-            independent = False
     return InvariantSlice(n, m, dims[0], basis, kernels[0], inside, independent)
 
 

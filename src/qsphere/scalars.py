@@ -631,7 +631,8 @@ class SpecMode:
 
     kind is one of "generic", "specialized", "numeric".  In specialized and
     numeric modes all L_j are sent to sigma*i*v^{-1}; numeric mode further
-    evaluates v at a fixed Gaussian rational v0.
+    evaluates v at a Gaussian rational v0, nonzero and no root of unity: a
+    point for ``scalar_to_qqi``, not an engine mode (``EvalContext``).
     """
 
     kind: str

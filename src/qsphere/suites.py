@@ -254,9 +254,9 @@ class Session:
 
     ``verdicts`` maps (suite, sorted params, mode) to whether that gate
     suite's report passed.  ``contexts`` holds one ``EvalContext`` per
-    (rank, mode); its tables and ladder-gate verdicts depend on nothing
-    else, so suites that share a context get the results they would get
-    alone.
+    (rank, mode), generic or specialized, with integer tables per numeric
+    point; they and its ladder-gate verdicts depend on nothing else, so
+    suites that share a context get the results they would get alone.
     """
 
     def __init__(self):
@@ -508,7 +508,6 @@ def verify_irreducibility(
     with timer(rep):
         for s in sigmas:
             sctx = session.context(n, SpecMode.specialized(s))
-            nctxs = [(p, session.context(n, SpecMode.numeric(p, s))) for p in points]
             for mu in _rank_weights(n, max_deg):
                 expected = 0 if any(c > 0 for c in mu) else 1
                 if expected and sum(-c for c in mu) > max_deg + 1:
@@ -516,8 +515,8 @@ def verify_irreducibility(
                 count = fword_count(mu, n)
                 if count == 0 or count > word_limit:
                     continue
-                for p, ctx in nctxs:
-                    r = rank_at(mu, ctx, limit=word_limit)
+                for p in points:
+                    r = rank_at(mu, sctx, p, limit=word_limit)
                     rep.record(
                         "rank:mu=%s,v0=%s|sigma=%+d" % (list(mu), p, s),
                         r == expected,

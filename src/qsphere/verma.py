@@ -8,11 +8,11 @@ Gram matrices, ranks, and the ladder oracle deciding equality inside the
 quotient module -- reduces to this functional.
 
 The functional is computed once, over the generic field; the specialized
-and numeric modes are its images under ring homomorphisms.  A context
-therefore picks one of two coefficient rings -- generic Laurent numerators,
-or numerators in v alone for the specialized and numeric modes -- and the
-single engine (``_step`` driven by ``_evaluate``) runs unchanged over
-either.  A numeric value is the specialized value taken at the point.
+mode is its image under a ring homomorphism.  A context therefore picks one
+of two coefficient rings -- generic Laurent numerators, or numerators in v
+alone for the specialized mode -- and the single engine (``_step`` driven by
+``_evaluate``) runs unchanged over either.  A numeric point is no mode: a
+specialized value, or an integer Gram slice, is evaluated at it.
 
 Equality in the enveloping algebra and in the module is *never* decided by
 rewriting: an element is declared zero exactly when it pairs to zero with a
@@ -205,9 +205,8 @@ def _kiadd(acc, key, val):
 
 
 class _PackedRing(_PolyRing):
-    """Packed Laurent numerators in v alone, for the specialized and numeric
-    modes, where every L_j is sent to sigma*i*v^{-1}.  A numeric result is
-    the specialized one evaluated at v0."""
+    """Packed Laurent numerators in v alone, for the specialized mode, where
+    every L_j is sent to sigma*i*v^{-1}."""
 
     zero = _PZERO
     eunit = _pack_poly(PONE)
@@ -225,11 +224,9 @@ class _PackedRing(_PolyRing):
         value = super().finish({pc: _unpack_poly(p) for pc, p in acc.items()}, den_key)
         # a left coefficient multiplies in unspecialized; one that carries an
         # L-symbol makes the value need the specialization too
-        if self._mode.kind == "specialized" and not any(
-            len(k) > 1 for _p, c in acc for k in (*c.num, *c.den)
-        ):
-            return value
-        return specialize(value, self._mode)
+        if any(len(k) > 1 for _p, c in acc for k in (*c.num, *c.den)):
+            return specialize(value, self._mode)
+        return value
 
 
 class OracleError(RuntimeError):
@@ -239,11 +236,13 @@ class OracleError(RuntimeError):
 class EvalContext:
     """Rank, specialization mode, coefficient ring and cached root data for
     one suite run.  The ring is ``_PolyRing`` in generic mode and
-    ``_PackedRing`` in the specialized and numeric modes."""
+    ``_PackedRing`` in specialized mode, with integer tables per point."""
 
     def __init__(self, n: int, mode: SpecMode):
         if n < 1:
             raise ValueError("rank must be at least 1")
+        if mode.kind == "numeric":
+            raise ValueError("a numeric point is evaluated in a specialized context")
         self.n = n
         self.mode = mode
         self.ring = (_PolyRing if mode.kind == "generic" else _PackedRing)(mode)
@@ -255,8 +254,7 @@ class EvalContext:
         self._kfactor_cache: dict = {}
         self._rank_gate: dict = {}
         self._spans: dict = {}
-        self._int_tables: list = [None]
-        self._int_scales = [1]
+        self._int_points: dict = {}  # v0 -> (point, level tables, scales)
 
     def ecoef(self, i: int, a: int):
         """Coefficient created when a raising letter consumes a matching
@@ -281,18 +279,23 @@ class EvalContext:
             self._ecoef_cache[key] = out
         return out
 
-    def int_levels(self, k: int):
-        """Integer ecoef tables for levels 0..k, and the scale P_k (numeric
-        mode).  A step on words of length l only meets ecoef(i, a) with
-        |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as a gains
-        one Cartan entry per tail letter.  Level l maps i to {a: e(i, a)
+    def int_levels(self, k: int, v0):
+        """Integer ecoef tables at the point v0 for levels 0..k, and the
+        scale P_k (specialized mode; v0 is checked by ``SpecMode.numeric``
+        once per point).  A step on words of length l only meets ecoef(i, a)
+        with |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as a
+        gains one Cartan entry per tail letter.  Level l maps i to {a: e(i, a)
         * s_l} over the nonzero values, where e(i, a) is the ring's ecoef
         numerator evaluated at v0 and divided by q - q^{-1} there, and s_l
         is the lcm of their denominators; a pairing of length-k words built
         from these Gaussian integers is the true value times P_k = s_1 ... s_k."""
-        tables = self._int_tables
+        point = self._int_points.get(v0)
+        if point is None:
+            if self.mode.kind != "specialized":
+                raise ValueError("integer tables need the specialized weight")
+            point = self._int_points[v0] = (SpecMode.numeric(v0).v0, [None], [1])
+        v0, tables, scales = point
         cmax = max(abs(x) for row in self.cart[1:] for x in row[1:])
-        v0 = self.mode.v0
         d = lcm(v0[0].denominator, v0[1].denominator)
         z = (int(v0[0] * d), int(v0[1] * d))  # v0 = z / d
         eunit = qqi_inv(peval_qqi(_QDIFF, v0))
@@ -316,8 +319,8 @@ class EvalContext:
             for i, a, val in vals:
                 table[i][a] = (int(val[0] * s), int(val[1] * s))
             tables.append(table)
-            self._int_scales.append(self._int_scales[-1] * s)
-        return tables, self._int_scales[k]
+            scales.append(scales[-1] * s)
+        return tables, scales[k]
 
     def kfactor(self, mu, wdot: int):
         """Multiplier for commuting a Cartan letter to the vacuum end:
@@ -688,12 +691,12 @@ def _pair_int(u, w, tables, cart, memo):
     return val
 
 
-def pair_words_qqi(u, w, ctx: EvalContext):
-    """<(raising word u) (lowering word w)> at a numeric point: the integer
-    pairing divided by its scale."""
+def pair_words_qqi(u, w, ctx: EvalContext, v0):
+    """<(raising word u) (lowering word w)> of a specialized context at the
+    point v0: the integer pairing divided by its scale."""
     if len(u) != len(w):
         return QQI_ZERO
-    tables, scale = ctx.int_levels(len(w))
+    tables, scale = ctx.int_levels(len(w), v0)
     re, im = _pair_int(u, w, tables, ctx.cart, {((), ()): G1})
     return (Fraction(re, scale), Fraction(im, scale))
 
@@ -709,16 +712,16 @@ def _symmetric_rows(size, entry):
     return rows
 
 
-def gram_int_rows(words, ctx: EvalContext):
-    """The Gram slice on words of one weight (all of length k) as Gaussian
-    integers: P_k times the rational Gram, hence of the same rank.
+def gram_int_rows(words, ctx: EvalContext, v0):
+    """The Gram slice on words of one weight (all of length k) at v0 as
+    Gaussian integers: P_k times the rational Gram, hence of the same rank.
 
     The contravariant form is symmetric in every mode and at every point:
     <a, b> = eps(omega(a) b), omega is an involutive anti-automorphism and
     eps o omega = eps, so <b, a> = eps(omega(omega(a) b)) = <a, b>.  Only
     the entries with i <= j are computed; the others are mirrored.
     """
-    tables, _scale = ctx.int_levels(len(words[0]))
+    tables, _scale = ctx.int_levels(len(words[0]), v0)
     memo = {((), ()): G1}
     cart = ctx.cart
     raising = [tuple(reversed(a)) for a in words]
@@ -727,14 +730,14 @@ def gram_int_rows(words, ctx: EvalContext):
     )
 
 
-def rank_at(coords, ctx: EvalContext, limit: int = 400) -> int:
-    """Rank of the full Gram slice of a weight at a numeric point."""
-    if ctx.mode.kind != "numeric":
-        raise ValueError("rank computations require a numeric mode")
+def rank_at(coords, ctx: EvalContext, v0, limit: int = 400) -> int:
+    """Rank of the full Gram slice of a weight at the point v0."""
+    if ctx.mode.kind != "specialized":
+        raise ValueError("rank computations need the specialized weight")
     words = fwords_of_weight(coords, ctx.n, limit=limit)
     if not words:
         return 0
-    return rank_gauss(gram_int_rows(words, ctx))
+    return rank_gauss(gram_int_rows(words, ctx, v0))
 
 
 def ladder_spanning_set(coords, ctx: EvalContext):
@@ -753,15 +756,15 @@ def ladder_spanning_set(coords, ctx: EvalContext):
     return out
 
 
-# independent non-root-of-unity points at which the ladder gate ranks
-_GATE_POINTS = (2, 3)
+# independent points at which the ladder gate ranks; the branch sign does
+# not act on a specialized value, which carries no L-symbol
+_GATE_POINTS = (SpecMode.numeric(2), SpecMode.numeric(3))
 
 
 def _ladder_rank_ok(coords, ctx: EvalContext) -> bool:
     """Verify rank(Gram of the spanning set) == number of basis monomials
     at independent numeric points.  The Gram is computed once in the
-    specialized context and mapped to each point; a numeric value is the
-    specialized value taken at the point, so the ranks are exact."""
+    specialized context and evaluated at each point; the ranks are exact."""
     key = tuple(coords)
     cached = ctx._rank_gate.get(key)
     if cached is not None:
@@ -772,7 +775,7 @@ def _ladder_rank_ok(coords, ctx: EvalContext) -> bool:
     ok = all(
         rank_gauss(_qqi_rows_to_gauss([[scalar_to_qqi(x, mode) for x in row] for row in rows]))
         == expected
-        for mode in (SpecMode.numeric(v0, ctx.mode.sigma) for v0 in _GATE_POINTS)
+        for mode in _GATE_POINTS
     )
     ctx._rank_gate[key] = ok
     return ok

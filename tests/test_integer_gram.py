@@ -2,9 +2,8 @@
 rational Gram computed independently through the vacuum engine.
 
 The oracle pairs every two words of a slice with ``shapovalov`` (the trie
-walk ``_evaluate``, whose numeric value is the specialized value taken at
-the point), maps the values to the numeric point with ``scalar_to_qqi`` and
-clears denominators row by row.  The level tables are checked against the
+walk ``_evaluate`` of the specialized context), evaluates the values at the
+point with ``scalar_to_qqi`` and clears denominators row by row.  The level tables are checked against the
 generic ecoef formula, mapped to the point independently of the engine ring.
 """
 
@@ -48,27 +47,29 @@ def weights(n):
     )
 
 
-def rational_gram(words, ctx):
+def rational_gram(words, ctx, mode):
     elts = [fword_elt(w) for w in words]
-    return [[scalar_to_qqi(shapovalov(a, b, ctx), ctx.mode) for b in elts] for a in elts]
+    return [[scalar_to_qqi(shapovalov(a, b, ctx), mode) for b in elts] for a in elts]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_integer_gram_is_the_scaled_rational_gram(n):
-    contexts = [EvalContext(n, SpecMode.numeric(v0, s)) for v0 in POINTS for s in (1, -1)]
+    contexts = [EvalContext(n, SpecMode.specialized(s)) for s in (1, -1)]
 
     @PROPERTY
     @given(weights(n))
     def check(mu):
         words = fwords_of_weight(mu, n)
         for ctx in contexts:
-            rows = gram_int_rows(words, ctx)
-            scale = ctx.int_levels(len(words[0]))[1]
-            want = rational_gram(words, ctx)
-            for row, want_row in zip(rows, want):
-                for (re, im), (wre, wim) in zip(row, want_row):
-                    assert (re, im) == (wre * scale, wim * scale), (mu, ctx.mode)
-            assert rank_at(mu, ctx) == rank_gauss(_qqi_rows_to_gauss(want)), (mu, ctx.mode)
+            for v0 in POINTS:
+                mode = SpecMode.numeric(v0, ctx.mode.sigma)
+                rows = gram_int_rows(words, ctx, v0)
+                scale = ctx.int_levels(len(words[0]), v0)[1]
+                want = rational_gram(words, ctx, mode)
+                for row, want_row in zip(rows, want):
+                    for (re, im), (wre, wim) in zip(row, want_row):
+                        assert (re, im) == (wre * scale, wim * scale), (mu, mode)
+                assert rank_at(mu, ctx, v0) == rank_gauss(_qqi_rows_to_gauss(want)), (mu, mode)
 
     check()
 
@@ -82,10 +83,10 @@ def generic_ecoef(i, a):
 
 def test_level_tables_are_the_ecoefs_times_the_lcm_of_their_denominators():
     mode = SpecMode.numeric((3, 1), -1)
-    ctx = EvalContext(3, mode)
-    tables, _scale = ctx.int_levels(6)
+    ctx = EvalContext(3, SpecMode.specialized(-1))
+    tables, _scale = ctx.int_levels(6, (3, 1))
     for level in range(1, 7):
-        s = ctx.int_levels(level)[1] // ctx.int_levels(level - 1)[1]
+        s = ctx.int_levels(level, (3, 1))[1] // ctx.int_levels(level - 1, (3, 1))[1]
         span = 2 * (level - 1)
         keys = [(i, a) for i in range(1, 4) for a in range(-span, span + 1)]
         vals = {(i, a): scalar_to_qqi(generic_ecoef(i, a), mode) for i, a in keys}
@@ -101,14 +102,15 @@ def test_level_tables_equal_the_rational_evaluation_route(v0):
     """The integer evaluation of the packed ecoef numerators against the
     same numerators unpacked and evaluated at v0 over the Gaussian
     rationals, one level at a time."""
-    ctx = EvalContext(3, SpecMode.numeric(v0, 1))
-    tables, scale = ctx.int_levels(6)
-    eunit = qqi_inv(peval_qqi({(2,): (1, 0), (-2,): (-1, 0)}, ctx.mode.v0))
+    ctx = EvalContext(3, SpecMode.specialized(1))
+    tables, scale = ctx.int_levels(6, v0)
+    point = SpecMode.numeric(v0).v0
+    eunit = qqi_inv(peval_qqi({(2,): (1, 0), (-2,): (-1, 0)}, point))
     want_scale = 1
     for level in range(1, 7):
         span = 2 * (level - 1)
         vals = {
-            (i, a): qqi_mul(peval_qqi(_unpack_poly(e), ctx.mode.v0), eunit)
+            (i, a): qqi_mul(peval_qqi(_unpack_poly(e), point), eunit)
             for i in range(1, 4)
             for a in range(-span, span + 1)
             if (e := ctx.ecoef(i, a))

@@ -1,9 +1,10 @@
 """Golden report identity: suite reports must not change under refactoring.
 
 Each digest is the SHA-256 of a suite's report JSON (``sort_keys=True``,
-``elapsed_ms`` removed).  The configurations together exercise the generic,
-specialized and numeric pairing paths, and the plane suites cover the
-action, the invariant kernels and the star product.  A digest may only be
+``elapsed_ms`` removed).  The configurations together exercise the generic
+and specialized pairing paths and the integer Gram slices at numeric
+points, and the plane suites cover the action, the invariant kernels and
+the star product.  A digest may only be
 updated by a change that deliberately alters what a suite reports.
 """
 

@@ -279,6 +279,15 @@ def test_irreducibility_ranks_slices_up_to_the_suite_word_limit():
     assert "rank:mu=[-2, 0, -2],v0=3|sigma=+1" in {c.name for c in rep.checks}
 
 
+def test_irreducibility_ranks_in_the_specialized_contexts():
+    """The numeric points are evaluations in the two specialized contexts,
+    not contexts of their own."""
+    session = Session()
+    assert suites.verify_irreducibility(2, 2, session=session).passed
+    modes = {suites.SpecMode.specialized(1), suites.SpecMode.specialized(-1)}
+    assert set(session.contexts) == {(2, mode) for mode in modes}
+
+
 def _spy_invariant_dims(monkeypatch):
     return _spy(monkeypatch, "verify_invariant_dims", "max_deg")
 

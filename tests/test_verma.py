@@ -192,13 +192,11 @@ def test_pair_engine_agrees_with_direct_product_evaluation():
 
 
 def test_pair_words_memoized_numeric():
-    ctx = EvalContext(2, SpecMode.numeric(2, 1))
+    ctx = EvalContext(2, SpecMode.specialized(1))
     x = (1, 1, 2)
-    val = pair_words_qqi(tuple(reversed(x)), x, ctx)
+    val = pair_words_qqi(tuple(reversed(x)), x, ctx, 2)
     direct = vacuum_eval(omega(fword_elt(x)) * fword_elt(x), ctx)
-    from qsphere.scalars import scalar_from_qqi
-
-    assert scalar_from_qqi(val) == direct
+    assert val == scalar_to_qqi(direct, SpecMode.numeric(2, 1))
 
 
 def test_orthogonality_twist_between_plain_and_involuted_raising():
@@ -275,19 +273,32 @@ def test_over_limit_weight_is_refused_without_enumerating(monkeypatch):
 
 
 def test_rank_examples():
+    ctx = EvalContext(2, SpecMode.specialized(1))
     for v0 in (2, 3, Fraction(5, 2)):
-        ctx = EvalContext(2, SpecMode.numeric(v0, 1))
-        assert rank_at((-1, -1), ctx) == 1
-        assert rank_at((-2, 0), ctx) == 1
-        assert rank_at((1, 0), ctx) == 0
-        assert rank_at((1, -1), ctx) == 0  # the singular direction
-        assert rank_at((0, -1), ctx) == 1
+        assert rank_at((-1, -1), ctx, v0) == 1
+        assert rank_at((-2, 0), ctx, v0) == 1
+        assert rank_at((1, 0), ctx, v0) == 0
+        assert rank_at((1, -1), ctx, v0) == 0  # the singular direction
+        assert rank_at((0, -1), ctx, v0) == 1
 
 
 def test_rank_requires_numeric_mode():
+    """The point must be admissible for SpecMode.numeric: nonzero and no
+    root of unity."""
     ctx = EvalContext(2, SpecMode.specialized(1))
+    for v0 in (0, 1, -1, (0, 1)):
+        with pytest.raises(ValueError):
+            rank_at((-1, 0), ctx, v0)
+
+
+def test_rank_refuses_a_generic_context():
     with pytest.raises(ValueError):
-        rank_at((-1, 0), ctx)
+        rank_at((-1, 0), EvalContext(2, SpecMode.generic()), 2)
+
+
+def test_a_numeric_mode_opens_no_context():
+    with pytest.raises(ValueError):
+        EvalContext(2, SpecMode.numeric(2))
 
 
 def test_module_oracle():
@@ -318,18 +329,34 @@ def test_module_oracle_refuses_generic_and_numeric_contexts():
             is_zero_in_M(AlgElt.f(1), EvalContext(2, mode))
 
 
-def _gate_by_numeric_walks(coords, sigma):
-    """The ladder verdict recomputed independently of the gate: the
-    spanning-set Gram walked by vacuum_eval in numeric contexts at v0 = 2
-    and 3, ranked there, against 1 for a basis weight and 0 otherwise."""
+def _gate_by_word_pairings(coords, sigma):
+    """The ladder verdict recomputed on a route the gate does not take: each
+    spanning element is expanded into its lowering words, the words are
+    paired at v0 = 2 and 3 by the integer recursion of ``pair_words_qqi``
+    and combined with the word coefficients evaluated at the point; the
+    rank there is compared with 1 for a basis weight and 0 otherwise."""
+    from qsphere.scalars import qqi_add, qqi_mul
+
     n = len(coords)
     expected = 1 if all(c <= 0 for c in coords) else 0
     sctx = EvalContext(n, SpecMode.specialized(sigma))
-    span = [w for _j, _m, w in verma.ladder_spanning_set(coords, sctx)]
+    span = [
+        [(tuple(j for _f, j in w), c) for w, c in x.terms.items()]
+        for _j, _m, x in verma.ladder_spanning_set(coords, sctx)
+    ]
     for v0 in (2, 3):
-        nctx = EvalContext(n, SpecMode.numeric(v0, sigma))
-        vals = [[vacuum_eval(omega(x) * y, nctx) for y in span] for x in span]
-        rows = [[scalar_to_qqi(v, nctx.mode) for v in row] for row in vals]
+        mode = SpecMode.numeric(v0, sigma)
+
+        def entry(x, y):
+            total = (Fraction(0), Fraction(0))
+            for a, c in x:
+                for b, d in y:
+                    pair = pair_words_qqi(tuple(reversed(a)), b, sctx, v0)
+                    coef = qqi_mul(scalar_to_qqi(c, mode), scalar_to_qqi(d, mode))
+                    total = qqi_add(total, qqi_mul(coef, pair))
+            return total
+
+        rows = [[entry(x, y) for y in span] for x in span]
         if verma.rank_gauss(verma._qqi_rows_to_gauss(rows)) != expected:
             return False
     return True
@@ -337,23 +364,26 @@ def _gate_by_numeric_walks(coords, sigma):
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_ladder_gate_agrees_with_numeric_walks(sigma):
+    """The gate's verdicts against the integer word-pairing route."""
     ctx = EvalContext(2, SpecMode.specialized(sigma))
     verdicts = {}
     for mu in _rank_weights(2, 4):
         verdicts[mu] = verma._ladder_rank_ok(mu, ctx)
-        assert verdicts[mu] == _gate_by_numeric_walks(mu, sigma), mu
+        assert verdicts[mu] == _gate_by_word_pairings(mu, sigma), mu
     assert verdicts[(0, 0)] is False
     assert True in verdicts.values()
     assert any(any(c > 0 for c in mu) for mu in verdicts)
 
 
 def test_ladder_gate_ranks_the_specialized_gram_at_both_points(monkeypatch):
-    """Every entry of the specialized spanning-set Gram is mapped to
-    v0 = 2 and to v0 = 3 under the context's branch sign."""
+    """Every entry of the specialized spanning-set Gram is evaluated at
+    v0 = 2 and at v0 = 3; the entries carry no L-symbol, so the branch sign
+    of the points does not act on them."""
     mapped = []
 
     def record(x, mode):
-        mapped.append((x, mode.v0, mode.sigma))
+        assert all(len(k) <= 1 for k in (*x.num, *x.den)), x
+        mapped.append((x, mode.v0))
         return scalar_to_qqi(x, mode)
 
     monkeypatch.setattr(verma, "scalar_to_qqi", record)
@@ -363,7 +393,7 @@ def test_ladder_gate_ranks_the_specialized_gram_at_both_points(monkeypatch):
     assert len(span) > 1 and verma._ladder_rank_ok(coords, ctx)
     gram = sorted(str(shapovalov(x, y, ctx)) for x in span for y in span)
     for v0 in (2, 3):
-        assert sorted(str(x) for x, p, s in mapped if p == (v0, 0) and s == -1) == gram, v0
+        assert sorted(str(x) for x, p in mapped if p == (v0, 0)) == gram, v0
     assert len(mapped) == 2 * len(gram)
 
 
@@ -382,10 +412,11 @@ def test_generic_zero_oracle():
 
 def test_numeric_mode_at_a_complex_rational_point():
     # v0 = 3 + i is admissible (not a root of unity) and stays exact
-    ctx = EvalContext(2, SpecMode.numeric((3, 1), 1))
-    got = vacuum_eval(AlgElt.e(1) * AlgElt.f(1), ctx)
-    want = specialize(I_UNIT / theta(), SpecMode.numeric((3, 1), 1))
-    assert got == want
+    ctx = EvalContext(2, SpecMode.specialized(1))
+    mode = SpecMode.numeric((3, 1), 1)
+    want = scalar_to_qqi(I_UNIT / theta(), mode)
+    assert scalar_to_qqi(vacuum_eval(AlgElt.e(1) * AlgElt.f(1), ctx), mode) == want
+    assert pair_words_qqi((1,), (1,), ctx, (3, 1)) == want
 
 
 def test_pair_lowering_handles_fractional_coefficients():
