@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 
@@ -48,17 +47,3 @@ class VerificationReport:
     def to_json(self, indent=2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-
-class timer:
-    """Context manager stamping elapsed_ms onto a report."""
-
-    def __init__(self, report: VerificationReport):
-        self.report = report
-
-    def __enter__(self):
-        self._t0 = time.monotonic()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.elapsed_ms = int((time.monotonic() - self._t0) * 1000)
-        return False

@@ -6,21 +6,29 @@ parameter ``--max-deg`` sets, the suites it depends on and, for a gate
 suite, the rule that decides a dependent run.  A suite that leans on
 another suite's result (the module oracle on the radical soundness of the
 defining relations, the inverse tensor on the irreducibility ranks, the
-star product on the invariant dimensions) opens a gate first.
+star product on the invariant dimensions) runs behind a gate.
 
 What one run shares lives in a ``Session``: the verdicts of the gate
 suites, keyed on each report's suite, params and mode, and one
 ``EvalContext`` per rank and mode, whose engine tables and ladder-gate
-verdicts carry over from one suite to the next.  Every suite takes a
-``session``; one that uses it makes a fresh one when it gets none, so two
-standalone calls share nothing.  Every verdict in the session at the rank
-that covers the dependent run must pass; when none covers it, the gate
-suite runs once, in the same session, at what the dependent run needs.
+verdicts carry over from one suite to the next.  Every verdict in the
+session at the rank that covers the dependent run must pass; when none
+covers it, the gate suite runs once, in the same session, at what the
+dependent run needs.
+
+Every suite body runs inside one scaffold, ``_run``, which makes a fresh
+session when the suite gets none (two standalone calls share nothing),
+opens the gates and keeps the verdicts the table asks for, and times the
+body; no suite does this itself.  A suite checked at both square roots
+L_j = sigma*i*v^{-1} loops over ``_branches``, which also checks that its
+verdicts do not depend on the sign.
 """
 
 from __future__ import annotations
 
 import random
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,7 +77,7 @@ from .plane import (
     isotropy_operators,
     star,
 )
-from .report import VerificationReport, timer
+from .report import VerificationReport
 
 _Q = Scalar.v_power(2)
 _QBAR = Scalar.v_power(-2)
@@ -95,20 +103,40 @@ def _mode_label(sigmas, kind="specialized"):
     return "%s(sigma=%+d)" % (kind, sigmas[0])
 
 
-def _branch_invariance(report, sigmas):
-    """Verdicts must not depend on the branch sign."""
-    if len(sigmas) < 2:
-        return
-    by_branch = {}
-    for c in report.checks:
-        name, _, tag = c.name.rpartition("|")
-        if not name:
-            continue
-        by_branch.setdefault(tag, {})[name] = c.status
-    tags = sorted(by_branch)
-    if len(tags) == 2:
-        ok = by_branch[tags[0]] == by_branch[tags[1]]
-        report.record("branch-invariance", ok, "verdict vectors differ between branches")
+@contextmanager
+def _run(name, params, mode, session, sigmas=(1, -1)):
+    """One run of suite `name`: yields its report and the session.
+
+    The gates of the suites it depends on open first, outside the timing;
+    ``elapsed_ms`` covers the body; a suite with a gate rule enters its
+    verdict in the session when the body ends."""
+    session = session or Session()
+    session.ensure_gates(name, params["n"], params.get("max_deg"), sigmas)
+    rep = VerificationReport(name, params, mode)
+    t0 = time.monotonic()
+    yield rep, session
+    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    if SUITE_BY_NAME[name].gate is not None:
+        session.record(rep)
+
+
+def _branches(rep, n, sigmas, session):
+    """For each branch sign, the specialized context and a recorder that tags
+    every check name with the sign.  With both signs, verdicts must not
+    depend on the branch: ``branch-invariance`` compares the two maps."""
+    verdicts = []
+    for s in sigmas:
+        seen = {}
+
+        def record(name, ok, witness=None):
+            seen[name] = ok
+            rep.record("%s|sigma=%+d" % (name, s), ok, witness)
+
+        verdicts.append(seen)
+        yield session.context(n, SpecMode.specialized(s)), record
+    if len(verdicts) == 2:
+        ok = verdicts[0] == verdicts[1]
+        rep.record("branch-invariance", ok, "verdict vectors differ between branches")
 
 
 # ---------------------------------------------------------------------------
@@ -138,26 +166,18 @@ def _factorization_rhs(m, mode) -> Scalar:
 
 def verify_factorization(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
     sigmas = _sigma_list(sigma)
-    session = session or Session()
-    rep = VerificationReport(
-        "factorization", {"n": n, "max_deg": max_deg}, _mode_label(sigmas)
-    )
-    with timer(rep):
+    params = {"n": n, "max_deg": max_deg}
+    with _run("factorization", params, _mode_label(sigmas), session, sigmas) as (rep, session):
         indices = enumerate_b_indices(n, max_deg)
         monomials = [(m, b_monomial(m, n)) for m in indices]
-        for s in sigmas:
-            ctx = session.context(n, SpecMode.specialized(s))
+        for ctx, record in _branches(rep, n, sigmas, session):
             for k in indices:
                 eomega = omega(_epart_plain(k, n))
                 for m, b in monomials:
                     lhs = pair_lowering(eomega, b, ctx)
                     rhs = _factorization_rhs(m, ctx.mode) if k == m else ZERO
-                    rep.record(
-                        "k=%s,m=%s|sigma=%+d" % (list(k), list(m), s),
-                        lhs == rhs,
-                        "lhs=%s rhs=%s" % (lhs, rhs),
-                    )
-        _branch_invariance(rep, sigmas)
+                    name = "k=%s,m=%s" % (list(k), list(m))
+                    record(name, lhs == rhs, "lhs=%s rhs=%s" % (lhs, rhs))
     return rep
 
 
@@ -165,12 +185,10 @@ def verify_harish(n=2, max_deg=4, sigma="both", session=None) -> VerificationRep
     """Powers of one raising/lowering pair: the product formula with shifted
     q-numbers and the specialized closed form both match the engine."""
     sigmas = _sigma_list(sigma)
-    session = session or Session()
-    rep = VerificationReport("harish", {"n": n, "max_deg": max_deg}, _mode_label(sigmas))
-    with timer(rep):
+    params = {"n": n, "max_deg": max_deg}
+    with _run("harish", params, _mode_label(sigmas), session, sigmas) as (rep, session):
         half = Fraction(1, 2)
-        for s in sigmas:
-            ctx = session.context(n, SpecMode.specialized(s))
+        for ctx, record in _branches(rep, n, sigmas, session):
             for i in range(1, n + 1):
                 shift = specialize(Scalar.L_power(i, 1), ctx.mode)
                 e_i = root_vector("e_eps", i, n)
@@ -185,12 +203,11 @@ def verify_harish(n=2, max_deg=4, sigma="both", session=None) -> VerificationRep
                     m_ei = [m if j == i else 0 for j in range(1, n + 1)]
                     closed = _factorization_rhs(m_ei, ctx.mode)
                     ok = engine == prod == closed
-                    rep.record(
-                        "i=%d,m=%d|sigma=%+d" % (i, m, s),
+                    record(
+                        "i=%d,m=%d" % (i, m),
                         ok,
                         "engine=%s product=%s closed=%s" % (engine, prod, closed),
                     )
-        _branch_invariance(rep, sigmas)
     return rep
 
 
@@ -217,9 +234,8 @@ def serre_elements(n):
 
 
 def verify_serre_radical(n=2, weight_bound=5, session=None) -> VerificationReport:
-    session = session or Session()
-    rep = VerificationReport("serre-radical", {"n": n, "weight_bound": weight_bound}, "generic")
-    with timer(rep):
+    params = {"n": n, "weight_bound": weight_bound}
+    with _run("serre-radical", params, "generic", session) as (rep, session):
         ctx = session.context(n, SpecMode.generic())
         for label, s in serre_elements(n):
             ht = len(next(iter(s.terms)))
@@ -235,7 +251,7 @@ def verify_serre_radical(n=2, weight_bound=5, session=None) -> VerificationRepor
                     ok,
                     "element does not pair to zero generically",
                 )
-    return session.record(rep)
+    return rep
 
 
 def _all_words(n, length):
@@ -326,42 +342,32 @@ def _span_checks(n, max_deg):
 
 def verify_span(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
     sigmas = _sigma_list(sigma)
-    session = session or Session()
-    rep = VerificationReport("span", {"n": n, "max_deg": max_deg}, _mode_label(sigmas))
-    session.ensure_gates("span", n)
-    with timer(rep):
+    params = {"n": n, "max_deg": max_deg}
+    with _run("span", params, _mode_label(sigmas), session, sigmas) as (rep, session):
         checks = _span_checks(n, max_deg)
-        for s in sigmas:
-            ctx = session.context(n, SpecMode.specialized(s))
+        for ctx, record in _branches(rep, n, sigmas, session):
             for _ht, name, x in checks:
-                ok = is_zero_in_M(x, ctx)
-                rep.record("%s|sigma=%+d" % (name, s), ok, "difference is nonzero in the module")
-        _branch_invariance(rep, sigmas)
+                record(name, is_zero_in_M(x, ctx), "difference is nonzero in the module")
     return rep
 
 
 def verify_normalizer(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
     sigmas = _sigma_list(sigma)
-    session = session or Session()
-    rep = VerificationReport(
-        "normalizer", {"n": n, "max_deg": max_deg, "m_cap": n}, _mode_label(sigmas)
-    )
-    session.ensure_gates("normalizer", n)
-    with timer(rep):
+    params = {"n": n, "max_deg": max_deg, "m_cap": n}
+    with _run("normalizer", params, _mode_label(sigmas), session, sigmas) as (rep, session):
         # a generator of the deformed-isotropy column j annihilates basis
         # tails supported on columns >= j; the doubled-root generator kills
         # every tail beyond the first column
         gens = [("fdelta", root_vector("f_delta", 1, n), 2)]
         gens += [("f%d" % j, AlgElt.f(j), j) for j in range(2, n + 1)]
         tail_deg = max(0, max_deg - 1)
-        for s in sigmas:
-            ctx = session.context(n, SpecMode.specialized(s))
+        for ctx, record in _branches(rep, n, sigmas, session):
             for gname, g, first in gens:
                 for m in _b_tails(n, tail_deg, first=first):
                     x = g * b_monomial(m, n)
                     ok = is_zero_in_M(x, ctx)
-                    rep.record(
-                        "kill:%s,tail=%s|sigma=%+d" % (gname, list(m), s),
+                    record(
+                        "kill:%s,tail=%s" % (gname, list(m)),
                         ok,
                         "ideal generator does not annihilate the tail",
                     )
@@ -373,8 +379,8 @@ def verify_normalizer(n=2, max_deg=4, sigma="both", session=None) -> Verificatio
                 for m in _b_tails(n, max(0, max_deg - 2), first=i + 1):
                     x = ex * b_monomial(m, n)
                     ok = is_zero_in_M(x, ctx)
-                    rep.record(
-                        "exchange:i=%d,tail=%s|sigma=%+d" % (i, list(m), s),
+                    record(
+                        "exchange:i=%d,tail=%s" % (i, list(m)),
                         ok,
                         "exchange congruence fails on the tail",
                     )
@@ -388,12 +394,11 @@ def verify_normalizer(n=2, max_deg=4, sigma="both", session=None) -> Verificatio
                     if not val.is_zero():
                         bad = (w, str(val))
                         break
-                rep.record(
-                    "singular:e%d|sigma=%+d" % (i, s),
+                record(
+                    "singular:e%d" % i,
                     bad is None,
                     "raising generator does not kill the quotient vector: %r" % (bad,),
                 )
-        _branch_invariance(rep, sigmas)
     return rep
 
 
@@ -411,9 +416,8 @@ def _b_tails(n, max_total, first=2):
 # ---------------------------------------------------------------------------
 
 def verify_xyz(n=3, triples=120, seed=2024, session=None) -> VerificationReport:
-    session = session or Session()
-    rep = VerificationReport("xyz", {"n": n, "triples": triples, "seed": seed}, "generic")
-    with timer(rep):
+    params = {"n": n, "triples": triples, "seed": seed}
+    with _run("xyz", params, "generic", session) as (rep, session):
         rng = random.Random(seed)
         # (a) the two-parameter bracket identity holds freely
         if triples:
@@ -493,21 +497,16 @@ def verify_irreducibility(
     2 the default limit covers every weight up to degree 4.
     """
     sigmas = _sigma_list(sigma)
-    session = session or Session()
     points = _check_points(v0)
-    rep = VerificationReport(
-        "irreducibility",
-        {
-            "n": n,
-            "max_deg": max_deg,
-            "points": [str(p) for p in points],
-            "word_limit": word_limit,
-        },
-        _mode_label(sigmas, kind="numeric"),
-    )
-    with timer(rep):
-        for s in sigmas:
-            sctx = session.context(n, SpecMode.specialized(s))
+    params = {
+        "n": n,
+        "max_deg": max_deg,
+        "points": [str(p) for p in points],
+        "word_limit": word_limit,
+    }
+    mode = _mode_label(sigmas, kind="numeric")
+    with _run("irreducibility", params, mode, session, sigmas) as (rep, session):
+        for sctx, record in _branches(rep, n, sigmas, session):
             for mu in _rank_weights(n, max_deg):
                 expected = 0 if any(c > 0 for c in mu) else 1
                 if expected and sum(-c for c in mu) > max_deg + 1:
@@ -517,39 +516,28 @@ def verify_irreducibility(
                     continue
                 for p in points:
                     r = rank_at(mu, sctx, p, limit=word_limit)
-                    rep.record(
-                        "rank:mu=%s,v0=%s|sigma=%+d" % (list(mu), p, s),
+                    record(
+                        "rank:mu=%s,v0=%s" % (list(mu), p),
                         r == expected,
                         "rank %d, expected %d" % (r, expected),
                     )
             for m in enumerate_b_indices(n, max_deg):
                 b = b_monomial(m, n)
                 diag = shapovalov(b, b, sctx)
-                rep.record(
-                    "diagonal:m=%s|sigma=%+d" % (list(m), s),
-                    not diag.is_zero(),
-                    "diagonal form value vanishes",
-                )
-        _branch_invariance(rep, sigmas)
-    return session.record(rep)
+                name = "diagonal:m=%s" % (list(m),)
+                record(name, not diag.is_zero(), "diagonal form value vanishes")
+    return rep
 
 
 def verify_f_inverse(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
     sigmas = _sigma_list(sigma)
-    session = session or Session()
-    rep = VerificationReport("f-inverse", {"n": n, "max_deg": max_deg}, _mode_label(sigmas))
-    session.ensure_gates("f-inverse", n, max_deg, sigmas)
-    with timer(rep):
+    params = {"n": n, "max_deg": max_deg}
+    with _run("f-inverse", params, _mode_label(sigmas), session, sigmas) as (rep, session):
         F = build_F(n, max_deg)
-        for s in sigmas:
-            ctx = session.context(n, SpecMode.specialized(s))
+        for ctx, record in _branches(rep, n, sigmas, session):
             for m, coeff, ep, fp in F.entries:
                 val = coeff * invariant_form(fp, ep, ctx)
-                rep.record(
-                    "diag:k=%s|sigma=%+d" % (list(m), s),
-                    val == ONE,
-                    "normalization is %s" % val,
-                )
+                record("diag:k=%s" % (list(m),), val == ONE, "normalization is %s" % val)
             # off-diagonal vanishing for equal total degree
             by_total: dict = {}
             for m, _c, _e, _f in F.entries:
@@ -562,12 +550,11 @@ def verify_f_inverse(n=2, max_deg=4, sigma="both", session=None) -> Verification
                         if ma == mb:
                             continue
                         val = invariant_form(b_monomial(mb, n), epart_twisted(ma, n), ctx)
-                        rep.record(
-                            "offdiag:m=%s,k=%s|sigma=%+d" % (list(ma), list(mb), s),
+                        record(
+                            "offdiag:m=%s,k=%s" % (list(ma), list(mb)),
                             val.is_zero(),
                             "cross pairing is %s" % val,
                         )
-        _branch_invariance(rep, sigmas)
     return rep
 
 
@@ -595,8 +582,8 @@ def _plane_generators(n):
 
 
 def verify_module_algebra(n=2, cases=200, seed=5, session=None) -> VerificationReport:
-    rep = VerificationReport("module-algebra", {"n": n, "cases": cases, "seed": seed}, "symbolic")
-    with timer(rep):
+    params = {"n": n, "cases": cases, "seed": seed}
+    with _run("module-algebra", params, "symbolic", session) as (rep, _session):
         # (a) the raw-word action respects each defining relation
         for lw, rdict in _plane_relations(n):
             for g in _plane_generators(n):
@@ -658,8 +645,7 @@ def _random_plane_poly(rng, n):
 
 
 def verify_delta_inv(n=2, kmax=6, session=None) -> VerificationReport:
-    rep = VerificationReport("delta-inv", {"n": n, "kmax": kmax}, "symbolic")
-    with timer(rep):
+    with _run("delta-inv", {"n": n, "kmax": kmax}, "symbolic", session) as (rep, _session):
         x0 = PlanePoly.coordinate(0, n)
         xm1 = PlanePoly.coordinate(-1, n)
         xm2 = PlanePoly.coordinate(-2, n)
@@ -693,14 +679,9 @@ def verify_delta_inv(n=2, kmax=6, session=None) -> VerificationReport:
 
 
 def verify_invariant_dims(n=2, max_deg=4, v0=2, session=None) -> VerificationReport:
-    session = session or Session()
     points = _check_points(v0)
-    rep = VerificationReport(
-        "invariant-dims",
-        {"n": n, "max_deg": max_deg, "points": [str(p) for p in points]},
-        "numeric",
-    )
-    with timer(rep):
+    params = {"n": n, "max_deg": max_deg, "points": [str(p) for p in points]}
+    with _run("invariant-dims", params, "numeric", session) as (rep, _session):
         for m in range(max_deg + 1):
             expected = m // 2 + 1
             try:
@@ -719,16 +700,13 @@ def verify_invariant_dims(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
                 sl.candidates_independent,
                 "candidates are dependent at a numeric point",
             )
-    return session.record(rep)
+    return rep
 
 
 def verify_star(n=2, max_deg=2, session=None) -> VerificationReport:
     """Closure, associativity on invariants, a non-associativity witness, and
     the classical limit of the twisted product."""
-    session = session or Session()
-    rep = VerificationReport("star", {"n": n, "max_deg": max_deg}, "symbolic")
-    session.ensure_gates("star", n, max_deg)
-    with timer(rep):
+    with _run("star", {"n": n, "max_deg": max_deg}, "symbolic", session) as (rep, _session):
         # degree 2 at least: the non-associativity witness multiplies
         # degree-1 coordinates whatever the invariants' degree
         F = build_F(n, max(2, 2 * max_deg))

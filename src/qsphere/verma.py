@@ -53,11 +53,11 @@ _QDIFF = {(2,): G1, (-2,): (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
 _ONE_KEY = tuple(PONE.items())
 
 # A coefficient ring of the engine (``_PolyRing`` on dicts, ``_PackedRing``
-# on packed ints) provides: ``zero``, its one value 0; ``eunit``, the factor
-# each raising letter contributes; ``mul``; ``iadd(acc, key, val)``, adding
-# val into acc[key]; ``hom``, the image of a generic Laurent polynomial;
-# ``lift``, a scalar as (group key, ring element); and ``finish``, turning
-# the accumulated values of one group into a Scalar.
+# on packed ints) provides: ``zero``, its one value 0; ``mul``;
+# ``iadd(acc, key, val)``, adding val into acc[key]; ``hom``, the image of a
+# generic Laurent polynomial; ``lift``, a scalar as (group key, ring
+# element); and ``finish``, turning the accumulated values of one group into
+# a Scalar.
 
 
 class _PolyRing:
@@ -70,7 +70,6 @@ class _PolyRing:
     """
 
     zero: dict = {}
-    eunit = PONE
     mul = staticmethod(pmul)
 
     def __init__(self, mode: SpecMode):
@@ -209,7 +208,6 @@ class _PackedRing(_PolyRing):
     every L_j is sent to sigma*i*v^{-1}."""
 
     zero = _PZERO
-    eunit = _pack_poly(PONE)
     mul = staticmethod(_kmul)
     iadd = staticmethod(_kiadd)
 
@@ -261,7 +259,8 @@ class EvalContext:
         lowering letter over a tail of pairing value a; None when zero.
 
         Generically this is (v^{2a} L_i/L_{i-1} - v^{-2a} L_{i-1}/L_i) over
-        q - q^{-1} (with L_0 = 1), mapped into the context's ring.
+        q - q^{-1} (with L_0 = 1); the ring holds the numerator, and the
+        denominator is kept aside as a count (see ``_PolyRing``).
         """
         key = (i, a)
         out = self._ecoef_cache.get(key, False)
@@ -273,7 +272,7 @@ class EvalContext:
                 mono[i - 1] = -1
             mono = tuple(mono)
             ring = self.ring
-            out = ring.mul(ring.hom({mono: G1, _mono_neg(mono): (-1, 0)}), ring.eunit)
+            out = ring.hom({mono: G1, _mono_neg(mono): (-1, 0)})
             if out == ring.zero:
                 out = None
             self._ecoef_cache[key] = out
@@ -298,7 +297,7 @@ class EvalContext:
         cmax = max(abs(x) for row in self.cart[1:] for x in row[1:])
         d = lcm(v0[0].denominator, v0[1].denominator)
         z = (int(v0[0] * d), int(v0[1] * d))  # v0 = z / d
-        eunit = qqi_inv(peval_qqi(_QDIFF, v0))
+        inv_qdiff = qqi_inv(peval_qqi(_QDIFF, v0))  # 1/(q - q^{-1}) at v0
         while len(tables) <= k:
             span = range(-cmax * (len(tables) - 1), cmax * (len(tables) - 1) + 1)
             vals = [(i, a, _slots(e)) for i in range(1, self.n + 1) for a in span if (e := self.ecoef(i, a))]
@@ -310,7 +309,7 @@ class EvalContext:
             for _ in range(top):
                 pw.append(_gmul(pw[-1], z))
             pw = [(x * d ** (top - j), y * d ** (top - j)) for j, (x, y) in enumerate(pw)]
-            g = qqi_mul(qqi_pow(v0, lo), (eunit[0] / d**top, eunit[1] / d**top))
+            g = qqi_mul(qqi_pow(v0, lo), (inv_qdiff[0] / d**top, inv_qdiff[1] / d**top))
             for idx, (i, a, (elo, re, im, _l1)) in enumerate(vals):
                 terms = [_gmul(c, p) for c, p in zip(zip(re, im), pw[elo - lo :])]
                 vals[idx] = (i, a, qqi_mul((sum(t[0] for t in terms), sum(t[1] for t in terms)), g))

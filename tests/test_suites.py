@@ -188,6 +188,38 @@ def test_branch_invariance_meta_check():
     assert "branch-invariance" not in [c.name for c in rep_single.checks]
 
 
+def test_branch_invariance_fails_when_the_branches_disagree(monkeypatch):
+    """An oracle that fails only on the minus branch makes every check of that
+    branch fail, and branch-invariance with them; one sign has no such check."""
+    original = suites.is_zero_in_M
+
+    def one_sided(x, ctx):
+        return original(x, ctx) and ctx.mode.sigma == 1
+
+    monkeypatch.setattr(suites, "is_zero_in_M", one_sided)
+    rep = verify_span(2, 1)
+    failed = {c.name: c.witness for c in rep.failures}
+    assert failed.pop("branch-invariance") == "verdict vectors differ between branches"
+    assert failed and all(name.endswith("|sigma=-1") for name in failed)
+    assert rep.checks[-1].name == "branch-invariance"
+    single = verify_span(2, 1, "-1")
+    assert not single.passed
+    assert "branch-invariance" not in [c.name for c in single.checks]
+
+
+@pytest.mark.parametrize("suite", SUITE_LIST, ids=lambda s: s.name)
+def test_only_the_suite_table_decides_which_verdicts_are_kept(suite):
+    """A standalone run keeps its own verdict exactly when its suite has a
+    gate rule, and one verdict for each gate suite it reran."""
+    kw = {"n": suite.min_rank}
+    if suite.deg is not None:
+        kw[suite.deg] = 1
+    session = Session()
+    assert suite.fn(**kw, session=session).passed
+    own = [suite.name] if suite.gate is not None else []
+    assert sorted(key[0] for key in session.verdicts) == sorted([*suite.deps, *own])
+
+
 def test_failure_paths_record_witnesses():
     rep = VerificationReport("demo", {}, "none")
     rep.record("good", True, "unused")
