@@ -473,17 +473,17 @@ def invariant_subspace(n, m, v0s=(2, 3)):
 
     The kernel is computed by exact linear algebra at each numeric point;
     the symbolic candidates are checked to lie inside (by applying every
-    cutting operator symbolically) and to be independent at the points.
+    cutting operator symbolically) and to be independent, by the exact rank
+    of their coordinates.
     """
     from .scalars import QQI_ZERO
-    from .verma import rank_gauss, _qqi_rows_to_gauss
+    from .verma import rank_gauss
 
     basis = monomials_of_degree(n, m, weight=(0,) * n)
     ops = isotropy_operators(n)
     cands = candidate_invariants(n, m)
     dims = []
     kernels = []
-    independent = True
     for v0 in v0s:
         mode = SpecMode.numeric(v0)
         rows = []
@@ -494,13 +494,11 @@ def invariant_subspace(n, m, v0s=(2, 3)):
         ker = nullspace_qqi(rows, len(basis))
         dims.append(len(ker))
         kernels.append(ker)
-        # independence: coordinates of the candidates at the point
-        coords = [[scalar_to_qqi(c.terms.get(mono, ZERO), mode) for mono in basis] for c in cands]
-        if rank_gauss(_qqi_rows_to_gauss(coords)) != len(cands):
-            independent = False
     if len(set(dims)) != 1:
         raise RuntimeError("kernel dimensions disagree across numeric points: %r" % dims)
 
+    coords = [[c.terms.get(mono, ZERO) for mono in basis] for c in cands]
+    independent = rank_gauss(coords) == len(cands)
     inside = all(act(op, c).is_zero() for c in cands for op in ops)
     return InvariantSlice(n, m, dims[0], basis, kernels[0], inside, independent)
 

@@ -698,7 +698,7 @@ def verify_invariant_dims(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
             rep.record(
                 "candidates-independent:m=%d" % m,
                 sl.candidates_independent,
-                "candidates are dependent at a numeric point",
+                "candidates are dependent over Q(i)(v)",
             )
     return rep
 

@@ -11,13 +11,14 @@ The functional is computed once, over the generic field; the specialized
 mode is its image under a ring homomorphism.  A context therefore picks one
 of two coefficient rings -- generic Laurent numerators, or numerators in v
 alone for the specialized mode -- and the single engine (``_step`` driven by
-``_evaluate``) runs unchanged over either.  A numeric point is no mode: a
-specialized value, or an integer Gram slice, is evaluated at it.
+``_evaluate``) runs unchanged over either.  A numeric point is no mode: the
+irreducibility ranks evaluate integer Gram slices at it.
 
 Equality in the enveloping algebra and in the module is *never* decided by
 rewriting: an element is declared zero exactly when it pairs to zero with a
 spanning family, and the spanning property itself is certified bottom-up by
-weight height ("the ladder").  The soundness gate for the whole scheme is
+weight height ("the ladder"), each weight by the exact rank of the family's
+specialized Gram over Q(i)(v).  The soundness gate for the whole scheme is
 the radical property of the defining relations, which has its own suite.
 """
 
@@ -35,7 +36,9 @@ from .scalars import (
     ZERO,
     Scalar,
     SpecMode,
+    _gdiv_exact,
     _gmul,
+    _gsub,
     _mono_neg,
     _spec_poly_sigma,
     _strip,
@@ -44,7 +47,6 @@ from .scalars import (
     qqi_inv,
     qqi_mul,
     qqi_pow,
-    scalar_to_qqi,
     specialize,
 )
 from .words import AlgElt, alpha_vec, antipode, cartan_pairing, root_vector
@@ -615,29 +617,24 @@ def enumerate_b_indices(n, max_total):
 # Gram matrices, ranks, and the module oracle
 # ---------------------------------------------------------------------------
 
-def _qqi_rows_to_gauss(rows):
-    """Clear denominators row by row; entries become Gaussian integers."""
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for entry in row for x in entry))
-        out.append([(int(re * den), int(im * den)) for re, im in row])
-    return out
-
-
 def rank_gauss(rows) -> int:
-    """Rank by fraction-free (Bareiss) elimination over the Gaussian integers."""
-    from .scalars import _gdiv_exact, _gmul, _gsub
-
+    """Rank by fraction-free (Bareiss) elimination over an exact domain:
+    Gaussian integers as (re, im) pairs, or ``Scalar``s, which the field's
+    own *, - and / rank exactly over Q(i)(v).  Each update divides exactly
+    by the previous pivot, so Gaussian-integer entries stay integral."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    if ncols and isinstance(m[0][0], Scalar):
+        mul, sub, div, zero, prev = Scalar.__mul__, Scalar.__sub__, Scalar.__truediv__, ZERO, ONE
+    else:
+        mul, sub, div, zero, prev = _gmul, _gsub, _gdiv_exact, G0, G1
     rank = 0
-    prev = (1, 0)
     row = 0
     for col in range(ncols):
         piv = None
         for r in range(row, nrows):
-            if m[r][col] != (0, 0):
+            if m[r][col] != zero:
                 piv = r
                 break
         if piv is None:
@@ -646,9 +643,8 @@ def rank_gauss(rows) -> int:
         pivot = m[row][col]
         for r in range(row + 1, nrows):
             for c in range(col + 1, ncols):
-                num = _gsub(_gmul(pivot, m[r][c]), _gmul(m[r][col], m[row][c]))
-                m[r][c] = _gdiv_exact(num, prev)
-            m[r][col] = (0, 0)
+                m[r][c] = div(sub(mul(pivot, m[r][c]), mul(m[r][col], m[row][c])), prev)
+            m[r][col] = zero
         prev = pivot
         rank += 1
         row += 1
@@ -741,42 +737,33 @@ def rank_at(coords, ctx: EvalContext, v0, limit: int = 400) -> int:
 
 def ladder_spanning_set(coords, ctx: EvalContext):
     """Generator-prepended basis monomials spanning the weight space,
-    granted the ladder facts at lower heights; built once per context and
-    weight, so callers must not mutate the list."""
+    granted the ladder facts at lower heights, and b_0 = 1 at the zero
+    weight, the base case; built once per context and weight, so callers
+    must not mutate the list."""
     key = tuple(coords)
     out = ctx._spans.get(key)
     if out is None:
-        out = ctx._spans[key] = []
+        out = ctx._spans[key] = [] if any(key) else [AlgElt.unit()]
         for j in range(1, ctx.n + 1):
             up = tuple(c + a for c, a in zip(coords, ctx.alpha[j]))
             m = b_index_of_weight(up)
             if m is not None:
-                out.append((j, m, AlgElt.f(j) * b_monomial(m, ctx.n)))
+                out.append(AlgElt.f(j) * b_monomial(m, ctx.n))
     return out
 
 
-# independent points at which the ladder gate ranks; the branch sign does
-# not act on a specialized value, which carries no L-symbol
-_GATE_POINTS = (SpecMode.numeric(2), SpecMode.numeric(3))
-
-
 def _ladder_rank_ok(coords, ctx: EvalContext) -> bool:
-    """Verify rank(Gram of the spanning set) == number of basis monomials
-    at independent numeric points.  The Gram is computed once in the
-    specialized context and evaluated at each point; the ranks are exact."""
+    """Verify rank(Gram of the spanning set) == number of basis monomials.
+    The Gram is computed once in the specialized context and ranked exactly
+    over Q(i)(v), so no entry or minor can vanish by accident of a point."""
     key = tuple(coords)
     cached = ctx._rank_gate.get(key)
     if cached is not None:
         return cached
     expected = 0 if b_index_of_weight(coords) is None else 1
-    span = [w for _j, _m, w in ladder_spanning_set(coords, ctx)]
+    span = ladder_spanning_set(coords, ctx)
     rows = _symmetric_rows(len(span), lambda i, j: shapovalov(span[i], span[j], ctx))
-    ok = all(
-        rank_gauss(_qqi_rows_to_gauss([[scalar_to_qqi(x, mode) for x in row] for row in rows]))
-        == expected
-        for mode in _GATE_POINTS
-    )
-    ctx._rank_gate[key] = ok
+    ok = ctx._rank_gate[key] = rank_gauss(rows) == expected
     return ok
 
 
@@ -796,7 +783,7 @@ def is_zero_in_M(x: AlgElt, ctx: EvalContext) -> bool:
             "rank gate failed at weight %r: form rank does not match the "
             "basis count" % (wt,)
         )
-    for _j, _m, w in ladder_spanning_set(wt, ctx):
+    for w in ladder_spanning_set(wt, ctx):
         if not shapovalov(w, x, ctx).is_zero():
             return False
     return True

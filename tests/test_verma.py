@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsphere.scalars import I_UNIT, ONE, ZERO, Scalar, SpecMode, scalar_to_qqi, specialize, theta
+from qsphere.scalars import I_UNIT, ONE, ZERO, Scalar, SpecMode, _gmul, scalar_to_qqi, specialize, theta
 import qsphere.verma as verma
 from qsphere.suites import _rank_weights
 from qsphere.words import AlgElt, alpha_vec, gen_k, omega, root_vector
@@ -334,7 +334,9 @@ def _gate_by_word_pairings(coords, sigma):
     spanning element is expanded into its lowering words, the words are
     paired at v0 = 2 and 3 by the integer recursion of ``pair_words_qqi``
     and combined with the word coefficients evaluated at the point; the
-    rank there is compared with 1 for a basis weight and 0 otherwise."""
+    rank there, from the Gauss-Jordan kernel of ``nullspace_qqi``, is
+    compared with 1 for a basis weight and 0 otherwise."""
+    from qsphere.plane import nullspace_qqi
     from qsphere.scalars import qqi_add, qqi_mul
 
     n = len(coords)
@@ -342,7 +344,7 @@ def _gate_by_word_pairings(coords, sigma):
     sctx = EvalContext(n, SpecMode.specialized(sigma))
     span = [
         [(tuple(j for _f, j in w), c) for w, c in x.terms.items()]
-        for _j, _m, x in verma.ladder_spanning_set(coords, sctx)
+        for x in verma.ladder_spanning_set(coords, sctx)
     ]
     for v0 in (2, 3):
         mode = SpecMode.numeric(v0, sigma)
@@ -357,7 +359,7 @@ def _gate_by_word_pairings(coords, sigma):
             return total
 
         rows = [[entry(x, y) for y in span] for x in span]
-        if verma.rank_gauss(verma._qqi_rows_to_gauss(rows)) != expected:
+        if len(span) - len(nullspace_qqi(rows, len(span))) != expected:
             return False
     return True
 
@@ -370,31 +372,82 @@ def test_ladder_gate_agrees_with_numeric_walks(sigma):
     for mu in _rank_weights(2, 4):
         verdicts[mu] = verma._ladder_rank_ok(mu, ctx)
         assert verdicts[mu] == _gate_by_word_pairings(mu, sigma), mu
-    assert verdicts[(0, 0)] is False
-    assert True in verdicts.values()
+    assert verdicts[(0, 0)] is True
+    assert False not in verdicts.values()
     assert any(any(c > 0 for c in mu) for mu in verdicts)
 
 
-def test_ladder_gate_ranks_the_specialized_gram_at_both_points(monkeypatch):
-    """Every entry of the specialized spanning-set Gram is evaluated at
-    v0 = 2 and at v0 = 3; the entries carry no L-symbol, so the branch sign
-    of the points does not act on them."""
-    mapped = []
+def test_zero_weight_is_spanned_by_the_unit():
+    """The ladder's base case: M_0 is spanned by b_0 = 1, so a nonzero
+    constant is nonzero in the module and its gate holds."""
+    ctx = EvalContext(2, SpecMode.specialized(1))
+    assert verma.ladder_spanning_set((0, 0), ctx) == [AlgElt.unit()]
+    assert not is_zero_in_M(AlgElt.unit(), ctx)
+    assert not is_zero_in_M(AlgElt.unit().scaled(Q), ctx)
 
-    def record(x, mode):
-        assert all(len(k) <= 1 for k in (*x.num, *x.den)), x
-        mapped.append((x, mode.v0))
-        return scalar_to_qqi(x, mode)
 
-    monkeypatch.setattr(verma, "scalar_to_qqi", record)
+def test_rank_gauss_ranks_gaussian_integers_and_scalars_alike():
+    """Low-rank products of random Gaussian-integer matrices, ranked as
+    pairs and as Scalars, against the Gauss-Jordan kernel of
+    ``nullspace_qqi``; and a Scalar matrix of rank 1 over Q(i)(v)."""
+    from qsphere.plane import nullspace_qqi
+
+    rng = random.Random(16)
+    for _ in range(40):
+        nrows, ncols, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        a = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(inner)] for _ in range(nrows)]
+        b = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(inner)]
+        terms = [[[_gmul(x, y[c]) for x, y in zip(r, b)] for c in range(ncols)] for r in a]
+        rows = [[(sum(t[0] for t in ts), sum(t[1] for t in ts)) for ts in r] for r in terms]
+        want = ncols - len(nullspace_qqi([[tuple(map(Fraction, x)) for x in r] for r in rows], ncols))
+        assert verma.rank_gauss(rows) == want, rows
+        assert verma.rank_gauss([[Scalar.gauss(*x) for x in r] for r in rows]) == want, rows
+    v = Scalar.v_power(1)
+    assert verma.rank_gauss([[v, v * v], [ONE, v], [v - 1, v * v - v]]) == 1
+
+
+def test_ladder_gate_hands_the_specialized_gram_to_rank_gauss(monkeypatch):
+    """One exact rank per gate, on the spanning-set Gram of specialized
+    Scalars itself: no entry is evaluated at a point first."""
+    ranked = []
+    original = verma.rank_gauss
+    monkeypatch.setattr(verma, "rank_gauss", lambda rows: ranked.append(rows) or original(rows))
     coords = (-1, -1, -1)
     ctx = EvalContext(3, SpecMode.specialized(-1))
-    span = [w for _j, _m, w in verma.ladder_spanning_set(coords, ctx)]
+    span = verma.ladder_spanning_set(coords, ctx)
     assert len(span) > 1 and verma._ladder_rank_ok(coords, ctx)
-    gram = sorted(str(shapovalov(x, y, ctx)) for x in span for y in span)
-    for v0 in (2, 3):
-        assert sorted(str(x) for x, p in mapped if p == (v0, 0)) == gram, v0
-    assert len(mapped) == 2 * len(gram)
+    assert ranked == [[[shapovalov(x, y, ctx) for y in span] for x in span]]
+    assert all(isinstance(x, Scalar) for row in ranked[0] for x in row)
+
+
+# (v^2 - 4)(v^2 - 9): zero at v0 = 2 and 3, nonzero over Q(i)(v)
+_VANISHES_AT_2_AND_3 = (Scalar.v_power(2) - 4) * (Scalar.v_power(2) - 9)
+
+
+def _gate_with_gram(monkeypatch, coords, gram):
+    ctx = EvalContext(2, SpecMode.specialized(1))
+    span = verma.ladder_spanning_set(coords, ctx)
+    assert len(span) == len(gram)
+
+    def fake(x, y, _ctx):
+        i, j = (next(k for k, s in enumerate(span) if s is z) for z in (x, y))
+        return gram[i][j]
+
+    monkeypatch.setattr(verma, "shapovalov", fake)
+    return verma._ladder_rank_ok(coords, ctx)
+
+
+def test_ladder_gate_refuses_a_nonzero_entry_that_vanishes_at_points(monkeypatch):
+    """Off the basis cone the Gram must vanish; an entry that is zero at
+    v0 = 2 and 3 but not over Q(i)(v) fails the gate."""
+    assert not _gate_with_gram(monkeypatch, (1, -2), [[_VANISHES_AT_2_AND_3]])
+
+
+def test_ladder_gate_refuses_a_minor_that_vanishes_at_points(monkeypatch):
+    """A basis weight needs rank 1; this Gram has determinant
+    (v^2 - 4)(v^2 - 9), so rank 2 over Q(i)(v), though rank 1 at 2 and 3."""
+    gram = [[ONE, ONE], [ONE, ONE + _VANISHES_AT_2_AND_3]]
+    assert not _gate_with_gram(monkeypatch, (-1, -1), gram)
 
 
 def test_generic_zero_oracle():
