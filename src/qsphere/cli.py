@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--v",
         dest="v0",
         default=_env_default("V"),
-        help="numeric evaluation point as P or P/Q",
+        help="numeric point of the irreducibility ranks, as P or P/Q",
     )
     v.add_argument(
         "--sigma",

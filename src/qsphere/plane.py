@@ -11,7 +11,7 @@ multiplication by the inverse-form tensor.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar, SpecMode, scalar_to_qqi
+from .scalars import ONE, QQI_ZERO, ZERO, Scalar, SpecMode, scalar_to_qqi
 from .words import AlgElt, Combination, acc_add, alpha_vec
 
 _Q = Scalar.v_power(2)
@@ -358,7 +358,7 @@ def _contracted(F, side, p):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over the plane (numeric points)
+# Exact linear algebra over the plane
 # ---------------------------------------------------------------------------
 
 def monomials_of_degree(n, deg, weight=None):
@@ -433,29 +433,14 @@ def isotropy_operators(n) -> list:
 class InvariantSlice:
     """Joint-kernel data for the degree-m invariants."""
 
-    __slots__ = ("n", "m", "dimension", "basis_monos", "kernel", "candidates_inside", "candidates_independent")
+    __slots__ = ("n", "m", "dimension", "candidates_inside", "candidates_independent")
 
-    def __init__(self, n, m, dimension, basis_monos, kernel, inside, independent):
+    def __init__(self, n, m, dimension, inside, independent):
         self.n = n
         self.m = m
         self.dimension = dimension
-        self.basis_monos = basis_monos
-        self.kernel = kernel
         self.candidates_inside = inside
         self.candidates_independent = independent
-
-    def basis_polys(self):
-        """Kernel basis as plane polynomials (constant exact coefficients)."""
-        from .scalars import QQI_ZERO, scalar_from_qqi
-
-        out = []
-        for vec in self.kernel:
-            p = PlanePoly(self.n)
-            for mono, val in zip(self.basis_monos, vec):
-                if val != QQI_ZERO:
-                    p.terms[mono] = scalar_from_qqi(val)
-            out.append(p)
-        return out
 
 
 def candidate_invariants(n, m):
@@ -468,63 +453,40 @@ def candidate_invariants(n, m):
     return out
 
 
-def invariant_subspace(n, m, v0s=(2, 3)):
-    """Dimension and basis of the weight-zero degree-m joint kernel.
+def invariant_subspace(n, m):
+    """Dimension of the weight-zero degree-m joint kernel, and the standing
+    of the candidates in it, all exact over Q(i)(v).
 
-    The kernel is computed by exact linear algebra at each numeric point;
-    the symbolic candidates are checked to lie inside (by applying every
-    cutting operator symbolically) and to be independent, by the exact rank
-    of their coordinates.
+    The symbolic matrices of every cutting operator on the basis monomials
+    are stacked and ranked by ``rank_gauss``; the dimension is the nullity.
+    The candidates are checked to lie inside by applying every cutting
+    operator symbolically, and to be independent by the rank of their
+    coordinates.
     """
-    from .scalars import QQI_ZERO
     from .verma import rank_gauss
 
     basis = monomials_of_degree(n, m, weight=(0,) * n)
     ops = isotropy_operators(n)
     cands = candidate_invariants(n, m)
-    dims = []
-    kernels = []
-    for v0 in v0s:
-        mode = SpecMode.numeric(v0)
-        rows = []
-        for op in ops:
-            rows.extend(operator_matrix(op, basis, n, mode))
-        if not rows:
-            rows = [[QQI_ZERO] * len(basis)]
-        ker = nullspace_qqi(rows, len(basis))
-        dims.append(len(ker))
-        kernels.append(ker)
-    if len(set(dims)) != 1:
-        raise RuntimeError("kernel dimensions disagree across numeric points: %r" % dims)
-
+    rows = [row for op in ops for row in _operator_rows(op, basis, n)]
     coords = [[c.terms.get(mono, ZERO) for mono in basis] for c in cands]
     independent = rank_gauss(coords) == len(cands)
     inside = all(act(op, c).is_zero() for c in cands for op in ops)
-    return InvariantSlice(n, m, dims[0], basis, kernels[0], inside, independent)
+    return InvariantSlice(n, m, len(basis) - rank_gauss(rows), inside, independent)
+
+
+def _operator_rows(op: AlgElt, basis_monos, n):
+    """Symbolic matrix of an algebra element on a monomial list; rows are
+    indexed by the target monomials that occur in some image."""
+    cols = [act(op, PlanePoly(n, {m: ONE})).terms for m in basis_monos]
+    targets = dict.fromkeys(tm for col in cols for tm in col)
+    return [[col.get(tm, ZERO) for col in cols] for tm in targets]
 
 
 def operator_matrix(op: AlgElt, basis_monos, n, mode: SpecMode):
-    """Matrix of an algebra element on a monomial list at a numeric point;
-    rows are indexed by the target monomials that actually occur."""
-    from .scalars import QQI_ZERO
-
-    targets: dict = {}
-    entries = []  # per column: dict row index -> value
-    for m in basis_monos:
-        p = PlanePoly(n, {m: ONE})
-        img = act(op, p)
-        col: dict = {}
-        for tm, c in img.terms.items():
-            v = scalar_to_qqi(c, mode)
-            if v != QQI_ZERO:
-                if tm not in targets:
-                    targets[tm] = len(targets)
-                col[targets[tm]] = v
-        entries.append(col)
-
-    nrows = len(targets)
-    rows = [[QQI_ZERO] * len(basis_monos) for _ in range(nrows)]
-    for cidx, col in enumerate(entries):
-        for ridx, v in col.items():
-            rows[ridx][cidx] = v
-    return rows
+    """The symbolic matrix of ``_operator_rows`` at a numeric point, each
+    nonzero entry converted once."""
+    return [
+        [scalar_to_qqi(c, mode) if c else QQI_ZERO for c in row]
+        for row in _operator_rows(op, basis_monos, n)
+    ]

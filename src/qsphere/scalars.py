@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +620,6 @@ def qqi_pow(a, k: int):
 
 QQI_ZERO = qqi(0)
 QQI_ONE = qqi(1)
-# powers of a numeric point compared with 1 to rule out a root of unity
-_ORDER_BOUND = 24
 
 
 @dataclass(frozen=True)
@@ -632,7 +629,8 @@ class SpecMode:
     kind is one of "generic", "specialized", "numeric".  In specialized and
     numeric modes all L_j are sent to sigma*i*v^{-1}; numeric mode further
     evaluates v at a Gaussian rational v0, nonzero and no root of unity: a
-    point for ``scalar_to_qqi``, not an engine mode (``EvalContext``).
+    point for ``scalar_to_qqi`` alone, neither a ``specialize`` target nor
+    an engine mode (``EvalContext``).
     """
 
     kind: str
@@ -659,11 +657,9 @@ class SpecMode:
             v0 = (Fraction(v0[0]), Fraction(v0[1]))
         if v0 == QQI_ZERO:
             raise ValueError("v0 must be nonzero")
-        w = v0
-        for _ in range(_ORDER_BOUND):
-            if w == QQI_ONE:
-                raise ValueError("v0 must not be a root of unity")
-            w = qqi_mul(w, v0)
+        # the roots of unity in Q(i) are the four units
+        if v0 in _UNITS:
+            raise ValueError("v0 must not be a root of unity")
         return SpecMode("numeric", sigma, v0)
 
 
@@ -706,21 +702,12 @@ def peval_qqi(p, v0, lvals=None):
     return acc
 
 
-def scalar_from_qqi(x) -> Scalar:
-    re, im = x
-    d = lcm(re.denominator, im.denominator)
-    num = {(): (int(re * d), int(im * d))}
-    if num[()] == G0:
-        return ZERO
-    return Scalar(num, {(): (d, 0)})
-
-
 def specialize(s: Scalar, mode: SpecMode) -> Scalar:
     """Apply the mode's ring homomorphism and re-canonicalize."""
     if mode.kind == "generic":
         return s
-    if mode.kind == "numeric":
-        return scalar_from_qqi(scalar_to_qqi(s, mode))
+    if mode.kind != "specialized":
+        raise ValueError("a numeric point is an evaluation: use scalar_to_qqi")
     num = _spec_poly_sigma(s.num, mode.sigma)
     den = _spec_poly_sigma(s.den, mode.sigma)
     if not den:

@@ -678,17 +678,11 @@ def verify_delta_inv(n=2, kmax=6, session=None) -> VerificationReport:
     return rep
 
 
-def verify_invariant_dims(n=2, max_deg=4, v0=2, session=None) -> VerificationReport:
-    points = _check_points(v0)
-    params = {"n": n, "max_deg": max_deg, "points": [str(p) for p in points]}
-    with _run("invariant-dims", params, "numeric", session) as (rep, _session):
+def verify_invariant_dims(n=2, max_deg=4, session=None) -> VerificationReport:
+    with _run("invariant-dims", {"n": n, "max_deg": max_deg}, "symbolic", session) as (rep, _session):
         for m in range(max_deg + 1):
             expected = m // 2 + 1
-            try:
-                sl = invariant_subspace(n, m, v0s=points)
-            except RuntimeError as e:
-                rep.record("dims:m=%d" % m, False, str(e))
-                continue
+            sl = invariant_subspace(n, m)
             rep.record(
                 "dims:m=%d" % m,
                 sl.dimension == expected,

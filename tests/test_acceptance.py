@@ -87,8 +87,8 @@ def test_criterion_07_delta_kills_central_column():
 def test_criterion_08_invariant_dimensions():
     t0 = time.monotonic()
     reps = [
-        verify_invariant_dims(2, 6, v0=2),
-        verify_invariant_dims(3, 4, v0=2),
+        verify_invariant_dims(2, 6),
+        verify_invariant_dims(3, 4),
     ]
     dt = time.monotonic() - t0
     _gate(8, "invariant-dims", reps, extra_ok=dt < 180.0, extra_msg=" runtime=%.1fs (<180s)" % dt)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qsphere.scalars import ONE, Scalar
+from qsphere import plane
+from qsphere.scalars import ONE, Scalar, SpecMode
 from qsphere.words import AlgElt, alpha_vec, root_vector
 from qsphere.plane import (
     PlanePoly,
@@ -15,6 +16,8 @@ from qsphere.plane import (
     iota,
     isotropy_operators,
     monomials_of_degree,
+    nullspace_qqi,
+    operator_matrix,
 )
 
 Q = Scalar.v_power(2)
@@ -202,19 +205,31 @@ def test_invariant_subspace_dimensions_and_candidates():
     sl = invariant_subspace(2, 2)
     assert sl.dimension == 2
     assert sl.candidates_inside and sl.candidates_independent
-    sl1 = invariant_subspace(2, 1)
-    assert sl1.dimension == 1
-    assert sl1.basis_polys()[0] == x(0).scaled(ONE)
-    sl0 = invariant_subspace(2, 0)
-    assert sl0.dimension == 1
-    # the returned kernel vectors really are killed by every cutting operator
-    for p in sl.basis_polys():
-        for op in isotropy_operators(2):
-            img = act(op, p)
-            from qsphere.scalars import SpecMode, scalar_to_qqi, QQI_ZERO
+    assert invariant_subspace(2, 1).dimension == 1
+    assert invariant_subspace(2, 0).dimension == 1
 
-            mode = SpecMode.numeric(2, 1)
-            assert all(scalar_to_qqi(c, mode) == QQI_ZERO for c in img.terms.values())
+
+@pytest.mark.parametrize("n,max_m", [(2, 6), (3, 4)])
+def test_invariant_dimension_matches_the_point_kernels(n, max_m):
+    """Oracle: at a point that is no zero of a minor the kernel of the
+    stacked operator matrices is exactly as large as over Q(i)(v); at
+    v0 = 2 and 3 it is."""
+    ops = isotropy_operators(n)
+    for m in range(max_m + 1):
+        basis = monomials_of_degree(n, m, weight=(0,) * n)
+        dim = invariant_subspace(n, m).dimension
+        for v0 in (2, 3):
+            mode = SpecMode.numeric(v0)
+            rows = [row for op in ops for row in operator_matrix(op, basis, n, mode)]
+            assert len(nullspace_qqi(rows, len(basis))) == dim, (n, m, v0)
+
+
+def test_invariant_dimension_is_exact_where_the_points_are_blind(monkeypatch):
+    """An operator that multiplies the weight-zero slice by (q - 4)(q - 9)
+    has no kernel over Q(i)(v), although it vanishes at v0 = 2 and 3."""
+    c = (Q - Scalar.integer(4)) * (Q - Scalar.integer(9))
+    monkeypatch.setattr(plane, "isotropy_operators", lambda n: [AlgElt.K(alpha_vec(1, n)).scaled(c)])
+    assert [invariant_subspace(2, m).dimension for m in range(4)] == [0, 0, 0, 0]
 
 
 def test_candidates_are_joint_kernel_members_symbolically():

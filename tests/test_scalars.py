@@ -11,6 +11,8 @@ from qsphere.scalars import (
     SpecMode,
     qfact,
     qnum,
+    qqi,
+    scalar_to_qqi,
     specialize,
     theta,
 )
@@ -58,7 +60,7 @@ def test_specialize_is_ring_homomorphism():
             ) * Scalar.L_power(1, rng.randint(-1, 1))
         return num
 
-    modes = [SpecMode.specialized(1), SpecMode.specialized(-1), SpecMode.numeric(2, 1)]
+    modes = [SpecMode.specialized(1), SpecMode.specialized(-1)]
     for _ in range(60):
         a, b = rand_scalar(), rand_scalar()
         for mode in modes:
@@ -96,7 +98,12 @@ def test_qfact():
 
 
 def test_theta_at_numeric_point():
-    assert specialize(theta(), SpecMode.numeric(2, 1)) == Scalar.rational(Fraction(3, 2))
+    assert scalar_to_qqi(theta(), SpecMode.numeric(2, 1)) == qqi(Fraction(3, 2))
+
+
+def test_specialize_refuses_a_numeric_point():
+    with pytest.raises(ValueError):
+        specialize(V(1), SpecMode.numeric(2))
 
 
 def test_numeric_mode_guards():
@@ -108,13 +115,17 @@ def test_numeric_mode_guards():
         SpecMode.numeric(-1)
     with pytest.raises(ValueError):
         SpecMode.numeric((Fraction(0), Fraction(1)))  # v0 = i is a root of unity
+    with pytest.raises(ValueError):
+        SpecMode.numeric((Fraction(0), Fraction(-1)))  # and so is -i
     SpecMode.numeric(Fraction(3, 2))  # fine
+    # modulus 1 but no root of unity
+    SpecMode.numeric((Fraction(3, 5), Fraction(4, 5)))
 
 
 def test_numeric_denominator_vanishing_reported():
     s = ONE / (V(1) - Scalar.integer(2))
     with pytest.raises(ZeroDivisionError):
-        specialize(s, SpecMode.numeric(2, 1))
+        scalar_to_qqi(s, SpecMode.numeric(2, 1))
 
 
 def test_canonicalization_idempotent_and_equality_is_structural():

@@ -324,9 +324,9 @@ def _spy_invariant_dims(monkeypatch):
     return _spy(monkeypatch, "verify_invariant_dims", "max_deg")
 
 
-def test_covering_dims_verdict_at_another_point_is_reused(monkeypatch):
+def test_covering_dims_verdict_at_a_higher_degree_is_reused(monkeypatch):
     session = Session()
-    assert suites.verify_invariant_dims(2, 3, v0=5, session=session).passed
+    assert suites.verify_invariant_dims(2, 3, session=session).passed
     runs = _spy_invariant_dims(monkeypatch)
     assert suites.verify_star(2, 1, session=session).passed
     assert runs == []
@@ -342,8 +342,8 @@ def test_star_gate_reruns_without_a_covering_dims_verdict(monkeypatch):
 
 def test_failing_covering_dims_verdict_closes_the_star_gate():
     session = Session()
-    _failed(session, "invariant-dims", {"n": 2, "max_deg": 4, "points": ["2", "3"]}, "numeric")
-    _passed(session, "invariant-dims", {"n": 2, "max_deg": 6, "points": ["5", "3"]}, "numeric")
+    _failed(session, "invariant-dims", {"n": 2, "max_deg": 4}, "symbolic")
+    _passed(session, "invariant-dims", {"n": 2, "max_deg": 6}, "symbolic")
     with pytest.raises(OracleError):
         suites.verify_star(2, 2, session=session)
 
