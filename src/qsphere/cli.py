@@ -3,8 +3,9 @@
 Consumers are scripts and CI.  Exit status: 0 all checks pass, 1 at least
 one check failed, 2 usage error, 3 an oracle precondition was violated,
 4 engine fault (any other exception escaping a suite); a reader that
-closes stdout early does not change it.  Flags can be pre-seeded through
-QSPHERE_* environment variables.
+closes stdout early does not change it.  Each suite runs in one
+configuration per rank, degree and numeric point, on both branch signs;
+``--n``, ``--max-deg``, ``--v`` and ``--out`` are the only settings.
 """
 
 from __future__ import annotations
@@ -38,17 +39,9 @@ class SuiteConfig:
     n: int = None
     max_deg: int = None
     v0: Fraction = None
-    sigma: str = None
     out: str = None
     # what the suites of one run share; each suite makes its own when None
     session: Session = None
-
-
-def _env_default(name, cast=str):
-    val = os.environ.get("QSPHERE_" + name)
-    if val is None:
-        return None
-    return cast(val)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,23 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
     v = sub.add_parser("verify", help="run one suite (or 'all') and emit a JSON report")
     v.add_argument("suite", help="suite name or 'all'")
-    v.add_argument("--n", type=int, default=_env_default("N", int), help="rank")
+    v.add_argument("--n", type=int, help="rank")
+    v.add_argument("--max-deg", type=int, help="degree bound")
     v.add_argument(
-        "--max-deg", type=int, default=_env_default("MAX_DEG", int), help="degree bound"
+        "--v", dest="v0", help="numeric point of the irreducibility ranks, as P or P/Q"
     )
-    v.add_argument(
-        "--v",
-        dest="v0",
-        default=_env_default("V"),
-        help="numeric point of the irreducibility ranks, as P or P/Q",
-    )
-    v.add_argument(
-        "--sigma",
-        choices=("+1", "-1", "both"),
-        default=_env_default("SIGMA"),
-        help="branch sign of the specialized weight",
-    )
-    v.add_argument("--out", default=_env_default("OUT"), help="report path (default stdout)")
+    v.add_argument("--out", help="report path (default stdout)")
     return p
 
 
@@ -85,8 +67,6 @@ def _suite_kwargs(suite, cfg: SuiteConfig):
         kw["n"] = cfg.n
     if cfg.max_deg is not None and suite.deg is not None:
         kw[suite.deg] = cfg.max_deg
-    if cfg.sigma is not None and "sigma" in kw:
-        kw["sigma"] = cfg.sigma
     if cfg.v0 is not None and "v0" in kw:
         kw["v0"] = Fraction(cfg.v0)
     return kw
@@ -135,7 +115,6 @@ def run_all(cfg: SuiteConfig) -> VerificationReport:
             "n": cfg.n,
             "max_deg": cfg.max_deg,
             "v": str(cfg.v0) if cfg.v0 is not None else None,
-            "sigma": cfg.sigma,
             # what each sub-suite that ran was run with
             "runs": runs,
         },
@@ -185,13 +164,7 @@ def main(argv=None) -> int:
     if args.command != "verify":
         parser.print_usage(sys.stderr)
         return 2
-    cfg = SuiteConfig(
-        n=args.n,
-        max_deg=args.max_deg,
-        v0=args.v0,
-        sigma=args.sigma,
-        out=args.out,
-    )
+    cfg = SuiteConfig(n=args.n, max_deg=args.max_deg, v0=args.v0, out=args.out)
     try:
         if args.suite == "all":
             report = run_all(cfg)

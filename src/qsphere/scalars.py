@@ -30,7 +30,6 @@ from fractions import Fraction
 
 G0 = (0, 0)
 G1 = (1, 0)
-GI = (0, 1)
 
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 

@@ -9,7 +9,7 @@ defining relations, the inverse tensor on the irreducibility ranks, the
 star product on the invariant dimensions) runs behind a gate.
 
 What one run shares lives in a ``Session``: the verdicts of the gate
-suites, keyed on each report's suite, params and mode, and one
+suites, keyed on each report's suite and params, and one
 ``EvalContext`` per rank and mode, whose engine tables and ladder-gate
 verdicts carry over from one suite to the next.  Every verdict in the
 session at the rank that covers the dependent run must pass; when none
@@ -19,9 +19,10 @@ dependent run needs.
 Every suite body runs inside one scaffold, ``_run``, which makes a fresh
 session when the suite gets none (two standalone calls share nothing),
 opens the gates and keeps the verdicts the table asks for, and times the
-body; no suite does this itself.  A suite checked at both square roots
-L_j = sigma*i*v^{-1} loops over ``_branches``, which also checks that its
-verdicts do not depend on the sign.
+body; no suite does this itself.  Every suite that specializes the weight
+runs once per (rank, degree, point), at both square roots
+L_j = sigma*i*v^{-1}: it loops over ``_branches``, which also checks that
+its verdicts do not depend on the sign.
 """
 
 from __future__ import annotations
@@ -81,14 +82,8 @@ from .report import VerificationReport
 
 _Q = Scalar.v_power(2)
 _QBAR = Scalar.v_power(-2)
-# default irreducibility scope: the largest Gram slice (in words) it ranks
+# the irreducibility scope: the largest Gram slice (in words) it ranks
 _IRR_WORD_LIMIT = 200
-
-
-def _sigma_list(sigma):
-    if sigma in ("both", None):
-        return (1, -1)
-    return (int(sigma),)
 
 
 def _check_points(v0):
@@ -97,21 +92,15 @@ def _check_points(v0):
     return (v0, alt)
 
 
-def _mode_label(sigmas, kind="specialized"):
-    if len(sigmas) == 2:
-        return "%s(sigma=both)" % kind
-    return "%s(sigma=%+d)" % (kind, sigmas[0])
-
-
 @contextmanager
-def _run(name, params, mode, session, sigmas=(1, -1)):
+def _run(name, params, mode, session):
     """One run of suite `name`: yields its report and the session.
 
     The gates of the suites it depends on open first, outside the timing;
     ``elapsed_ms`` covers the body; a suite with a gate rule enters its
     verdict in the session when the body ends."""
     session = session or Session()
-    session.ensure_gates(name, params["n"], params.get("max_deg"), sigmas)
+    session.ensure_gates(name, params["n"], params.get("max_deg"))
     rep = VerificationReport(name, params, mode)
     t0 = time.monotonic()
     yield rep, session
@@ -120,12 +109,12 @@ def _run(name, params, mode, session, sigmas=(1, -1)):
         session.record(rep)
 
 
-def _branches(rep, n, sigmas, session):
+def _branches(rep, n, session):
     """For each branch sign, the specialized context and a recorder that tags
-    every check name with the sign.  With both signs, verdicts must not
-    depend on the branch: ``branch-invariance`` compares the two maps."""
+    every check name with the sign.  Verdicts must not depend on the branch:
+    ``branch-invariance`` compares the two maps."""
     verdicts = []
-    for s in sigmas:
+    for s in (1, -1):
         seen = {}
 
         def record(name, ok, witness=None):
@@ -134,9 +123,8 @@ def _branches(rep, n, sigmas, session):
 
         verdicts.append(seen)
         yield session.context(n, SpecMode.specialized(s)), record
-    if len(verdicts) == 2:
-        ok = verdicts[0] == verdicts[1]
-        rep.record("branch-invariance", ok, "verdict vectors differ between branches")
+    ok = verdicts[0] == verdicts[1]
+    rep.record("branch-invariance", ok, "verdict vectors differ between branches")
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +152,12 @@ def _factorization_rhs(m, mode) -> Scalar:
     return out
 
 
-def verify_factorization(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
-    sigmas = _sigma_list(sigma)
+def verify_factorization(n=2, max_deg=4, session=None) -> VerificationReport:
     params = {"n": n, "max_deg": max_deg}
-    with _run("factorization", params, _mode_label(sigmas), session, sigmas) as (rep, session):
+    with _run("factorization", params, "specialized(sigma=both)", session) as (rep, session):
         indices = enumerate_b_indices(n, max_deg)
         monomials = [(m, b_monomial(m, n)) for m in indices]
-        for ctx, record in _branches(rep, n, sigmas, session):
+        for ctx, record in _branches(rep, n, session):
             for k in indices:
                 eomega = omega(_epart_plain(k, n))
                 for m, b in monomials:
@@ -181,14 +168,13 @@ def verify_factorization(n=2, max_deg=4, sigma="both", session=None) -> Verifica
     return rep
 
 
-def verify_harish(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
+def verify_harish(n=2, max_deg=4, session=None) -> VerificationReport:
     """Powers of one raising/lowering pair: the product formula with shifted
     q-numbers and the specialized closed form both match the engine."""
-    sigmas = _sigma_list(sigma)
     params = {"n": n, "max_deg": max_deg}
-    with _run("harish", params, _mode_label(sigmas), session, sigmas) as (rep, session):
+    with _run("harish", params, "specialized(sigma=both)", session) as (rep, session):
         half = Fraction(1, 2)
-        for ctx, record in _branches(rep, n, sigmas, session):
+        for ctx, record in _branches(rep, n, session):
             for i in range(1, n + 1):
                 shift = specialize(Scalar.L_power(i, 1), ctx.mode)
                 e_i = root_vector("e_eps", i, n)
@@ -268,7 +254,7 @@ def _all_words(n, length):
 class Session:
     """What one run shares: the gate verdicts and the engine contexts.
 
-    ``verdicts`` maps (suite, sorted params, mode) to whether that gate
+    ``verdicts`` maps (suite, sorted params) to whether that gate
     suite's report passed.  ``contexts`` holds one ``EvalContext`` per
     (rank, mode), generic or specialized, with integer tables per numeric
     point; they and its ladder-gate verdicts depend on nothing else, so
@@ -290,22 +276,22 @@ class Session:
         params = tuple(
             sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in rep.params.items())
         )
-        self.verdicts[rep.suite, params, rep.mode] = rep.passed
+        self.verdicts[rep.suite, params] = rep.passed
         return rep
 
-    def ensure_gates(self, name, n, max_deg=None, sigmas=(1, -1)):
+    def ensure_gates(self, name, n, max_deg=None):
         """Open the gate of every suite `name` depends on: each verdict at
         rank n that covers this run must pass; with none, the gate suite
         runs once in this session at this run's need."""
         for dep in SUITE_BY_NAME[name].deps:
             gate = SUITE_BY_NAME[dep].gate
             found = []
-            for (suite, params, mode), ok in self.verdicts.items():
+            for (suite, params), ok in self.verdicts.items():
                 p = dict(params)
-                if suite == dep and p["n"] == n and gate.covers(p, mode, max_deg, sigmas):
+                if suite == dep and p["n"] == n and gate.covers(p, max_deg):
                     found.append(ok)
             if not found:
-                found = [gate.rerun(self, n, max_deg, sigmas).passed]
+                found = [gate.rerun(self, n, max_deg).passed]
             if not all(found):
                 raise OracleError("%s gate failed at rank %d: %s" % (dep, n, gate.voids))
 
@@ -340,28 +326,26 @@ def _span_checks(n, max_deg):
     return checks
 
 
-def verify_span(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
-    sigmas = _sigma_list(sigma)
+def verify_span(n=2, max_deg=4, session=None) -> VerificationReport:
     params = {"n": n, "max_deg": max_deg}
-    with _run("span", params, _mode_label(sigmas), session, sigmas) as (rep, session):
+    with _run("span", params, "specialized(sigma=both)", session) as (rep, session):
         checks = _span_checks(n, max_deg)
-        for ctx, record in _branches(rep, n, sigmas, session):
+        for ctx, record in _branches(rep, n, session):
             for _ht, name, x in checks:
                 record(name, is_zero_in_M(x, ctx), "difference is nonzero in the module")
     return rep
 
 
-def verify_normalizer(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
-    sigmas = _sigma_list(sigma)
+def verify_normalizer(n=2, max_deg=4, session=None) -> VerificationReport:
     params = {"n": n, "max_deg": max_deg, "m_cap": n}
-    with _run("normalizer", params, _mode_label(sigmas), session, sigmas) as (rep, session):
+    with _run("normalizer", params, "specialized(sigma=both)", session) as (rep, session):
         # a generator of the deformed-isotropy column j annihilates basis
         # tails supported on columns >= j; the doubled-root generator kills
         # every tail beyond the first column
         gens = [("fdelta", root_vector("f_delta", 1, n), 2)]
         gens += [("f%d" % j, AlgElt.f(j), j) for j in range(2, n + 1)]
         tail_deg = max(0, max_deg - 1)
-        for ctx, record in _branches(rep, n, sigmas, session):
+        for ctx, record in _branches(rep, n, session):
             for gname, g, first in gens:
                 for m in _b_tails(n, tail_deg, first=first):
                     x = g * b_monomial(m, n)
@@ -487,16 +471,14 @@ def _rank_weights(n, max_deg):
     return sorted(weights, reverse=True)
 
 
-def verify_irreducibility(
-    n=2, max_deg=4, sigma="both", v0=2, word_limit=_IRR_WORD_LIMIT, session=None
-) -> VerificationReport:
+def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationReport:
     """Full-slice Gram ranks against basis counts, plus nonzero diagonals.
 
-    Weights whose word count exceeds word_limit are outside the declared
-    scope of the run (the limit is recorded in the report params); at rank
-    2 the default limit covers every weight up to degree 4.
+    Weights with more than ``_IRR_WORD_LIMIT`` words are outside the scope
+    of the run (the limit is recorded in the report params as
+    ``word_limit``); at rank 2 it covers every weight up to degree 4.
     """
-    sigmas = _sigma_list(sigma)
+    word_limit = _IRR_WORD_LIMIT
     points = _check_points(v0)
     params = {
         "n": n,
@@ -504,9 +486,8 @@ def verify_irreducibility(
         "points": [str(p) for p in points],
         "word_limit": word_limit,
     }
-    mode = _mode_label(sigmas, kind="numeric")
-    with _run("irreducibility", params, mode, session, sigmas) as (rep, session):
-        for sctx, record in _branches(rep, n, sigmas, session):
+    with _run("irreducibility", params, "numeric(sigma=both)", session) as (rep, session):
+        for sctx, record in _branches(rep, n, session):
             for mu in _rank_weights(n, max_deg):
                 expected = 0 if any(c > 0 for c in mu) else 1
                 if expected and sum(-c for c in mu) > max_deg + 1:
@@ -529,12 +510,11 @@ def verify_irreducibility(
     return rep
 
 
-def verify_f_inverse(n=2, max_deg=4, sigma="both", session=None) -> VerificationReport:
-    sigmas = _sigma_list(sigma)
+def verify_f_inverse(n=2, max_deg=4, session=None) -> VerificationReport:
     params = {"n": n, "max_deg": max_deg}
-    with _run("f-inverse", params, _mode_label(sigmas), session, sigmas) as (rep, session):
+    with _run("f-inverse", params, "specialized(sigma=both)", session) as (rep, session):
         F = build_F(n, max_deg)
-        for ctx, record in _branches(rep, n, sigmas, session):
+        for ctx, record in _branches(rep, n, session):
             for m, coeff, ep, fp in F.entries:
                 val = coeff * invariant_form(fp, ep, ctx)
                 record("diag:k=%s" % (list(m),), val == ONE, "normalization is %s" % val)
@@ -785,10 +765,10 @@ def _at_v_one(p):
 
 @dataclass(frozen=True)
 class Gate:
-    """How a gate suite decides a dependent run at (max_deg, sigmas)."""
+    """How a gate suite decides a dependent run at max_deg."""
 
-    covers: object  # (params, mode, max_deg, sigmas) -> whether a recorded run covers it
-    rerun: object  # (session, n, max_deg, sigmas) -> the report that decides it when none does
+    covers: object  # (params, max_deg) -> whether a recorded run covers it
+    rerun: object  # (session, n, max_deg) -> the report that decides it when none does
     voids: str  # what a failed gate voids
 
 
@@ -809,20 +789,16 @@ class Suite:
 # reruns call the module-level names, so a patched name is the one that runs.
 SUITE_LIST = [
     Suite("serre-radical", verify_serre_radical, 2, "weight_bound", gate=Gate(
-        lambda p, mode, max_deg, sigmas: p["weight_bound"] >= 4,
-        lambda session, n, max_deg, sigmas: verify_serre_radical(n, weight_bound=4, session=session),
+        lambda p, max_deg: p["weight_bound"] >= 4,
+        lambda session, n, max_deg: verify_serre_radical(n, weight_bound=4, session=session),
         "the pairing oracle is unsound",
     )),
     Suite("xyz", verify_xyz, 3, None),
     Suite("factorization", verify_factorization),
     Suite("harish", verify_harish),
     Suite("irreducibility", verify_irreducibility, gate=Gate(
-        lambda p, mode, max_deg, sigmas: p["max_deg"] == max_deg
-        and mode == _mode_label(sigmas, kind="numeric")
-        and p["word_limit"] >= _IRR_WORD_LIMIT,
-        lambda session, n, max_deg, sigmas: verify_irreducibility(
-            n, max_deg, "both" if len(sigmas) == 2 else sigmas[0], session=session
-        ),
+        lambda p, max_deg: p["max_deg"] == max_deg,
+        lambda session, n, max_deg: verify_irreducibility(n, max_deg, session=session),
         "inverse-tensor checks are void",
     )),
     Suite("span", verify_span, 2, deps=("serre-radical",)),
@@ -831,8 +807,8 @@ SUITE_LIST = [
     Suite("module-algebra", verify_module_algebra, deg=None),
     Suite("delta-inv", verify_delta_inv, 2, "kmax"),
     Suite("invariant-dims", verify_invariant_dims, 2, gate=Gate(
-        lambda p, mode, max_deg, sigmas: p["max_deg"] >= 2 * max_deg,
-        lambda session, n, max_deg, sigmas: verify_invariant_dims(n, 2 * max_deg, session=session),
+        lambda p, max_deg: p["max_deg"] >= 2 * max_deg,
+        lambda session, n, max_deg: verify_invariant_dims(n, 2 * max_deg, session=session),
         "star closure checks are void",
     )),
     Suite("star", verify_star, 2, deps=("invariant-dims",)),

@@ -34,8 +34,8 @@ def _gate(num, label, reports, extra_ok=True, extra_msg=""):
 def test_criterion_01_pairing_factorization():
     t0 = time.monotonic()
     reps = [
-        verify_factorization(2, 4, "both"),
-        verify_factorization(3, 3, "both"),
+        verify_factorization(2, 4),
+        verify_factorization(3, 3),
     ]
     dt = time.monotonic() - t0
     _gate(1, "factorization", reps, extra_ok=dt < 60.0, extra_msg=" runtime=%.1fs (<60s)" % dt)
@@ -43,19 +43,19 @@ def test_criterion_01_pairing_factorization():
 
 def test_criterion_02_basis_action():
     reps = [
-        verify_span(2, 4, "both"),
-        verify_span(3, 4, "both"),
+        verify_span(2, 4),
+        verify_span(3, 4),
     ]
     _gate(2, "basis-action", reps)
 
 
 def test_criterion_03_irreducibility_evidence():
-    reps = [verify_irreducibility(2, 4, "both", v0=2)]
+    reps = [verify_irreducibility(2, 4, v0=2)]
     _gate(3, "irreducibility", reps)
 
 
 def test_criterion_04_inverse_tensor():
-    reps = [verify_f_inverse(2, 4, "both")]
+    reps = [verify_f_inverse(2, 4)]
     _gate(4, "inverse-tensor", reps)
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import qsphere.suites as suites
-from qsphere.cli import SuiteConfig, main, run_suite
+from qsphere.cli import SUITE_DEFAULTS, SuiteConfig, build_parser, main, run_suite
 from qsphere.report import VerificationReport
 from qsphere.suites import SUITE_LIST
 
@@ -91,24 +91,19 @@ def test_denominator_outside_the_ring_is_an_engine_fault(monkeypatch, capsys):
     assert "engine fault: ArithmeticError" in capsys.readouterr().err
 
 
-def test_sigma_flag_single_branch(tmp_path):
-    out = tmp_path / "r.json"
-    rc = main(["verify", "harish", "--n", "2", "--max-deg", "1", "--sigma", "-1", "--out", str(out)])
-    assert rc == 0
-    blob = json.loads(out.read_text())
-    assert blob["mode"] == "specialized(sigma=-1)"
-    assert all("sigma=-1" in c["name"] for c in blob["checks"])
-
-
-def test_env_override(tmp_path, monkeypatch):
+def test_rank_degree_point_and_out_are_the_only_settings(tmp_path, monkeypatch):
+    """Every suite runs in one configuration per rank, degree and point: no
+    branch-sign or scope option, and no environment variable seeds a flag."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {o for a in sub.choices["verify"]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--n", "--max-deg", "--v", "--out"}
+    assert not any({"sigma", "word_limit"} & set(kw) for kw in SUITE_DEFAULTS.values())
     out = tmp_path / "r.json"
     monkeypatch.setenv("QSPHERE_MAX_DEG", "1")
-    monkeypatch.setenv("QSPHERE_SIGMA", "+1")
-    rc = main(["verify", "harish", "--n", "2", "--out", str(out)])
-    assert rc == 0
+    assert main(["verify", "harish", "--n", "2", "--out", str(out)]) == 0
     blob = json.loads(out.read_text())
-    assert blob["params"]["max_deg"] == 1
-    assert blob["mode"] == "specialized(sigma=+1)"
+    assert blob["params"]["max_deg"] == 4
+    assert blob["mode"] == "specialized(sigma=both)"
 
 
 def test_console_entry_point_exists():
@@ -246,9 +241,9 @@ def _signature_defaults(fn):
 
 @pytest.mark.parametrize("suite", SUITE_LIST, ids=lambda s: s.name)
 def test_flags_reach_the_parameters_a_suite_takes(monkeypatch, suite):
-    """--max-deg sets the suite's degree parameter, --sigma and --v reach
-    only the suites that take them, and an unset flag leaves the suite
-    function's own default."""
+    """--max-deg sets the suite's degree parameter, --v reaches only the
+    suites that take it, and an unset flag leaves the suite function's own
+    default."""
     seen = []
 
     def capture(session=None, **kw):
@@ -256,15 +251,13 @@ def test_flags_reach_the_parameters_a_suite_takes(monkeypatch, suite):
         return VerificationReport(suite.name, kw, "stub")
 
     monkeypatch.setitem(suites.SUITES, suite.name, capture)
-    run_suite(suite.name, SuiteConfig(n=3, max_deg=1, sigma="+1", v0="5"))
+    run_suite(suite.name, SuiteConfig(n=3, max_deg=1, v0="5"))
     kw = seen.pop()
     inspect.signature(suite.fn).bind(**kw)
     defaults = _signature_defaults(suite.fn)
     want = dict(defaults, n=3)
     if suite.deg is not None:
         want[suite.deg] = 1
-    if "sigma" in defaults:
-        want["sigma"] = "+1"
     if "v0" in defaults:
         want["v0"] = Fraction(5)
     assert kw == want

@@ -28,7 +28,7 @@ def test_a_suite_run_changes_only_the_memos_and_the_ledger():
     # parameters no other test runs, so that every memo meets new keys
     session = suites.Session()
     assert suites.verify_star(3, 0, session=session).passed
-    assert suites.verify_f_inverse(2, 1, sigma="-1", session=session).passed
+    assert suites.verify_f_inverse(2, 3, session=session).passed
     after = _containers()
     changed = {key for key, val in after.items() if key not in before or before[key] != val}
     assert changed <= MUTABLE_GLOBALS

@@ -51,22 +51,22 @@ def test_report_schema():
 
 
 def test_reports_are_deterministic_modulo_elapsed():
-    a = verify_harish(2, 2, "both").to_dict()
-    b = verify_harish(2, 2, "both").to_dict()
+    a = verify_harish(2, 2).to_dict()
+    b = verify_harish(2, 2).to_dict()
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
     assert a == b
 
 
 def test_factorization_suite_small():
-    rep = verify_factorization(2, 2, "both")
+    rep = verify_factorization(2, 2)
     assert rep.passed
     # 6 multi-indices => 36 pairs per branch, plus the invariance check
     assert len(rep.checks) == 73
 
 
 def test_span_suite_small():
-    rep = verify_span(2, 2, "+1")
+    rep = verify_span(2, 2)
     assert rep.passed
 
 
@@ -181,16 +181,14 @@ def test_module_algebra_suite_small():
 
 
 def test_branch_invariance_meta_check():
-    rep = verify_factorization(2, 1, "both")
+    rep = verify_factorization(2, 1)
     names = [c.name for c in rep.checks]
     assert "branch-invariance" in names
-    rep_single = verify_factorization(2, 1, "+1")
-    assert "branch-invariance" not in [c.name for c in rep_single.checks]
 
 
 def test_branch_invariance_fails_when_the_branches_disagree(monkeypatch):
     """An oracle that fails only on the minus branch makes every check of that
-    branch fail, and branch-invariance with them; one sign has no such check."""
+    branch fail, and branch-invariance with them."""
     original = suites.is_zero_in_M
 
     def one_sided(x, ctx):
@@ -202,9 +200,6 @@ def test_branch_invariance_fails_when_the_branches_disagree(monkeypatch):
     assert failed.pop("branch-invariance") == "verdict vectors differ between branches"
     assert failed and all(name.endswith("|sigma=-1") for name in failed)
     assert rep.checks[-1].name == "branch-invariance"
-    single = verify_span(2, 1, "-1")
-    assert not single.passed
-    assert "branch-invariance" not in [c.name for c in single.checks]
 
 
 @pytest.mark.parametrize("suite", SUITE_LIST, ids=lambda s: s.name)
@@ -243,33 +238,12 @@ def _spy(monkeypatch, fname, param):
     return runs
 
 
-def _spy_irreducibility(monkeypatch):
-    return _spy(monkeypatch, "verify_irreducibility", "word_limit")
-
-
-def test_narrowed_irreducibility_run_does_not_open_the_inverse_gate(monkeypatch):
-    session = Session()
-    rep = suites.verify_irreducibility(2, 2, word_limit=0, session=session)
-    assert rep.passed and not any(c.name.startswith("rank:") for c in rep.checks)
-    runs = _spy_irreducibility(monkeypatch)
-    assert suites.verify_f_inverse(2, 2, session=session).passed
-    assert runs == [200]
-
-
 def test_full_scope_verdict_at_another_point_is_reused(monkeypatch):
     session = Session()
     assert suites.verify_irreducibility(2, 2, v0=5, session=session).passed
-    runs = _spy_irreducibility(monkeypatch)
+    runs = _spy(monkeypatch, "verify_irreducibility", "n")
     assert suites.verify_f_inverse(2, 2, session=session).passed
     assert runs == []
-
-
-def test_verdict_on_one_branch_does_not_open_the_gate_for_both(monkeypatch):
-    session = Session()
-    assert suites.verify_irreducibility(2, 2, sigma=1, session=session).passed
-    runs = _spy_irreducibility(monkeypatch)
-    assert suites.verify_f_inverse(2, 2, session=session).passed
-    assert runs == [200]
 
 
 def test_failing_full_scope_verdict_closes_the_inverse_gate():
@@ -282,12 +256,14 @@ def test_failing_full_scope_verdict_closes_the_inverse_gate():
 
 
 @pytest.mark.parametrize("word_limit", [30, 29])
-def test_irreducibility_scope_is_the_enumerated_word_limit(word_limit):
+def test_irreducibility_scope_is_the_enumerated_word_limit(monkeypatch, word_limit):
     """Rank checks run exactly on the weights whose enumerated word list is
-    nonempty and at most word_limit long; two rank-3 weights at degree 2
-    have 30 words, so the two limits give different scopes."""
+    nonempty and at most _IRR_WORD_LIMIT long; two rank-3 weights at degree
+    2 have 30 words, so the two limits give different scopes."""
     n, max_deg = 3, 2
-    rep = suites.verify_irreducibility(n, max_deg, word_limit=word_limit)
+    monkeypatch.setattr(suites, "_IRR_WORD_LIMIT", word_limit)
+    rep = suites.verify_irreducibility(n, max_deg)
+    assert rep.params["word_limit"] == word_limit
     want = set()
     for mu in suites._rank_weights(n, max_deg):
         if not any(c > 0 for c in mu) and sum(-c for c in mu) > max_deg + 1:
@@ -301,14 +277,17 @@ def test_irreducibility_scope_is_the_enumerated_word_limit(word_limit):
     assert {c.name for c in rep.checks if c.name.startswith("rank:")} == want
 
 
-def test_irreducibility_ranks_slices_up_to_the_suite_word_limit():
-    """A word_limit above rank_at's own default reaches the ranks: the
+def test_irreducibility_ranks_slices_up_to_the_suite_word_limit(monkeypatch):
+    """A suite word limit above rank_at's own default reaches the ranks: the
     weight (-2, 0, -2) has 420 words and is ranked, not refused."""
     assert suites.fword_count((-2, 0, -2), 3) == 420
-    rep = suites.verify_irreducibility(3, 3, sigma=1, word_limit=500)
+    monkeypatch.setattr(suites, "_IRR_WORD_LIMIT", 500)
+    rep = suites.verify_irreducibility(3, 3)
     assert rep.passed
-    assert len(rep.checks) == 104
-    assert "rank:mu=[-2, 0, -2],v0=3|sigma=+1" in {c.name for c in rep.checks}
+    assert len(rep.checks) == 209
+    names = {c.name for c in rep.checks}
+    for s in ("+1", "-1"):
+        assert "rank:mu=[-2, 0, -2],v0=3|sigma=%s" % s in names
 
 
 def test_irreducibility_ranks_in_the_specialized_contexts():
