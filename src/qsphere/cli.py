@@ -186,6 +186,10 @@ def main(argv=None) -> int:
         # the reader closed stdout early: the verdict still decides the exit
         # status, and stdout goes to devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as e:
+        # a verdict that cannot be written is a bad --out, not a failed check
+        print("cannot write report: %s" % e, file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
 
 

@@ -7,15 +7,17 @@ coordinate.  Adjoining the imaginary unit makes the distinguished weight
 (L_j^2 = -q^{-1}) exactly representable: under the specialization map the
 symbols become L_j = sigma*i*v^{-1} with a branch sign sigma = +-1.
 
-Every value the engine forms divides only by polynomials in v, so a Scalar
-lives in the subring of K whose denominators are a polynomial in v times an
-L-monomial; dividing by anything else raises ArithmeticError.  Scalars are
-stored as reduced fractions of Laurent polynomials in a fixed canonical
-form, so equality is literal equality of the stored data.  Monomials are
-exponent tuples with index 0 the power of v and index j >= 1 the power of
-L_j; trailing zeros are stripped, which lets scalars built for different
-ranks interoperate.  Coefficients are Gaussian integers stored as
-(real, imag) pairs of Python ints.
+Every value the engine forms divides only by polynomials in v, and an
+L-monomial is a unit, so a Scalar is stored as a reduced fraction whose
+numerator is a Laurent polynomial in v and the L_j and whose denominator is
+a polynomial in v with a nonzero constant term: v-powers and L-monomials
+live in the numerator, and dividing by anything else raises
+ArithmeticError.  The canonical form is fixed, so equality is literal
+equality of the stored data.  Monomials are exponent tuples with index 0
+the power of v and index j >= 1 the power of L_j; trailing zeros are
+stripped, which lets scalars built for different ranks interoperate.
+Coefficients are Gaussian integers stored as (real, imag) pairs of Python
+ints.
 """
 
 from __future__ import annotations
@@ -70,20 +72,10 @@ def _gdivmod(a, b):
 
 
 def _ggcd(a, b):
+    """The gcd, scaled by a unit into the quadrant re > 0, im >= 0."""
     while b != G0:
         a, b = b, _gdivmod(a, b)[1]
-    return _gcanon(a)
-
-
-def _gcanon(a):
-    """Scale by a unit into the unique quadrant re > 0, im >= 0."""
-    if a == G0:
-        return a
-    for u in _UNITS:
-        c = _gmul(a, u)
-        if c[0] > 0 and c[1] >= 0:
-            return c
-    raise AssertionError(a)
+    return _gmul(a, _gunit_for(a))
 
 
 def _gunit_for(a):
@@ -149,17 +141,6 @@ def padd(p, r):
     return out
 
 
-def psub(p, r):
-    out = dict(p)
-    for k, c in r.items():
-        s = _gsub(out.get(k, G0), c)
-        if s == G0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
 def pneg(p):
     return {k: _gneg(c) for k, c in p.items()}
 
@@ -209,11 +190,6 @@ def _okey(k, nv):
     return k + (0,) * (nv - len(k))
 
 
-def _lead(p, nv):
-    k = max(p, key=lambda t: _okey(t, nv))
-    return k, p[k]
-
-
 def _min_exps(p):
     nv = _nvars(p)
     if nv == 0:
@@ -243,27 +219,7 @@ def _gcontent(p):
     return g
 
 
-def _pdiv_exact(p, d):
-    """Exact multivariate division; raises ArithmeticError if not exact."""
-    nv = _nvars(p, d)
-    dk, dc = _lead(d, nv)
-    dk = _okey(dk, nv)
-    rem = dict(p)
-    quo: dict = {}
-    while rem:
-        lk, lc = _lead(rem, nv)
-        lko = _okey(lk, nv)
-        diff = tuple(a - b for a, b in zip(lko, dk))
-        if any(e < 0 for e in diff):
-            raise ArithmeticError("inexact polynomial division")
-        qc = _gdiv_exact(lc, dc)
-        qk = _strip(diff)
-        quo[qk] = qc
-        rem = psub(rem, pmul({qk: qc}, d))
-    return quo
-
-
-# ---- gcd machinery (polynomials in v with non-negative exponents) ---------
+# ---- polynomials in v alone: dict {exponent >= 0: Gaussian coefficient} ---
 
 def _gprim(p):
     """Divide by Gaussian content, normalize sign of the content."""
@@ -273,14 +229,6 @@ def _gprim(p):
     if c == G1:
         return dict(p), G1
     return {k: _gdiv_exact(v, c) for k, v in p.items()}, c
-
-
-def _uni(p):
-    return {(k[0] if k else 0): c for k, c in p.items()}
-
-
-def _ununi(p):
-    return {((k,) if k else ()): c for k, c in p.items()}
 
 
 def _prem_uni(a, b):
@@ -305,18 +253,35 @@ def _prem_uni(a, b):
 
 
 def _pgcd_uni(p, r):
-    a, ca = _gprim(_uni(p))
-    b, cb = _gprim(_uni(r))
+    a, ca = _gprim(p)
+    b, cb = _gprim(r)
     c = _ggcd(ca, cb)
     if max(a) < max(b):
         a, b = b, a
     while b:
         rem = _prem_uni(a, b)
         a, b = b, _gprim(rem)[0]
-    g = _ununi(a)
-    if c != G1:
-        g = pscale(g, c)
-    return g
+    return pscale(a, c)
+
+
+def _pdiv_uni(a, b):
+    """Exact division; raises ArithmeticError if b does not divide a."""
+    db = max(b)
+    lb = b[db]
+    rem = dict(a)
+    quo: dict = {}
+    for da in range(max(a), db - 1, -1):
+        if da in rem:
+            qc = quo[da - db] = _gdiv_exact(rem[da], lb)
+            for e, c in b.items():
+                s = _gsub(rem.get(e + da - db, G0), _gmul(qc, c))
+                if s == G0:
+                    rem.pop(e + da - db, None)
+                else:
+                    rem[e + da - db] = s
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +304,25 @@ def _canonical_pair(num, den):
         # it divides the v-polynomial of each L-monomial of num
         parts: dict = {}
         for k, c in npoly.items():
-            parts.setdefault(k[1:], {})[k[:1]] = c
-        g = dpoly
+            parts.setdefault(k[1:], {})[k[0] if k else 0] = c
+        g = d = {(k[0] if k else 0): c for k, c in dpoly.items()}
         for part in parts.values():
             g = _pgcd_uni(g, part)
             if len(g) == 1:
                 break
         if len(g) > 1:
-            npoly = _pdiv_exact(npoly, g)
-            dpoly = _pdiv_exact(dpoly, g)
+            npoly = {
+                ((e,) + lk if e or lk else ()): c
+                for lk, part in parts.items()
+                for e, c in _pdiv_uni(part, g).items()
+            }
+            dpoly = {((e,) if e else ()): c for e, c in _pdiv_uni(d, g).items()}
     gc = _ggcd(_gcontent(npoly), _gcontent(dpoly))
-    if gc not in (G1, G0):
+    if gc != G1:
         npoly = {k: _gdiv_exact(c, gc) for k, c in npoly.items()}
         dpoly = {k: _gdiv_exact(c, gc) for k, c in dpoly.items()}
-    lk, lc = _lead(dpoly, _nvars(dpoly))
-    u = _gunit_for(lc)
+    # keys are () and (e,) with e > 0, so the largest is the leading term
+    u = _gunit_for(dpoly[max(dpoly)])
     if u != G1:
         npoly = pscale(npoly, u)
         dpoly = pscale(dpoly, u)
@@ -364,7 +333,13 @@ def _canonical_pair(num, den):
 
 
 class Scalar:
-    """An element of the exact coefficient ring, in reduced canonical form."""
+    """An element of the exact coefficient ring, in reduced canonical form.
+
+    ``num`` is a Laurent polynomial in v and the L_j; ``den`` is a
+    polynomial in v with a nonzero constant term, its leading coefficient
+    in the quadrant re > 0, im >= 0, and coprime to ``num``.  v-powers and
+    L-monomials live in the numerator.
+    """
 
     __slots__ = ("num", "den", "_key")
 
@@ -381,26 +356,15 @@ class Scalar:
 
     @staticmethod
     def integer(k: int) -> "Scalar":
-        if k == 0:
-            return Scalar({}, dict(PONE), _canonical=True)
-        return Scalar({(): (k, 0)}, dict(PONE), _canonical=True)
+        return Scalar.gauss(k, 0)
 
     @staticmethod
     def gauss(re: int, im: int) -> "Scalar":
-        if re == 0 and im == 0:
-            return Scalar({}, dict(PONE), _canonical=True)
-        return Scalar({(): (re, im)}, dict(PONE), _canonical=True)
-
-    @staticmethod
-    def rational(value) -> "Scalar":
-        f = Fraction(value)
-        return Scalar({(): (f.numerator, 0)}, {(): (f.denominator, 0)})
+        return Scalar({(): (re, im)} if re or im else {}, dict(PONE), _canonical=True)
 
     @staticmethod
     def v_power(k: int) -> "Scalar":
-        if k >= 0:
-            return Scalar({(k,) if k else (): G1}, dict(PONE), _canonical=True)
-        return Scalar({(k,): G1}, dict(PONE), _canonical=True)
+        return Scalar({(k,) if k else (): G1}, dict(PONE), _canonical=True)
 
     @staticmethod
     def L_power(j: int, k: int) -> "Scalar":
@@ -428,8 +392,8 @@ class Scalar:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar._promote(other)
+        if isinstance(other, int):
+            other = Scalar.integer(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.key() == other.key()
@@ -445,8 +409,6 @@ class Scalar:
             return x
         if isinstance(x, int):
             return Scalar.integer(x)
-        if isinstance(x, Fraction):
-            return Scalar.rational(x)
         return NotImplemented
 
     def __add__(self, other):
@@ -707,23 +669,18 @@ def specialize(s: Scalar, mode: SpecMode) -> Scalar:
         return s
     if mode.kind != "specialized":
         raise ValueError("a numeric point is an evaluation: use scalar_to_qqi")
-    num = _spec_poly_sigma(s.num, mode.sigma)
-    den = _spec_poly_sigma(s.den, mode.sigma)
-    if not den:
-        raise ZeroDivisionError("denominator vanishes under specialization")
-    return Scalar(num, den)
+    # the denominator is a polynomial in v, which the map fixes
+    return Scalar(_spec_poly_sigma(s.num, mode.sigma), s.den)
 
 
 def scalar_to_qqi(s: Scalar, mode: SpecMode):
     """Numeric value of a scalar under a numeric mode."""
     if mode.kind != "numeric":
         raise ValueError("numeric mode required")
-    num = _spec_poly_sigma(s.num, mode.sigma)
-    den = _spec_poly_sigma(s.den, mode.sigma)
-    dv = peval_qqi(den, mode.v0)
+    dv = peval_qqi(s.den, mode.v0)
     if dv == QQI_ZERO:
         raise ZeroDivisionError("denominator vanishes at the numeric point")
-    return qqi_mul(peval_qqi(num, mode.v0), qqi_inv(dv))
+    return qqi_mul(peval_qqi(_spec_poly_sigma(s.num, mode.sigma), mode.v0), qqi_inv(dv))
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ class _PackedRing(_PolyRing):
         value = super().finish({pc: _unpack_poly(p) for pc, p in acc.items()}, den_key)
         # a left coefficient multiplies in unspecialized; one that carries an
         # L-symbol makes the value need the specialization too
-        if any(len(k) > 1 for _p, c in acc for k in (*c.num, *c.den)):
+        if any(len(k) > 1 for _p, c in acc for k in c.num):
             return specialize(value, self._mode)
         return value
 

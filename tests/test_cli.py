@@ -142,6 +142,17 @@ def test_closed_stdout_keeps_the_failing_exit_status(monkeypatch):
         assert main(["verify", "harish", "--n", "2", "--max-deg", "1"]) == 1
 
 
+@pytest.mark.parametrize("where", ["missing_dir/r.json", "."])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    """A passing run whose --out is in a missing directory, or is a
+    directory, exits 2 with one line on stderr and no traceback."""
+    rc = main(["verify", "delta-inv", "--n", "2", "--max-deg", "1", "--out", str(tmp_path / where)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("cannot write report: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_oracle_precondition_failure_is_exit_three(monkeypatch):
     import qsphere.suites as suites
     from qsphere.report import VerificationReport

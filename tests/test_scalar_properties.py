@@ -3,7 +3,8 @@ inverses of its units, canonical forms against evaluation at random points,
 and the specialization maps as ring homomorphisms.
 
 A ``Scalar`` is a fraction whose numerator is a Laurent polynomial in v and
-the L_j and whose denominator is a polynomial in v times an L-monomial.
+the L_j and whose canonical denominator is a polynomial in v with a nonzero
+constant term: v-powers and L-monomials live in the numerator.
 Scalars are drawn as short sums of products of v-powers, Gaussian integers,
 q-numbers (plain and Cartan-shifted) and L-powers, so numerators are
 multivariate and canonicalization has gcds to cancel.
@@ -27,7 +28,7 @@ from qsphere.scalars import (
     padd,
     peval_qqi,
     pmul,
-    psub,
+    pneg,
     qnum,
     qqi_add,
     qqi_inv,
@@ -125,13 +126,18 @@ def _value(num, den, v0, lvals):
 
 @PROPERTY
 @given(_laurent(3), _laurent(1), _laurent(1), L_MONOMIALS, st.lists(POINTS, min_size=3, max_size=3))
-def test_canonical_form_keeps_the_value_at_random_points(num, den, common, lmono, point):
+def test_canonical_form_keeps_the_value_at_random_points(num0, den0, common, lmono, point):
     # an L-numerator over a v-only denominator times an L-monomial, with a
     # common v-factor to cancel; evaluation at (v0, L_1, L_2) is the oracle
-    num = pmul(num, common)
-    den = pmul(pmul(den, common), {lmono: G1})
+    num = pmul(num0, common)
+    den = pmul(pmul(den0, common), {lmono: G1})
     s = Scalar(num, den)
-    assert all(len(k) <= 1 for k in s.den)
+    # the common factor cancels: the same canonical form as without it
+    assert s.key() == Scalar(num0, pmul(den0, {lmono: G1})).key()
+    # a polynomial in v with a nonzero constant term
+    assert () in s.den and all(k == () or (len(k) == 1 and k[0] > 0) for k in s.den)
+    lead = s.den[max(s.den)]
+    assert lead[0] > 0 and lead[1] >= 0
     v0, lvals = point[0], point[1:]
     assume(peval_qqi(den, v0, lvals) != QQI_ZERO)
     assert _value(s.num, s.den, v0, lvals) == _value(num, den, v0, lvals)
@@ -173,5 +179,5 @@ def test_products_and_sums_over_denominator_one_are_canonical(a, b):
     """Over denominator 1 a product or sum skips canonicalization; its
     numerator must be the canonical pair of the same numerator."""
     assert a.den == b.den == PONE
-    for got, num in ((a * b, pmul(a.num, b.num)), (a + b, padd(a.num, b.num)), (a - b, psub(a.num, b.num))):
+    for got, num in ((a * b, pmul(a.num, b.num)), (a + b, padd(a.num, b.num)), (a - b, padd(a.num, pneg(b.num)))):
         assert (got.num, got.den) == _canonical_pair(num, PONE)
