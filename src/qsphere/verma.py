@@ -12,7 +12,8 @@ mode is its image under a ring homomorphism.  A context therefore picks one
 of two coefficient rings -- generic Laurent numerators, or numerators in v
 alone for the specialized mode -- and the single engine (``_step`` driven by
 ``_evaluate``) runs unchanged over either.  A numeric point is no mode: the
-irreducibility ranks evaluate integer Gram slices at it.
+irreducibility ranks evaluate integer Gram slices at it, each filled level by
+level from the Grams of the weights one lowering letter up.
 
 Equality in the enveloping algebra and in the module is *never* decided by
 rewriting: an element is declared zero exactly when it pairs to zero with a
@@ -25,7 +26,9 @@ the radical property of the defining relations, which has its own suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, lcm
+from operator import itemgetter
 
 from .scalars import (
     G0,
@@ -254,7 +257,7 @@ class EvalContext:
         self._kfactor_cache: dict = {}
         self._rank_gate: dict = {}
         self._spans: dict = {}
-        self._int_points: dict = {}  # v0 -> (point, level tables, scales)
+        self._int_points: dict = {}  # v0 -> (point, c_max, d, z, 1/(q - q^{-1}), tables, scales)
 
     def ecoef(self, i: int, a: int):
         """Coefficient created when a raising letter consumes a matching
@@ -294,12 +297,13 @@ class EvalContext:
         if point is None:
             if self.mode.kind != "specialized":
                 raise ValueError("integer tables need the specialized weight")
-            point = self._int_points[v0] = (SpecMode.numeric(v0).v0, [None], [1])
-        v0, tables, scales = point
-        cmax = max(abs(x) for row in self.cart[1:] for x in row[1:])
-        d = lcm(v0[0].denominator, v0[1].denominator)
-        z = (int(v0[0] * d), int(v0[1] * d))  # v0 = z / d
-        inv_qdiff = qqi_inv(peval_qqi(_QDIFF, v0))  # 1/(q - q^{-1}) at v0
+            pt = SpecMode.numeric(v0).v0
+            cmax = max(abs(c) for row in self.cart[1:] for c in row[1:])
+            d = lcm(pt[0].denominator, pt[1].denominator)
+            z = (int(pt[0] * d), int(pt[1] * d))  # v0 = z / d
+            inv_qdiff = qqi_inv(peval_qqi(_QDIFF, pt))  # 1/(q - q^{-1}) at v0
+            point = self._int_points[v0] = (pt, cmax, d, z, inv_qdiff, [None], [1])
+        v0, cmax, d, z, inv_qdiff, tables, scales = point
         while len(tables) <= k:
             span = range(-cmax * (len(tables) - 1), cmax * (len(tables) - 1) + 1)
             vals = [(i, a, _slots(e)) for i in range(1, self.n + 1) for a in span if (e := self.ecoef(i, a))]
@@ -348,7 +352,7 @@ def _step(state, token, ctx):
         kfactor = ctx.kfactor
         return {w: mul(c, kfactor(x, -sum(dots[j] for j in w))) for w, c in state.items()}
     iadd = ring.iadd
-    ecoef = ctx.ecoef
+    ecoefs = ctx._ecoef_cache
     cart_i = ctx.cart[x]
     out: dict = {}
     for w, c in state.items():
@@ -356,7 +360,9 @@ def _step(state, token, ctx):
         for t in range(len(w) - 1, -1, -1):
             j = w[t]
             if j == x:
-                coef = ecoef(x, a)
+                coef = ecoefs.get((x, a), False)
+                if coef is False:  # not yet built; None is a cached zero
+                    coef = ctx.ecoef(x, a)
                 if coef is not None:
                     iadd(out, w[:t] + w[t + 1 :], mul(c, coef))
             a -= cart_i[j]
@@ -621,7 +627,8 @@ def rank_gauss(rows) -> int:
     """Rank by fraction-free (Bareiss) elimination over an exact domain:
     Gaussian integers as (re, im) pairs, or ``Scalar``s, which the field's
     own *, - and / rank exactly over Q(i)(v).  Each update divides exactly
-    by the previous pivot, so Gaussian-integer entries stay integral."""
+    by the previous pivot (none on the first step, where it is the unit), so
+    Gaussian-integer entries stay integral."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -643,7 +650,8 @@ def rank_gauss(rows) -> int:
         pivot = m[row][col]
         for r in range(row + 1, nrows):
             for c in range(col + 1, ncols):
-                m[r][c] = div(sub(mul(pivot, m[r][c]), mul(m[r][col], m[row][c])), prev)
+                x = sub(mul(pivot, m[r][c]), mul(m[r][col], m[row][c]))
+                m[r][c] = div(x, prev) if rank else x
             m[r][col] = zero
         prev = pivot
         rank += 1
@@ -707,22 +715,65 @@ def _symmetric_rows(size, entry):
     return rows
 
 
+def _fill_gram(words, tables, cart, grams):
+    """The Gram of the lex-ordered words of one weight, filled from the
+    Grams of their tails and memoized in grams by letter multiset; see
+    ``gram_int_rows``."""
+    k = len(words[0])
+    if not k:
+        return [[G1]]
+    key = words[0]  # the lex-first word is sorted: the letter multiset
+    rows = grams.get(key)
+    if rows is not None:
+        return rows
+    size = len(words)
+    rows = grams[key] = [[None] * size for _ in range(size)]
+    start = 0
+    for c, block in groupby(words, itemgetter(0)):
+        tails = [w[1:] for w in block]
+        up = _fill_gram(tails, tables, cart, grams)
+        index = {w: r for r, w in enumerate(tails)}
+        level_c, cart_c = tables[k][c], cart[c]
+        cols = []  # the columns of E_c from the block on: (row, re, im)
+        for w in words[start:]:
+            col, a = [], 0
+            for t in range(k - 1, -1, -1):
+                j = w[t]
+                if j == c and (e := level_c.get(a)) is not None:
+                    col.append((index[w[:t] + w[t + 1 :]], e[0], e[1]))
+                a -= cart_c[j]
+            cols.append(col)
+        for i, g in enumerate(up, start):
+            row = rows[i]
+            for j in range(i, size):
+                re = im = 0
+                for r, er, ei in cols[j - start]:
+                    sr, si = g[r]
+                    re += er * sr - ei * si
+                    im += er * si + ei * sr
+                row[j] = rows[j][i] = (re, im)
+        start += len(tails)
+    return rows
+
+
 def gram_int_rows(words, ctx: EvalContext, v0):
-    """The Gram slice on words of one weight (all of length k) at v0 as
-    Gaussian integers: P_k times the rational Gram, hence of the same rank.
+    """The Gram slice on the lex-ordered words of one weight mu (all of
+    length k) at v0 as Gaussian integers: P_k times the rational Gram, hence
+    of the same rank.  It applies ``_pair_int``'s recursion to whole rows:
+    for x = (c,) + x', row x is row x' of the Gram of mu+alpha_c times E_c,
+    whose column w holds, per slot t with w[t] = c, the level-k value of c
+    at the pairing value of w's letters after t, in the row of w without
+    slot t.  The tails of the words that start with c are the words of
+    mu+alpha_c in lex order, so that Gram is filled from them, level by
+    level, once per letter multiset and call.
 
     The contravariant form is symmetric in every mode and at every point:
     <a, b> = eps(omega(a) b), omega is an involutive anti-automorphism and
-    eps o omega = eps, so <b, a> = eps(omega(omega(a) b)) = <a, b>.  Only
-    the entries with i <= j are computed; the others are mirrored.
+    eps o omega = eps, so <b, a> = eps(omega(omega(a) b)) = <a, b>.  Each
+    level computes the entries with i <= j and mirrors the others.
     """
     tables, _scale = ctx.int_levels(len(words[0]), v0)
-    memo = {((), ()): G1}
-    cart = ctx.cart
-    raising = [tuple(reversed(a)) for a in words]
-    return _symmetric_rows(
-        len(words), lambda i, j: _pair_int(raising[i], words[j], tables, cart, memo)
-    )
+    return _fill_gram(words, tables, ctx.cart, {})
 
 
 def rank_at(coords, ctx: EvalContext, v0, limit: int = 400) -> int:

@@ -66,6 +66,27 @@ MUTANTS = [
         "    if False:\n        npoly = pscale(npoly, u)\n",
         ["tests/test_scalar_properties.py"],
     ),
+    (
+        "level-fill-reads-the-tables-one-level-down",
+        "src/qsphere/verma.py",
+        "        level_c, cart_c = tables[k][c], cart[c]\n",
+        "        level_c, cart_c = tables[k - 1][c], cart[c]\n",
+        ["tests/test_integer_gram.py"],
+    ),
+    (
+        "level-fill-memo-keyed-by-word-length",
+        "src/qsphere/verma.py",
+        "    key = words[0]  # the lex-first word is sorted: the letter multiset\n",
+        "    key = len(words[0])\n",
+        ["tests/test_integer_gram.py"],
+    ),
+    (
+        "level-tables-without-the-inverse-q-difference",
+        "src/qsphere/verma.py",
+        "            inv_qdiff = qqi_inv(peval_qqi(_QDIFF, pt))  # 1/(q - q^{-1}) at v0\n",
+        "            inv_qdiff = (Fraction(1), Fraction(0))\n",
+        ["tests/test_integer_gram.py"],
+    ),
 ]
 
 

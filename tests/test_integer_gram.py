@@ -17,14 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsphere.plane import nullspace_qqi
-from qsphere.scalars import QQI_ZERO, Scalar, SpecMode, peval_qqi, qqi_inv, qqi_mul, scalar_to_qqi
+from qsphere.scalars import QQI_ZERO, Scalar, SpecMode, _gmul, peval_qqi, qqi_inv, qqi_mul, scalar_to_qqi
+from qsphere.suites import _IRR_WORD_LIMIT, _rank_weights
 from qsphere.verma import (
     EvalContext,
     _unpack_poly,
+    fword_count,
     fword_elt,
     fwords_of_weight,
     gram_int_rows,
+    pair_words_qqi,
     rank_at,
+    rank_gauss,
     shapovalov,
 )
 from qsphere.words import alpha_vec
@@ -74,6 +78,70 @@ def test_integer_gram_is_the_scaled_rational_gram(n):
                 assert rank_at(mu, ctx, v0) == rank, (mu, mode)
 
     check()
+
+
+# The largest rank-3 slice that ``verify_irreducibility(3, 4)`` ranks: 168
+# words of length 8, each with five letters 1, two 2 and one 3.
+LARGEST_R3 = (-3, -1, -1)
+
+
+def test_largest_ranked_rank3_slice_is_pinned():
+    """The suite's scope: its rank weights, less those beyond the word limit
+    and the basis weights above height max_deg + 1."""
+    ranked = [
+        mu
+        for mu in _rank_weights(3, 4)
+        if 0 < fword_count(mu, 3) <= _IRR_WORD_LIMIT and (any(c > 0 for c in mu) or -sum(mu) <= 5)
+    ]
+    assert LARGEST_R3 in ranked
+    assert max(fword_count(mu, 3) for mu in ranked) == fword_count(LARGEST_R3, 3) == 168
+
+
+@pytest.fixture(scope="module")
+def largest_r3_slices():
+    """The level fill of LARGEST_R3 at both signs and at v0 = 2 and 3 + i."""
+    words = fwords_of_weight(LARGEST_R3, 3)
+    out = []
+    for sigma in (1, -1):
+        ctx = EvalContext(3, SpecMode.specialized(sigma))
+        for v0 in (2, (3, 1)):
+            out.append((ctx, v0, gram_int_rows(words, ctx, v0), ctx.int_levels(len(words[0]), v0)[1]))
+    return words, out
+
+
+def test_level_fill_at_the_largest_ranked_slice_matches_the_entry_recursion(largest_r3_slices):
+    """Sampled entries of the 168-word fill against ``pair_words_qqi``, the
+    per-entry recursion, times the scale."""
+    words, slices = largest_r3_slices
+
+    @PROPERTY
+    @given(st.integers(0, len(words) - 1), st.integers(0, len(words) - 1))
+    def check(i, j):
+        for ctx, v0, rows, scale in slices:
+            re, im = pair_words_qqi(tuple(reversed(words[i])), words[j], ctx, v0)
+            assert rows[i][j] == (re * scale, im * scale), (ctx.mode, v0, words[i], words[j])
+
+    check()
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.integers(0, 7), st.data())
+def test_rank_gauss_is_the_rank_of_a_product_of_known_inner_dimension(size, inner, data):
+    """A size x size product A B over Z[i] of the given inner dimension,
+    ranked by Bareiss as pairs and as Scalars, against size less the
+    Gauss-Jordan nullity; the rank is at most the inner dimension."""
+    entries = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    a = data.draw(st.lists(st.lists(entries, min_size=inner, max_size=inner), min_size=size, max_size=size))
+    b = data.draw(st.lists(st.lists(entries, min_size=size, max_size=size), min_size=inner, max_size=inner))
+    rows = []
+    for r in a:
+        terms = [[_gmul(x, brow[c]) for x, brow in zip(r, b)] for c in range(size)]
+        rows.append([(sum(t[0] for t in ts), sum(t[1] for t in ts)) for ts in terms])
+    qqi_rows = [[(Fraction(x), Fraction(y)) for x, y in r] for r in rows]
+    rank = rank_gauss(rows)
+    assert rank == len(rows) - len(nullspace_qqi(qqi_rows, size)), rows
+    assert rank_gauss([[Scalar.gauss(*x) for x in r] for r in rows]) == rank, rows
+    assert rank <= inner
 
 
 def generic_ecoef(i, a):
