@@ -11,6 +11,8 @@ multiplication by the inverse-form tensor.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .scalars import ONE, QQI_ZERO, ZERO, Scalar, SpecMode, scalar_to_qqi
 from .words import AlgElt, Combination, acc_add, alpha_vec
 
@@ -363,17 +365,8 @@ def _contracted(F, side, p):
 
 def monomials_of_degree(n, deg, weight=None):
     """All exponent tuples of total degree deg (optionally of fixed weight)."""
-    out = []
     nvars = 2 * n + 1
-
-    def rec(prefix, left):
-        if len(prefix) == nvars - 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for k in range(left + 1):
-            rec(prefix + [k], left - k)
-
-    rec([], deg)
+    out = [tuple(c.count(x) for x in range(nvars)) for c in combinations_with_replacement(range(nvars), deg)]
     if weight is not None:
         out = [m for m in out if word_weight(_mono_word(m, n), n) == tuple(weight)]
     return sorted(out)

@@ -11,9 +11,12 @@ The functional is computed once, over the generic field; the specialized
 mode is its image under a ring homomorphism.  A context therefore picks one
 of two coefficient rings -- generic Laurent numerators, or numerators in v
 alone for the specialized mode -- and the single engine (``_step`` driven by
-``_evaluate``) runs unchanged over either.  A numeric point is no mode: the
-irreducibility ranks evaluate integer Gram slices at it, each filled level by
-level from the Grams of the weights one lowering letter up.
+``_evaluate``) runs unchanged over either: every coefficient enters the ring
+once, through the ring's ``hom``, after each side's denominators are cleared,
+and one walk over a trie of the left words evaluates a whole pairing.  A
+numeric point is no mode: the irreducibility ranks evaluate integer Gram
+slices at it, each filled level by level from the Grams of the weights one
+lowering letter up.
 
 Equality in the enveloping algebra and in the module is *never* decided by
 rewriting: an element is declared zero exactly when it pairs to zero with a
@@ -26,7 +29,8 @@ the radical property of the defining relations, which has its own suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from functools import reduce
+from itertools import groupby, product
 from math import factorial, lcm
 from operator import itemgetter
 
@@ -50,40 +54,29 @@ from .scalars import (
     qqi_inv,
     qqi_mul,
     qqi_pow,
-    specialize,
 )
 from .words import AlgElt, alpha_vec, antipode, cartan_pairing, root_vector
 
 _QDIFF = {(2,): G1, (-2,): (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
-_ONE_KEY = tuple(PONE.items())
 
 # A coefficient ring of the engine (``_PolyRing`` on dicts, ``_PackedRing``
-# on packed ints) provides: ``zero``, its one value 0; ``mul``;
+# on packed ints) provides: ``zero``, its one zero value; ``mul``;
 # ``iadd(acc, key, val)``, adding val into acc[key]; ``hom``, the image of a
-# generic Laurent polynomial; ``lift``, a scalar as (group key, ring
-# element); and ``finish``, turning the accumulated values of one group into
-# a Scalar.
+# generic Laurent polynomial; and ``poly``, the Laurent polynomial of a
+# value.  Every coefficient enters the ring through ``hom``.
 
 
 class _PolyRing:
-    """Laurent numerators over Z[i] in v and the L_j, for the generic mode.
-
-    Each raising letter contributes a factor 1/(q - q^{-1}); it is kept
-    aside as a count and restored by ``finish``, so state coefficients stay
-    polynomial.  Right-hand coefficients are split into numerator and
-    denominator by ``lift``, and states are grouped by denominator.
-    """
+    """Laurent numerators over Z[i] in v and the L_j, for the generic mode."""
 
     zero: dict = {}
     mul = staticmethod(pmul)
 
-    def __init__(self, mode: SpecMode):
-        self._mode = mode
-        self._den_cache = {0: PONE, 1: _QDIFF}
-
     @staticmethod
     def hom(p):
         return p
+
+    poly = hom
 
     @staticmethod
     def iadd(acc, key, val):
@@ -99,29 +92,6 @@ class _PolyRing:
                 s.pop(k, None)
             else:
                 s[k] = sg
-
-    @staticmethod
-    def lift(c: Scalar):
-        return tuple(sorted(c.den.items())), c.num
-
-    def _den(self, p):
-        """(q - q^{-1})^p as a Laurent polynomial in v."""
-        out = self._den_cache.get(p)
-        if out is None:
-            out = pmul(self._den(p - 1), _QDIFF)
-            self._den_cache[p] = out
-        return out
-
-    def finish(self, acc, den_key) -> Scalar:
-        """The scalar sum of c * poly / (q - q^{-1})^p over acc[(p, c)],
-        divided by the group's denominator."""
-        part = ZERO
-        for (p, c), poly in acc.items():
-            if poly:
-                part = part + c * Scalar(poly, self._den(p))
-        if den_key != _ONE_KEY:
-            part = part / Scalar(dict(den_key))
-        return part
 
 
 # A packed value (lo, re, im, l1, w) is the Laurent polynomial in v whose
@@ -152,7 +122,7 @@ def _slots(val):
     lo, re, im, _l1, w = val
     n = max(re.bit_length(), im.bit_length()) // w + 1
     half = 1 << (w - 1)
-    bias = sum(half << w * k for k in range(n))  # lifts each signed slot into [0, 2^w)
+    bias = sum(half << w * k for k in range(n))  # moves each signed slot into [0, 2^w)
     re, im = ([((x + bias) >> w * k) % (2 * half) - half for k in range(n)] for x in (re, im))
     return lo, re, im, sum(map(abs, re)) + sum(map(abs, im))
 
@@ -208,28 +178,20 @@ def _kiadd(acc, key, val):
     acc[key] = (lo, a, b, bound, w) if a or b else _PZERO
 
 
-class _PackedRing(_PolyRing):
+class _PackedRing:
     """Packed Laurent numerators in v alone, for the specialized mode, where
     every L_j is sent to sigma*i*v^{-1}."""
 
     zero = _PZERO
     mul = staticmethod(_kmul)
     iadd = staticmethod(_kiadd)
+    poly = staticmethod(_unpack_poly)
+
+    def __init__(self, sigma: int):
+        self._sigma = sigma
 
     def hom(self, p):
-        return _pack_poly(_spec_poly_sigma(p, self._mode.sigma))
-
-    @staticmethod
-    def lift(c: Scalar):
-        return tuple(sorted(c.den.items())), _pack_poly(c.num)
-
-    def finish(self, acc, den_key) -> Scalar:
-        value = super().finish({pc: _unpack_poly(p) for pc, p in acc.items()}, den_key)
-        # a left coefficient multiplies in unspecialized; one that carries an
-        # L-symbol makes the value need the specialization too
-        if any(len(k) > 1 for _p, c in acc for k in c.num):
-            return specialize(value, self._mode)
-        return value
+        return _pack_poly(_spec_poly_sigma(p, self._sigma))
 
 
 class OracleError(RuntimeError):
@@ -248,7 +210,7 @@ class EvalContext:
             raise ValueError("a numeric point is evaluated in a specialized context")
         self.n = n
         self.mode = mode
-        self.ring = (_PolyRing if mode.kind == "generic" else _PackedRing)(mode)
+        self.ring = _PolyRing() if mode.kind == "generic" else _PackedRing(mode.sigma)
         self.alpha = [None] + [alpha_vec(i, n) for i in range(1, n + 1)]
         self.cart = [None] + [
             [0] + [cartan_pairing(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
@@ -265,7 +227,8 @@ class EvalContext:
 
         Generically this is (v^{2a} L_i/L_{i-1} - v^{-2a} L_{i-1}/L_i) over
         q - q^{-1} (with L_0 = 1); the ring holds the numerator, and the
-        denominator is kept aside as a count (see ``_PolyRing``).
+        denominator is restored once per raising-letter count p, the key of
+        ``_evaluate``'s accumulator.
         """
         key = (i, a)
         out = self._ecoef_cache.get(key, False)
@@ -370,79 +333,82 @@ def _step(state, token, ctx):
     return {w: c for w, c in out.items() if c != zero}
 
 
-def _build_trie(terms):
-    """Prefix trie over token words; per node, the maximal number of raising
-    letters remaining below it (for state pruning)."""
+def _build_trie(terms, iadd):
+    """Prefix trie over token words, each word's ring value summed into its
+    end node's "end"; per node, "d" is the largest number of raising letters
+    remaining below it (for state pruning)."""
     root: dict = {"d": 0}
     for w, c in terms:
-        node = root
-        for letter in w:
-            nxt = node.get(letter)
+        node, d = root, sum(token[0] == "e" for token in w)
+        for token in w:
+            node["d"] = max(node["d"], d)
+            d -= token[0] == "e"
+            nxt = node.get(token)
             if nxt is None:
-                nxt = {"d": 0}
-                node[letter] = nxt
+                nxt = node[token] = {"d": 0}
             node = nxt
-        node.setdefault("end", []).append(c)
-
-    def _depth(node):
-        d = 0
-        for key, child in node.items():
-            if key in ("d", "end"):
-                continue
-            own = 1 if key[0] == "e" else 0
-            d = max(d, own + _depth(child))
-        node["d"] = d
-        return d
-
-    _depth(root)
+        iadd(node, "end", c)
     return root
+
+
+def _walk(node, state, p, ctx, acc):
+    """Add into acc[p'] the vacuum part of the state reached at each word end
+    below node, times the end's value, where p' counts the word's raising
+    letters (p of them lie above node).  A state word longer than the
+    number of raising letters left below a node can never reach the vacuum
+    (a lowering letter only lengthens it), so it is pruned."""
+    ring = ctx.ring
+    end = node.get("end")
+    if end is not None:
+        val = state.get(())
+        if val is not None:
+            ring.iadd(acc, p, ring.mul(val, end))
+    for token, child in node.items():
+        if token == "d" or token == "end":
+            continue
+        ns = _step(state, token, ctx)
+        if ns:
+            md = child["d"]
+            if md < max(len(w) for w in ns):
+                ns = {w: c for w, c in ns.items() if len(w) <= md}
+                if not ns:
+                    continue
+            _walk(child, ns, p + (token[0] == "e"), ctx, acc)
+
+
+def _cleared(terms, hom):
+    """The terms (word, c) as (word, hom(c * D)), and D, the product of the
+    distinct denominators of the c: polynomials in v, so c * D is the
+    numerator of c times the other denominators."""
+    keyed = [(w, c, tuple(sorted(c.den.items()))) for w, c in terms]
+    dens = {key: c.den for _w, c, key in keyed}
+    others = {key: reduce(pmul, [d for k, d in dens.items() if k != key], PONE) for key in dens}
+    return [(w, hom(pmul(c.num, others[key]))) for w, c, key in keyed], reduce(pmul, dens.values(), PONE)
 
 
 def _evaluate(left, right, ctx: EvalContext) -> Scalar:
     """Sum of c * d * <u w> over left terms (u, c) and right terms (w, d).
 
     Each u is a token word in processing order (right to left); each w is a
-    lowering index word standing on the vacuum.  All left words share one
-    trie walk per group of right terms.  A state word longer than the number
-    of raising letters left below a node can never reach the vacuum (a
-    lowering letter only lengthens it), so it is pruned.
+    lowering index word standing on the vacuum.  Each side's coefficients
+    enter the ring once, cleared of their denominators: the right ones as
+    the initial state, the left ones at the ends of a prefix trie, over
+    which one walk shares the states of common prefixes.  The raising
+    letters' factors 1/(q - q^{-1}) are kept aside as the count p that keys
+    the accumulator, and restored with the cleared denominators at the end.
     """
     ring = ctx.ring
-    iadd = ring.iadd
-    zero = ring.zero
-    groups: dict = {}
+    right, rden = _cleared(right, ring.hom)
+    left, lden = _cleared(left, ring.hom)
+    state: dict = {}
     for w, d in right:
-        gkey, val = ring.lift(d)
-        iadd(groups.setdefault(gkey, {}), w, val)
-    trie = _build_trie(left)
+        ring.iadd(state, w, d)
+    acc: dict = {}
+    _walk(_build_trie(left, ring.iadd), {w: d for w, d in state.items() if d != ring.zero}, 0, ctx, acc)
+    den = pmul(lden, rden)
     total = ZERO
-    for gkey, state0 in groups.items():
-        state0 = {w: c for w, c in state0.items() if c != zero}
-        if not state0:
-            continue
-        acc: dict = {}  # values keyed by (raising-letter count, left coefficient)
-
-        def dfs(node, state, p):
-            ends = node.get("end")
-            if ends is not None:
-                val = state.get(())
-                if val is not None:
-                    for c in ends:
-                        iadd(acc, (p, c), val)
-            for token, child in node.items():
-                if token == "d" or token == "end":
-                    continue
-                ns = _step(state, token, ctx)
-                if ns:
-                    md = child["d"]
-                    if md < max(len(w) for w in ns):
-                        ns = {w: c for w, c in ns.items() if len(w) <= md}
-                        if not ns:
-                            continue
-                    dfs(child, ns, p + (token[0] == "e"))
-
-        dfs(trie, state0, 0)
-        total = total + ring.finish(acc, gkey)
+    for p, val in acc.items():
+        total = total + Scalar(ring.poly(val), reduce(pmul, [_QDIFF] * p, den))
     return total
 
 
@@ -605,18 +571,8 @@ def b_height(m) -> int:
 
 
 def enumerate_b_indices(n, max_total):
-    """All basis multi-indices with total degree at most max_total."""
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for k in range(left + 1):
-            rec(prefix + [k], left - k)
-
-    rec([], max_total)
-    return sorted(out)
+    """All basis multi-indices with total degree at most max_total, sorted."""
+    return [m for m in product(range(max_total + 1), repeat=n) if sum(m) <= max_total]
 
 
 # ---------------------------------------------------------------------------

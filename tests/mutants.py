@@ -4,9 +4,16 @@ Each entry of ``MUTANTS`` names a source file, an exact text that occurs in
 it once, the text that replaces it, and the test files of which at least one
 must fail on the mutated copy.  The runner copies ``src/`` and ``tests/`` to
 a temporary directory, applies one mutant there, and runs its tests with
-``pytest -x -q``.  It exits 1 if any mutant survives (its tests pass) or
-cannot be applied.  Only the standard library is used; pytest collects no
-test from this file.
+``pytest -x -q``, this file loaded as a plugin that records the exception of
+each failure.  As ``-x`` stops at the first failing test, the verdict rests
+on it: the mutant is killed when that test fails by an assertion
+(``AssertionError``, or pytest's ``Failed`` of a ``pytest.raises`` that saw
+nothing raised), and has crashed when it fails by any other exception,
+which any wrong code could raise and which shows nothing of the oracle.
+For each mutant the runner prints its verdict and the first failing test
+with its exception type.  It exits 1 if any mutant survives (its tests
+pass), crashes, or cannot be applied.  Only the standard library is used;
+pytest collects no test from this file.
 
 Run from any directory:
 
@@ -21,6 +28,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FAILURES = "mutant-failures.txt"  # written by the plugin hook into the run's directory
+ASSERTIONS = {"AssertionError", "Failed"}
 
 # (name, file, old text, new text, test files that must fail)
 MUTANTS = [
@@ -67,17 +76,20 @@ MUTANTS = [
         ["tests/test_scalar_properties.py"],
     ),
     (
+        # level 1 has no level below it: there the mutant reads level 1
         "level-fill-reads-the-tables-one-level-down",
         "src/qsphere/verma.py",
         "        level_c, cart_c = tables[k][c], cart[c]\n",
-        "        level_c, cart_c = tables[k - 1][c], cart[c]\n",
+        "        level_c, cart_c = tables[max(k - 1, 1)][c], cart[c]\n",
         ["tests/test_integer_gram.py"],
     ),
     (
-        "level-fill-memo-keyed-by-word-length",
+        # two letter multisets of one length and word count share a Gram of
+        # the right size, so the wrong one is read without an IndexError
+        "level-fill-memo-keyed-by-word-count-and-length",
         "src/qsphere/verma.py",
         "    key = words[0]  # the lex-first word is sorted: the letter multiset\n",
-        "    key = len(words[0])\n",
+        "    key = len(words), len(words[0])\n",
         ["tests/test_integer_gram.py"],
     ),
     (
@@ -87,11 +99,43 @@ MUTANTS = [
         "            inv_qdiff = (Fraction(1), Fraction(0))\n",
         ["tests/test_integer_gram.py"],
     ),
+    (
+        "engine-clearing-drops-the-common-denominator",
+        "src/qsphere/verma.py",
+        "], reduce(pmul, dens.values(), PONE)\n",
+        "], PONE\n",
+        ["tests/test_engine_properties.py"],
+    ),
+    (
+        "engine-trie-depth-one-letter-short",
+        "src/qsphere/verma.py",
+        "        node, d = root, sum(token[0] == \"e\" for token in w)\n",
+        "        node, d = root, sum(token[0] == \"e\" for token in w) - 1\n",
+        ["tests/test_engine_properties.py"],
+    ),
 ]
 
 
+def pytest_exception_interact(node, call, report):
+    """Plugin hook of the runs that ``run_mutant`` starts: appends the
+    failing test and its exception's type names (those of an exception
+    group's members) to FAILURES in the working directory."""
+    names, todo = [], [call.excinfo.value]
+    while todo:
+        exc = todo.pop()
+        members = getattr(exc, "exceptions", None)
+        if members is None:
+            names.append(type(exc).__name__)
+        else:
+            todo.extend(members)
+    with open(FAILURES, "a") as fh:
+        fh.write("%s\t%s\n" % (node.nodeid, ",".join(names)))
+
+
 def run_mutant(name, path, old, new, tests):
-    """'killed', 'SURVIVED' or an error message for one mutant."""
+    """(verdict, first failing test and its exception types) for one
+    mutant; the verdict is 'killed', 'crashed', 'SURVIVED' or an error
+    message."""
     with tempfile.TemporaryDirectory(prefix="qsphere-mutant-") as tmp:
         for sub in ("src", "tests"):
             shutil.copytree(
@@ -103,30 +147,38 @@ def run_mutant(name, path, old, new, tests):
         with open(target) as fh:
             text = fh.read()
         if text.count(old) != 1:
-            return "ERROR: old text occurs %d times in %s" % (text.count(old), path)
+            return "ERROR: old text occurs %d times in %s" % (text.count(old), path), ""
         with open(target, "w") as fh:
             fh.write(text.replace(old, new))
-        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
+        pythonpath = os.pathsep.join(os.path.join(tmp, sub) for sub in ("src", "tests"))
+        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-p", "mutants", *tests],
             cwd=tmp,
             env=env,
             capture_output=True,
             text=True,
         )
+        failures = []
+        if os.path.exists(os.path.join(tmp, FAILURES)):
+            with open(os.path.join(tmp, FAILURES)) as fh:
+                failures = [line.rstrip("\n").split("\t") for line in fh]
     if proc.returncode == 0:
-        return "SURVIVED"
-    if proc.returncode == 1:
-        return "killed"
-    return "ERROR: pytest exit status %d\n%s" % (proc.returncode, proc.stdout[-2000:] + proc.stderr[-2000:])
+        return "SURVIVED", ""
+    if proc.returncode != 1 or not failures:
+        return "ERROR: pytest exit status %d\n%s" % (proc.returncode, proc.stdout[-2000:] + proc.stderr[-2000:]), ""
+    first = "%s %s" % tuple(failures[0])
+    if any(ASSERTIONS.intersection(kinds.split(",")) for _test, kinds in failures):
+        return "killed", first
+    return "crashed", first
 
 
 def main():
     bad = 0
     for mutant in MUTANTS:
         start = time.perf_counter()
-        verdict = run_mutant(*mutant)
-        print("%-48s %s (%.1f s)" % (mutant[0], verdict, time.perf_counter() - start), flush=True)
+        verdict, first = run_mutant(*mutant)
+        print("%-48s %s (%.1f s) %s" % (mutant[0], verdict, time.perf_counter() - start, first), flush=True)
         bad += verdict != "killed"
     return 1 if bad else 0
 
