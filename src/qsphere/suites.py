@@ -84,6 +84,10 @@ _Q = Scalar.v_power(2)
 _QBAR = Scalar.v_power(-2)
 # the irreducibility scope: the largest Gram slice (in words) it ranks
 _IRR_WORD_LIMIT = 200
+# the random samples of xyz's bracket identity and module-algebra's
+# commutator check: how many, and the seed that draws them
+_XYZ_TRIPLES, _XYZ_SEED = 120, 2024
+_MODULE_ALGEBRA_CASES, _MODULE_ALGEBRA_SEED = 200, 5
 
 
 def _check_points(v0):
@@ -399,25 +403,22 @@ def _b_tails(n, max_total, first=2):
 # Appendix identities
 # ---------------------------------------------------------------------------
 
-def verify_xyz(n=3, triples=120, seed=2024, session=None) -> VerificationReport:
-    params = {"n": n, "triples": triples, "seed": seed}
+def verify_xyz(n=3, session=None) -> VerificationReport:
+    params = {"n": n, "triples": _XYZ_TRIPLES, "seed": _XYZ_SEED}
     with _run("xyz", params, "generic", session) as (rep, session):
-        rng = random.Random(seed)
+        rng = random.Random(_XYZ_SEED)
         # (a) the two-parameter bracket identity holds freely
-        if triples:
-            bad = 0
-            for _t in range(triples):
-                X, Y, Z = (_random_elt(rng, n) for _ in range(3))
-                a, b, c = (_random_scalar(rng) for _ in range(3))
-                lhs = qbracket(X, qbracket(Y, Z, a), b)
-                rhs = qbracket(qbracket(X, Y, c), Z, a * b / c) + qbracket(
-                    Y, qbracket(X, Z, b / c), a / c
-                ).scaled(c)
-                if lhs != rhs:
-                    bad += 1
-            rep.record(
-                "bracket-identity:%d-random-triples" % triples, bad == 0, "%d failures" % bad
-            )
+        bad = 0
+        for _t in range(_XYZ_TRIPLES):
+            X, Y, Z = (_random_elt(rng, n) for _ in range(3))
+            a, b, c = (_random_scalar(rng) for _ in range(3))
+            lhs = qbracket(X, qbracket(Y, Z, a), b)
+            rhs = qbracket(qbracket(X, Y, c), Z, a * b / c) + qbracket(
+                Y, qbracket(X, Z, b / c), a / c
+            ).scaled(c)
+            if lhs != rhs:
+                bad += 1
+        rep.record("bracket-identity:%d-random-triples" % _XYZ_TRIPLES, bad == 0, "%d failures" % bad)
         # (b) the two vanishing conclusions, through the generic oracle
         ctx = session.context(n, SpecMode.generic())
         for i in range(2, n):
@@ -561,8 +562,8 @@ def _plane_generators(n):
     return gens
 
 
-def verify_module_algebra(n=2, cases=200, seed=5, session=None) -> VerificationReport:
-    params = {"n": n, "cases": cases, "seed": seed}
+def verify_module_algebra(n=2, session=None) -> VerificationReport:
+    params = {"n": n, "cases": _MODULE_ALGEBRA_CASES, "seed": _MODULE_ALGEBRA_SEED}
     with _run("module-algebra", params, "symbolic", session) as (rep, _session):
         # (a) the raw-word action respects each defining relation
         for lw, rdict in _plane_relations(n):
@@ -577,10 +578,9 @@ def verify_module_algebra(n=2, cases=200, seed=5, session=None) -> VerificationR
                     "action does not descend through the relation",
                 )
         # (b) commutator compatibility on random polynomials
-        rng = random.Random(seed)
+        rng = random.Random(_MODULE_ALGEBRA_SEED)
         bad = 0
-        done = 0
-        while done < cases:
+        for _c in range(_MODULE_ALGEBRA_CASES):
             p = _random_plane_poly(rng, n)
             i = rng.randint(1, n)
             j = rng.randint(1, n)
@@ -594,8 +594,7 @@ def verify_module_algebra(n=2, cases=200, seed=5, session=None) -> VerificationR
                 rhs = PlanePoly(n)
             if lhs != rhs:
                 bad += 1
-            done += 1
-        rep.record("commutator:%d-random-cases" % cases, bad == 0, "%d failures" % bad)
+        rep.record("commutator:%d-random-cases" % _MODULE_ALGEBRA_CASES, bad == 0, "%d failures" % bad)
         # (c) involution compatibility on generators
         for i in range(1, n + 1):
             for k in range(-n, n + 1):

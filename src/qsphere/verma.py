@@ -13,10 +13,11 @@ of two coefficient rings -- generic Laurent numerators, or numerators in v
 alone for the specialized mode -- and the single engine (``_step`` driven by
 ``_evaluate``) runs unchanged over either: every coefficient enters the ring
 once, through the ring's ``hom``, after each side's denominators are cleared,
-and one walk over a trie of the left words evaluates a whole pairing.  A
-numeric point is no mode: the irreducibility ranks evaluate integer Gram
-slices at it, each filled level by level from the Grams of the weights one
-lowering letter up.
+and one walk over a trie of the left words evaluates a whole pairing, after
+a height check has dropped the left words that reach the vacuum against no
+right word.  A numeric point is no mode: the irreducibility ranks evaluate
+integer Gram slices at it, each filled level by level from the Grams of the
+weights one lowering letter up.
 
 Equality in the enveloping algebra and in the module is *never* decided by
 rewriting: an element is declared zero exactly when it pairs to zero with a
@@ -38,6 +39,7 @@ from .scalars import (
     G0,
     G1,
     PONE,
+    PZERO,
     QQI_ZERO,
     ONE,
     ZERO,
@@ -49,11 +51,11 @@ from .scalars import (
     _mono_neg,
     _spec_poly_sigma,
     _strip,
+    padd,
     peval_qqi,
     pmul,
     qqi_inv,
     qqi_mul,
-    qqi_pow,
 )
 from .words import AlgElt, alpha_vec, antipode, cartan_pairing, root_vector
 
@@ -61,9 +63,9 @@ _QDIFF = {(2,): G1, (-2,): (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
 
 # A coefficient ring of the engine (``_PolyRing`` on dicts, ``_PackedRing``
 # on packed ints) provides: ``zero``, its one zero value; ``mul``;
-# ``iadd(acc, key, val)``, adding val into acc[key]; ``hom``, the image of a
-# generic Laurent polynomial; and ``poly``, the Laurent polynomial of a
-# value.  Every coefficient enters the ring through ``hom``.
+# ``iadd(acc, key, val)``, setting acc[key] to acc[key] + val; ``hom``, the
+# image of a generic Laurent polynomial; and ``poly``, the Laurent
+# polynomial of a value.  Every coefficient enters the ring through ``hom``.
 
 
 class _PolyRing:
@@ -80,18 +82,7 @@ class _PolyRing:
 
     @staticmethod
     def iadd(acc, key, val):
-        """acc[key] += val in place; val itself is never retained."""
-        s = acc.get(key)
-        if s is None:
-            acc[key] = dict(val)
-            return
-        for k, g in val.items():
-            sg = s.get(k)
-            sg = g if sg is None else (sg[0] + g[0], sg[1] + g[1])
-            if sg == (0, 0):
-                s.pop(k, None)
-            else:
-                s[k] = sg
+        acc[key] = padd(acc.get(key, PZERO), val)
 
 
 # A packed value (lo, re, im, l1, w) is the Laurent polynomial in v whose
@@ -219,7 +210,7 @@ class EvalContext:
         self._kfactor_cache: dict = {}
         self._rank_gate: dict = {}
         self._spans: dict = {}
-        self._int_points: dict = {}  # v0 -> (point, c_max, d, z, 1/(q - q^{-1}), tables, scales)
+        self._int_points: dict = {}  # v0 -> (point, 1/(q - q^{-1}) there, values, tables, scales)
 
     def ecoef(self, i: int, a: int):
         """Coefficient created when a raising letter consumes a matching
@@ -252,41 +243,34 @@ class EvalContext:
         once per point).  A step on words of length l only meets ecoef(i, a)
         with |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as a
         gains one Cartan entry per tail letter.  Level l maps i to {a: e(i, a)
-        * s_l} over the nonzero values, where e(i, a) is the ring's ecoef
-        numerator evaluated at v0 and divided by q - q^{-1} there, and s_l
-        is the lcm of their denominators; a pairing of length-k words built
-        from these Gaussian integers is the true value times P_k = s_1 ... s_k."""
+        * s_l} over the nonzero numerators, where e(i, a), kept once per
+        point, is the ring's ecoef numerator evaluated at v0 and divided by
+        q - q^{-1} there, and s_l is the lcm of their denominators; a pairing
+        of length-k words built from these Gaussian integers is the true
+        value times P_k = s_1 ... s_k."""
         point = self._int_points.get(v0)
         if point is None:
             if self.mode.kind != "specialized":
                 raise ValueError("integer tables need the specialized weight")
             pt = SpecMode.numeric(v0).v0
-            cmax = max(abs(c) for row in self.cart[1:] for c in row[1:])
-            d = lcm(pt[0].denominator, pt[1].denominator)
-            z = (int(pt[0] * d), int(pt[1] * d))  # v0 = z / d
             inv_qdiff = qqi_inv(peval_qqi(_QDIFF, pt))  # 1/(q - q^{-1}) at v0
-            point = self._int_points[v0] = (pt, cmax, d, z, inv_qdiff, [None], [1])
-        v0, cmax, d, z, inv_qdiff, tables, scales = point
+            point = self._int_points[v0] = (pt, inv_qdiff, {}, [None], [1])
+        pt, inv_qdiff, values, tables, scales = point
+        cmax = max(abs(c) for row in self.cart[1:] for c in row[1:])
         while len(tables) <= k:
-            span = range(-cmax * (len(tables) - 1), cmax * (len(tables) - 1) + 1)
-            vals = [(i, a, _slots(e)) for i in range(1, self.n + 1) for a in span if (e := self.ecoef(i, a))]
-            lo = min(sl[0] for _i, _a, sl in vals)
-            top = max(sl[0] + len(sl[1]) for _i, _a, sl in vals) - lo - 1
-            # v0^(lo+j) = pw[j] * v0^lo / d^top with pw[j] = z^j d^(top-j) in
-            # Z[i]; g = v0^lo / d^top / (q - q^{-1}) is common to the level
-            pw = [G1]
-            for _ in range(top):
-                pw.append(_gmul(pw[-1], z))
-            pw = [(x * d ** (top - j), y * d ** (top - j)) for j, (x, y) in enumerate(pw)]
-            g = qqi_mul(qqi_pow(v0, lo), (inv_qdiff[0] / d**top, inv_qdiff[1] / d**top))
-            for idx, (i, a, (elo, re, im, _l1)) in enumerate(vals):
-                terms = [_gmul(c, p) for c, p in zip(zip(re, im), pw[elo - lo :])]
-                vals[idx] = (i, a, qqi_mul((sum(t[0] for t in terms), sum(t[1] for t in terms)), g))
-            s = lcm(*(x.denominator for _i, _a, val in vals for x in val))
-            table = [None] + [{} for _ in range(self.n)]
-            for i, a, val in vals:
-                table[i][a] = (int(val[0] * s), int(val[1] * s))
-            tables.append(table)
+            top = cmax * (len(tables) - 1)
+            level = [None] + [{} for _ in range(self.n)]
+            for i in range(1, self.n + 1):
+                for a in range(-top, top + 1):
+                    key = i, a
+                    if key not in values:  # None for a zero numerator
+                        e = self.ecoef(i, a)
+                        values[key] = e and qqi_mul(peval_qqi(self.ring.poly(e), pt), inv_qdiff)
+                    if values[key] is not None:
+                        level[i][a] = values[key]
+            s = lcm(*(x.denominator for row in level[1:] for val in row.values() for x in val))
+            scaled = [{a: (int(re * s), int(im * s)) for a, (re, im) in row.items()} for row in level[1:]]
+            tables.append([None] + scaled)
             scales.append(scales[-1] * s)
         return tables, scales[k]
 
@@ -335,17 +319,15 @@ def _step(state, token, ctx):
 
 def _build_trie(terms, iadd):
     """Prefix trie over token words, each word's ring value summed into its
-    end node's "end"; per node, "d" is the largest number of raising letters
-    remaining below it (for state pruning)."""
-    root: dict = {"d": 0}
+    end node's "end"; a node holds only its children, keyed by token, and
+    "end"."""
+    root: dict = {}
     for w, c in terms:
-        node, d = root, sum(token[0] == "e" for token in w)
+        node = root
         for token in w:
-            node["d"] = max(node["d"], d)
-            d -= token[0] == "e"
             nxt = node.get(token)
             if nxt is None:
-                nxt = node[token] = {"d": 0}
+                nxt = node[token] = {}
             node = nxt
         iadd(node, "end", c)
     return root
@@ -354,9 +336,7 @@ def _build_trie(terms, iadd):
 def _walk(node, state, p, ctx, acc):
     """Add into acc[p'] the vacuum part of the state reached at each word end
     below node, times the end's value, where p' counts the word's raising
-    letters (p of them lie above node).  A state word longer than the
-    number of raising letters left below a node can never reach the vacuum
-    (a lowering letter only lengthens it), so it is pruned."""
+    letters (p of them lie above node)."""
     ring = ctx.ring
     end = node.get("end")
     if end is not None:
@@ -364,15 +344,10 @@ def _walk(node, state, p, ctx, acc):
         if val is not None:
             ring.iadd(acc, p, ring.mul(val, end))
     for token, child in node.items():
-        if token == "d" or token == "end":
+        if token == "end":
             continue
         ns = _step(state, token, ctx)
         if ns:
-            md = child["d"]
-            if md < max(len(w) for w in ns):
-                ns = {w: c for w, c in ns.items() if len(w) <= md}
-                if not ns:
-                    continue
             _walk(child, ns, p + (token[0] == "e"), ctx, acc)
 
 
@@ -390,13 +365,20 @@ def _evaluate(left, right, ctx: EvalContext) -> Scalar:
     """Sum of c * d * <u w> over left terms (u, c) and right terms (w, d).
 
     Each u is a token word in processing order (right to left); each w is a
-    lowering index word standing on the vacuum.  Each side's coefficients
-    enter the ring once, cleared of their denominators: the right ones as
-    the initial state, the left ones at the ends of a prefix trie, over
-    which one walk shares the states of common prefixes.  The raising
-    letters' factors 1/(q - q^{-1}) are kept aside as the count p that keys
-    the accumulator, and restored with the cleared denominators at the end.
+    lowering index word standing on the vacuum.  A raising letter shortens
+    a state word by one and a lowering letter lengthens it, so only the u
+    whose raising letters outnumber their lowering ones by some len(w) are
+    kept.  Each side's coefficients enter the ring once, cleared of their
+    denominators: the right ones as the initial state, the left ones at the
+    ends of a prefix trie, over which one walk shares the states of common
+    prefixes.  The raising letters' factors 1/(q - q^{-1}) are kept aside as
+    the count p that keys the accumulator, and restored with the cleared
+    denominators at the end.
     """
+    lengths = {len(w) for w, _d in right}
+    left = [(u, c) for u, c in left if sum((t[0] == "e") - (t[0] == "f") for t in u) in lengths]
+    if not left:
+        return ZERO
     ring = ctx.ring
     right, rden = _cleared(right, ring.hom)
     left, lden = _cleared(left, ring.hom)
@@ -466,9 +448,7 @@ def pair_left(left, y: AlgElt, ctx: EvalContext) -> Scalar:
     return _evaluate(left, yt, ctx)
 
 
-def shapovalov(x: AlgElt, y: AlgElt, ctx: EvalContext) -> Scalar:
-    """The contravariant form <omega(x) y> on lowering elements."""
-    return pair_lowering(x, y, ctx)
+shapovalov = pair_lowering  # the contravariant form <omega(x) y> on lowering elements
 
 
 def invariant_form(x: AlgElt, y: AlgElt, ctx: EvalContext) -> Scalar:
@@ -796,14 +776,14 @@ def is_zero_in_M(x: AlgElt, ctx: EvalContext) -> bool:
     return True
 
 
-def is_zero_generic(x: AlgElt, ctx: EvalContext, limit: int = 400) -> bool:
+def is_zero_generic(x: AlgElt, ctx: EvalContext) -> bool:
     """Zero test in the negative half at a fully generic weight: the element
     must pair to zero with every lowering word of its weight."""
     if ctx.mode.kind != "generic":
         raise ValueError("generic mode required")
     if x.is_zero():
         return True
-    for w in fwords_of_weight(x.weight(ctx.n), ctx.n, limit=limit):
+    for w in fwords_of_weight(x.weight(ctx.n), ctx.n):
         if not shapovalov(fword_elt(w), x, ctx).is_zero():
             return False
     return True

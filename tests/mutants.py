@@ -107,11 +107,28 @@ MUTANTS = [
         ["tests/test_engine_properties.py"],
     ),
     (
-        "engine-trie-depth-one-letter-short",
+        # a lowering letter on the left lengthens the state word: counting
+        # raising letters alone drops words that reach the vacuum
+        "engine-height-check-counts-only-raising-letters",
         "src/qsphere/verma.py",
-        "        node, d = root, sum(token[0] == \"e\" for token in w)\n",
-        "        node, d = root, sum(token[0] == \"e\" for token in w) - 1\n",
+        "if sum((t[0] == \"e\") - (t[0] == \"f\") for t in u) in lengths]\n",
+        "if sum(t[0] == \"e\" for t in u) in lengths]\n",
         ["tests/test_engine_properties.py"],
+    ),
+    (
+        "generic-ring-iadd-overwrites-instead-of-adding",
+        "src/qsphere/verma.py",
+        "        acc[key] = padd(acc.get(key, PZERO), val)\n",
+        "        acc[key] = val\n",
+        ["tests/test_engine_properties.py"],
+    ),
+    (
+        # every index i reads the value of the first i met at its a
+        "int-levels-memo-keyed-by-a-alone",
+        "src/qsphere/verma.py",
+        "                    key = i, a\n",
+        "                    key = a\n",
+        ["tests/test_integer_gram.py"],
     ),
 ]
 

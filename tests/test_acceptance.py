@@ -61,11 +61,11 @@ def test_criterion_04_inverse_tensor():
 
 def test_criterion_05_bracket_lemma():
     reps = [
-        verify_xyz(3, triples=120, seed=2024),
-        verify_xyz(4, triples=0, seed=2024),
+        verify_xyz(3),
+        verify_xyz(4),
     ]
     # at least 100 random bracket-identity triples are required overall
-    _gate(5, "bracket-lemma", reps, extra_ok=True, extra_msg=" (120 random triples)")
+    _gate(5, "bracket-lemma", reps, extra_ok=True, extra_msg=" (120 random triples per rank)")
 
 
 def test_criterion_06_radical_soundness():
@@ -100,5 +100,5 @@ def test_criterion_09_star_product():
 
 
 def test_criterion_10_module_algebra():
-    reps = [verify_module_algebra(2, cases=200, seed=5)]
+    reps = [verify_module_algebra(2)]
     _gate(10, "module-algebra", reps)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsphere import verma
-from qsphere.scalars import ONE, Scalar, SpecMode, _spec_poly_sigma, _strip, scalar_to_qqi, specialize
+from qsphere.scalars import ONE, ZERO, Scalar, SpecMode, _spec_poly_sigma, _strip, scalar_to_qqi, specialize
 from qsphere.verma import (
     EvalContext,
     _pack_poly,
@@ -97,6 +97,47 @@ def test_pair_lowering_is_vacuum_of_the_product(n):
     def check(x, y):
         for ctx in contexts:
             assert pair_lowering(x, y, ctx) == vacuum_eval(omega(x) * y, ctx), ctx.mode
+
+    check()
+
+
+@st.composite
+def engine_pairings(draw, n):
+    """Left terms (free word, coefficient) and right terms (lowering word,
+    coefficient) of one pairing.  The right words repeat their letters, so
+    that a raising letter meets two equal slots and the state's sums
+    collide.  Each left word shuffles the raising letters of some right
+    word around a random free word of raising, lowering and Cartan letters,
+    so the heights are mixed and many words reach the vacuum."""
+    right = draw(st.lists(st.lists(st.integers(1, 2), max_size=3).map(tuple), min_size=2, max_size=3, unique=True))
+    left = []
+    for _ in range(draw(st.integers(2, 3))):
+        word = [("e", j) for j in draw(st.permutations(draw(st.sampled_from(right))))]
+        at = draw(st.integers(0, len(word)))
+        word[at:at] = draw(free_words(n, 3))
+        left.append((tuple(word), draw(COEFFS)))
+    return left, [(w, draw(COEFFS)) for w in right]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pairing_of_multi_term_elements_is_the_termwise_reference(n):
+    """The engine's pairing of multi-term elements against the sum of the
+    reference values of every pair of terms: a filter or a sum that drops a
+    pair reaching the vacuum changes the value."""
+    generic = EvalContext(n, SpecMode.generic())
+    contexts = [EvalContext(n, mode) for mode in MODES]
+
+    @PROPERTY
+    @given(engine_pairings(n))
+    def check(case):
+        left, right = case
+        want = sum(
+            (c * d * reference_vacuum(u + tuple(("f", j) for j in w), generic) for u, c in left for w, d in right),
+            ZERO,
+        )
+        engine_left = [(tuple(reversed(u)), c) for u, c in left]
+        for ctx in contexts:
+            assert verma._evaluate(engine_left, right, ctx) == specialize(want, ctx.mode), (left, right, ctx.mode)
 
     check()
 

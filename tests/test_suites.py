@@ -168,7 +168,7 @@ def test_normalizer_reuses_the_ladder_gates_of_span(monkeypatch):
 
 
 def test_xyz_suite_counts():
-    rep = verify_xyz(3, triples=30, seed=1)
+    rep = verify_xyz(3)
     assert rep.passed
     names = [c.name for c in rep.checks]
     assert any(n.startswith("bracket-identity") for n in names)
@@ -176,7 +176,7 @@ def test_xyz_suite_counts():
 
 
 def test_module_algebra_suite_small():
-    rep = verify_module_algebra(2, cases=40, seed=3)
+    rep = verify_module_algebra(2)
     assert rep.passed
 
 
