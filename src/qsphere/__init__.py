@@ -9,7 +9,7 @@ desk scale.  Entry points: the `qsphere` command line and the suite
 functions in `qsphere.suites`.
 """
 
-from .scalars import Scalar, SpecMode, qfact, qnum, specialize, theta
+from .scalars import Scalar, SpecMode, qfact, qnum, theta
 from .words import AlgElt, omega, antipode, qbracket, root_vector, weight_of
 from .verma import (
     EvalContext,
@@ -28,7 +28,6 @@ __all__ = [
     "SpecMode",
     "qfact",
     "qnum",
-    "specialize",
     "theta",
     "AlgElt",
     "omega",

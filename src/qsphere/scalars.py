@@ -1,23 +1,21 @@
-"""Exact arithmetic in the coefficient ring of the engine.
+"""Exact arithmetic in the coefficient field of the engine.
 
 The paper works in K = Frac( Z[i][ v^{+-1}, L_1^{+-1}, ..., L_n^{+-1} ] ),
 where v is a formal square root of the deformation parameter q and L_j is
 the Cartan eigenvalue symbol attached to the j-th orthogonal weight
-coordinate.  Adjoining the imaginary unit makes the distinguished weight
-(L_j^2 = -q^{-1}) exactly representable: under the specialization map the
-symbols become L_j = sigma*i*v^{-1} with a branch sign sigma = +-1.
+coordinate.  Every check that needs a weight is made at the distinguished
+one, L_j^2 = -q^{-1}: on the branch sigma = +-1 every symbol takes the value
+L_j = sigma*i*v^{-1} (``weight_symbol``), which adjoining the imaginary
+unit makes exactly representable.  Membership in the ideal of the Serre
+relations needs no weight at all (Kashiwara's form, in ``verma``), so the
+values that occur lie in Q(i)(v) and no L_j is ever stored.
 
-Every value the engine forms divides only by polynomials in v, and an
-L-monomial is a unit, so a Scalar is stored as a reduced fraction whose
-numerator is a Laurent polynomial in v and the L_j and whose denominator is
-a polynomial in v with a nonzero constant term: v-powers and L-monomials
-live in the numerator, and dividing by anything else raises
-ArithmeticError.  The canonical form is fixed, so equality is literal
-equality of the stored data.  Monomials are exponent tuples with index 0
-the power of v and index j >= 1 the power of L_j; trailing zeros are
-stripped, which lets scalars built for different ranks interoperate.
-Coefficients are Gaussian integers stored as (real, imag) pairs of Python
-ints.
+A Scalar is a reduced fraction whose numerator is a Laurent polynomial in v
+and whose denominator is a polynomial in v with a nonzero constant term:
+v-powers live in the numerator.  Polynomials are dicts from integer
+exponents to coefficients, and coefficients are Gaussian integers stored as
+(real, imag) pairs of Python ints.  The canonical form is fixed, so equality
+is literal equality of the stored data.
 """
 
 from __future__ import annotations
@@ -96,34 +94,10 @@ def _gdiv_exact(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials: dict {exponent tuple: Gaussian coefficient}
+# Laurent polynomials in v: dict {integer exponent: Gaussian coefficient}
 # ---------------------------------------------------------------------------
 
-PZERO: dict = {}
-PONE = {(): G1}
-
-
-def _strip(k):
-    while k and k[-1] == 0:
-        k = k[:-1]
-    return k
-
-
-def _mono_mul(k1, k2):
-    if not k1:
-        return k2
-    if not k2:
-        return k1
-    if len(k1) < len(k2):
-        k1, k2 = k2, k1
-    out = list(k1)
-    for idx, e in enumerate(k2):
-        out[idx] += e
-    return _strip(tuple(out))
-
-
-def _mono_neg(k):
-    return tuple(-e for e in k)
+PONE = {0: G1}
 
 
 def padd(p, r):
@@ -152,15 +126,13 @@ def pmul(p, r):
         p, r = r, p
     if len(p) == 1:
         (k1, c1), = p.items()
-        if k1 == ():
-            if c1 == G1:
-                return dict(r)
-            return {k: _gmul(c1, c) for k, c in r.items()}
-        return {_mono_mul(k1, k): _gmul(c1, c) for k, c in r.items()}
+        if k1 == 0 and c1 == G1:
+            return dict(r)
+        return {k1 + k: _gmul(c1, c) for k, c in r.items()}
     out: dict = {}
     for k1, c1 in p.items():
         for k2, c2 in r.items():
-            k = _mono_mul(k1, k2)
+            k = k1 + k2
             s = _gadd(out.get(k, G0), _gmul(c1, c2))
             if s == G0:
                 out.pop(k, None)
@@ -177,37 +149,8 @@ def pscale(p, g):
     return {k: _gmul(g, c) for k, c in p.items()}
 
 
-def _nvars(*polys):
-    nv = 0
-    for p in polys:
-        for k in p:
-            if len(k) > nv:
-                nv = len(k)
-    return nv
-
-
-def _okey(k, nv):
-    return k + (0,) * (nv - len(k))
-
-
-def _min_exps(p):
-    nv = _nvars(p)
-    if nv == 0:
-        return ()
-    mins = [None] * nv
-    for k in p:
-        kk = _okey(k, nv)
-        for idx in range(nv):
-            e = kk[idx]
-            if mins[idx] is None or e < mins[idx]:
-                mins[idx] = e
-    return _strip(tuple(x if x is not None else 0 for x in mins))
-
-
-def _mshift(p, delta):
-    if not delta:
-        return dict(p)
-    return {_mono_mul(k, delta): c for k, c in p.items()}
+def _pshift(p, e):
+    return {k + e: c for k, c in p.items()} if e else dict(p)
 
 
 def _gcontent(p):
@@ -219,7 +162,7 @@ def _gcontent(p):
     return g
 
 
-# ---- polynomials in v alone: dict {exponent >= 0: Gaussian coefficient} ---
+# ---- gcd and exact division of polynomials in v (exponents >= 0) ----------
 
 def _gprim(p):
     """Divide by Gaussian content, normalize sign of the content."""
@@ -293,52 +236,29 @@ def _canonical_pair(num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, dict(PONE)
-    mn = _min_exps(num)
-    md = _min_exps(den)
-    npoly = _mshift(num, _mono_neg(mn)) if mn else dict(num)
-    dpoly = _mshift(den, _mono_neg(md)) if md else dict(den)
-    if any(len(k) > 1 for k in dpoly):
-        raise ArithmeticError("denominator is not a polynomial in v times an L-monomial")
+    mn, md = min(num), min(den)
+    npoly, dpoly = _pshift(num, -mn), _pshift(den, -md)
     if len(dpoly) > 1:
-        # a factor of a v-polynomial is one, so it divides num exactly when
-        # it divides the v-polynomial of each L-monomial of num
-        parts: dict = {}
-        for k, c in npoly.items():
-            parts.setdefault(k[1:], {})[k[0] if k else 0] = c
-        g = d = {(k[0] if k else 0): c for k, c in dpoly.items()}
-        for part in parts.values():
-            g = _pgcd_uni(g, part)
-            if len(g) == 1:
-                break
+        g = _pgcd_uni(dpoly, npoly)
         if len(g) > 1:
-            npoly = {
-                ((e,) + lk if e or lk else ()): c
-                for lk, part in parts.items()
-                for e, c in _pdiv_uni(part, g).items()
-            }
-            dpoly = {((e,) if e else ()): c for e, c in _pdiv_uni(d, g).items()}
+            npoly, dpoly = _pdiv_uni(npoly, g), _pdiv_uni(dpoly, g)
     gc = _ggcd(_gcontent(npoly), _gcontent(dpoly))
     if gc != G1:
         npoly = {k: _gdiv_exact(c, gc) for k, c in npoly.items()}
         dpoly = {k: _gdiv_exact(c, gc) for k, c in dpoly.items()}
-    # keys are () and (e,) with e > 0, so the largest is the leading term
     u = _gunit_for(dpoly[max(dpoly)])
     if u != G1:
         npoly = pscale(npoly, u)
         dpoly = pscale(dpoly, u)
-    shift = _mono_mul(mn, _mono_neg(md)) if (mn or md) else ()
-    if shift:
-        npoly = _mshift(npoly, shift)
-    return npoly, dpoly
+    return _pshift(npoly, mn - md), dpoly
 
 
 class Scalar:
     """An element of the exact coefficient ring, in reduced canonical form.
 
-    ``num`` is a Laurent polynomial in v and the L_j; ``den`` is a
-    polynomial in v with a nonzero constant term, its leading coefficient
-    in the quadrant re > 0, im >= 0, and coprime to ``num``.  v-powers and
-    L-monomials live in the numerator.
+    ``num`` is a Laurent polynomial in v; ``den`` is a polynomial in v with
+    a nonzero constant term, its leading coefficient in the quadrant re > 0,
+    im >= 0, and coprime to ``num``.  v-powers live in the numerator.
     """
 
     __slots__ = ("num", "den", "_key")
@@ -360,20 +280,11 @@ class Scalar:
 
     @staticmethod
     def gauss(re: int, im: int) -> "Scalar":
-        return Scalar({(): (re, im)} if re or im else {}, dict(PONE), _canonical=True)
+        return Scalar({0: (re, im)} if re or im else {}, dict(PONE), _canonical=True)
 
     @staticmethod
     def v_power(k: int) -> "Scalar":
-        return Scalar({(k,) if k else (): G1}, dict(PONE), _canonical=True)
-
-    @staticmethod
-    def L_power(j: int, k: int) -> "Scalar":
-        if j < 1:
-            raise ValueError("L-symbol index starts at 1")
-        if k == 0:
-            return ONE
-        mono = (0,) * j + (k,)
-        return Scalar({mono: G1}, dict(PONE), _canonical=True)
+        return Scalar({k: G1}, dict(PONE), _canonical=True)
 
     # -- structure -----------------------------------------------------------
 
@@ -497,28 +408,15 @@ def _gauss_str(c):
 
 
 def _poly_str(p, bare=False):
-    nv = _nvars(p)
-    keys = sorted(p, key=lambda t: _okey(t, nv), reverse=True)
     parts = []
-    for k in keys:
-        c = p[k]
-        factors = []
-        kk = _okey(k, nv)
-        if nv >= 1 and kk[0]:
-            factors.append("v^%d" % kk[0])
-        for j in range(1, nv):
-            if kk[j]:
-                factors.append("L%d^%d" % (j, kk[j]))
-        cs = _gauss_str(c)
-        if factors:
-            if cs == "1":
-                term = " ".join(factors)
-            elif cs == "-1":
-                term = "-" + " ".join(factors)
-            else:
-                term = cs + " " + " ".join(factors)
-        else:
+    for e in sorted(p, reverse=True):
+        cs = _gauss_str(p[e])
+        if not e:
             term = cs
+        elif cs in ("1", "-1"):
+            term = cs[:-1] + "v^%d" % e
+        else:
+            term = "%s v^%d" % (cs, e)
         parts.append(term)
     out = parts[0]
     for t in parts[1:]:
@@ -531,7 +429,12 @@ def _poly_str(p, bare=False):
 ZERO = Scalar.integer(0)
 ONE = Scalar.integer(1)
 I_UNIT = Scalar.gauss(0, 1)
-V = Scalar.v_power(1)
+
+
+def weight_symbol(sigma: int, k: int = 1) -> Scalar:
+    """(sigma*i*v^{-1})^k, where sigma*i*v^{-1} is the value of every L_j at
+    the distinguished weight on the branch sigma, a square root of -q^{-1}."""
+    return Scalar({-k: _UNITS[sigma * k % 4]}, dict(PONE), _canonical=True)
 
 
 def theta() -> Scalar:
@@ -540,7 +443,7 @@ def theta() -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Specialization modes
+# Gaussian rationals, engine modes and numeric points
 # ---------------------------------------------------------------------------
 
 def qqi(re=0, im=0):
@@ -585,13 +488,14 @@ QQI_ONE = qqi(1)
 
 @dataclass(frozen=True)
 class SpecMode:
-    """Which specialization is applied to the symbols L_j (and optionally v).
+    """Which form the engine evaluates, or where a scalar is evaluated.
 
-    kind is one of "generic", "specialized", "numeric".  In specialized and
-    numeric modes all L_j are sent to sigma*i*v^{-1}; numeric mode further
-    evaluates v at a Gaussian rational v0, nonzero and no root of unity: a
-    point for ``scalar_to_qqi`` alone, neither a ``specialize`` target nor
-    an engine mode (``EvalContext``).
+    kind is one of "kashiwara", "specialized", "numeric".  A specialized
+    mode is the distinguished weight on the branch sigma, where every L_j is
+    ``weight_symbol(sigma)``; "kashiwara" is Kashiwara's form on the
+    lowering half, which needs no weight (``verma.EvalContext``).  A numeric
+    mode is a Gaussian rational point v0, nonzero and no root of unity, for
+    ``scalar_to_qqi`` alone, not an engine mode.
     """
 
     kind: str
@@ -599,8 +503,8 @@ class SpecMode:
     v0: tuple = None
 
     @staticmethod
-    def generic() -> "SpecMode":
-        return SpecMode("generic")
+    def kashiwara() -> "SpecMode":
+        return SpecMode("kashiwara")
 
     @staticmethod
     def specialized(sigma: int = 1) -> "SpecMode":
@@ -609,9 +513,7 @@ class SpecMode:
         return SpecMode("specialized", sigma)
 
     @staticmethod
-    def numeric(v0, sigma: int = 1) -> "SpecMode":
-        if sigma not in (1, -1):
-            raise ValueError("branch sign must be +1 or -1")
+    def numeric(v0) -> "SpecMode":
         if not isinstance(v0, tuple):
             v0 = qqi(Fraction(v0), 0)
         else:
@@ -621,56 +523,15 @@ class SpecMode:
         # the roots of unity in Q(i) are the four units
         if v0 in _UNITS:
             raise ValueError("v0 must not be a root of unity")
-        return SpecMode("numeric", sigma, v0)
+        return SpecMode("numeric", v0=v0)
 
 
-def _spec_mono_sigma(k, sigma):
-    """Image of a monomial under L_j -> sigma*i*v^{-1}: (new v-exp, unit)."""
-    lsum = sum(k[1:]) if len(k) > 1 else 0
-    vexp = (k[0] if k else 0) - lsum
-    r = lsum % 4
-    unit = _UNITS[r]  # i^r
-    if sigma < 0 and lsum % 2:
-        unit = _gneg(unit)
-    return vexp, unit
-
-
-def _spec_poly_sigma(p, sigma):
-    out: dict = {}
-    for k, c in p.items():
-        vexp, unit = _spec_mono_sigma(k, sigma)
-        key = (vexp,) if vexp else ()
-        s = _gadd(out.get(key, G0), _gmul(c, unit))
-        if s == G0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
-
-
-def peval_qqi(p, v0, lvals=None):
-    """Evaluate a Laurent polynomial at v = v0 (and L_j = lvals[j-1])."""
+def peval_qqi(p, v0):
+    """Evaluate a Laurent polynomial in v at v = v0."""
     acc = QQI_ZERO
-    for k, c in p.items():
-        term = qqi_pow(v0, k[0] if k else 0)
-        if len(k) > 1:
-            if lvals is None:
-                raise ValueError("polynomial has L-symbols but no L-values given")
-            for j in range(1, len(k)):
-                if k[j]:
-                    term = qqi_mul(term, qqi_pow(lvals[j - 1], k[j]))
-        acc = qqi_add(acc, qqi_mul(term, (Fraction(c[0]), Fraction(c[1]))))
+    for e, c in p.items():
+        acc = qqi_add(acc, qqi_mul(qqi_pow(v0, e), (Fraction(c[0]), Fraction(c[1]))))
     return acc
-
-
-def specialize(s: Scalar, mode: SpecMode) -> Scalar:
-    """Apply the mode's ring homomorphism and re-canonicalize."""
-    if mode.kind == "generic":
-        return s
-    if mode.kind != "specialized":
-        raise ValueError("a numeric point is an evaluation: use scalar_to_qqi")
-    # the denominator is a polynomial in v, which the map fixes
-    return Scalar(_spec_poly_sigma(s.num, mode.sigma), s.den)
 
 
 def scalar_to_qqi(s: Scalar, mode: SpecMode):
@@ -680,7 +541,7 @@ def scalar_to_qqi(s: Scalar, mode: SpecMode):
     dv = peval_qqi(s.den, mode.v0)
     if dv == QQI_ZERO:
         raise ZeroDivisionError("denominator vanishes at the numeric point")
-    return qqi_mul(peval_qqi(_spec_poly_sigma(s.num, mode.sigma), mode.v0), qqi_inv(dv))
+    return qqi_mul(peval_qqi(s.num, mode.v0), qqi_inv(dv))
 
 
 # ---------------------------------------------------------------------------

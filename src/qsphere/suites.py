@@ -45,8 +45,8 @@ from .scalars import (
     qqi,
     qqi_inv,
     qqi_mul,
-    specialize,
     theta,
+    weight_symbol,
 )
 from .words import AlgElt, acc_add, alpha_vec, omega, qbracket, root_vector
 from .verma import (
@@ -59,8 +59,8 @@ from .verma import (
     fword_elt,
     fwords_of_weight,
     invariant_form,
-    is_zero_generic,
     is_zero_in_M,
+    is_zero_in_U,
     pair_lowering,
     rank_at,
     shapovalov,
@@ -143,14 +143,13 @@ def _epart_plain(k, n) -> AlgElt:
     return out
 
 
-def _factorization_rhs(m, mode) -> Scalar:
+def _factorization_rhs(m, sigma) -> Scalar:
     out = ONE
     thinv = ONE / theta()
-    for i, mi in enumerate(m, start=1):
+    for mi in m:
         if mi == 0:
             continue
-        lpow = specialize(Scalar.L_power(i, -mi), mode)
-        out = out * qfact(mi) * thinv ** mi * lpow * Scalar.v_power(-mi)
+        out = out * qfact(mi) * thinv ** mi * weight_symbol(sigma, -mi) * Scalar.v_power(-mi)
         if mi % 2:
             out = -out
     return out
@@ -166,7 +165,7 @@ def verify_factorization(n=2, max_deg=4, session=None) -> VerificationReport:
                 eomega = omega(_epart_plain(k, n))
                 for m, b in monomials:
                     lhs = pair_lowering(eomega, b, ctx)
-                    rhs = _factorization_rhs(m, ctx.mode) if k == m else ZERO
+                    rhs = _factorization_rhs(m, ctx.mode.sigma) if k == m else ZERO
                     name = "k=%s,m=%s" % (list(k), list(m))
                     record(name, lhs == rhs, "lhs=%s rhs=%s" % (lhs, rhs))
     return rep
@@ -179,8 +178,8 @@ def verify_harish(n=2, max_deg=4, session=None) -> VerificationReport:
     with _run("harish", params, "specialized(sigma=both)", session) as (rep, session):
         half = Fraction(1, 2)
         for ctx, record in _branches(rep, n, session):
+            shift = weight_symbol(ctx.mode.sigma)
             for i in range(1, n + 1):
-                shift = specialize(Scalar.L_power(i, 1), ctx.mode)
                 e_i = root_vector("e_eps", i, n)
                 f_i = root_vector("f_eps", i, n)
                 for m in range(max_deg + 1):
@@ -191,7 +190,7 @@ def verify_harish(n=2, max_deg=4, session=None) -> VerificationReport:
                     for l in range(m):
                         prod = prod * qnum(-l * half, shift=shift)
                     m_ei = [m if j == i else 0 for j in range(1, n + 1)]
-                    closed = _factorization_rhs(m_ei, ctx.mode)
+                    closed = _factorization_rhs(m_ei, ctx.mode.sigma)
                     ok = engine == prod == closed
                     record(
                         "i=%d,m=%d" % (i, m),
@@ -225,8 +224,8 @@ def serre_elements(n):
 
 def verify_serre_radical(n=2, weight_bound=5, session=None) -> VerificationReport:
     params = {"n": n, "weight_bound": weight_bound}
-    with _run("serre-radical", params, "generic", session) as (rep, session):
-        ctx = session.context(n, SpecMode.generic())
+    with _run("serre-radical", params, "kashiwara", session) as (rep, session):
+        ctx = session.context(n, SpecMode.kashiwara())
         for label, s in serre_elements(n):
             ht = len(next(iter(s.terms)))
             max_tail = weight_bound - ht
@@ -235,11 +234,11 @@ def verify_serre_radical(n=2, weight_bound=5, session=None) -> VerificationRepor
                 tails.extend(_all_words(n, tlen))
             for t in tails:
                 x = s * fword_elt(t) if t else s
-                ok = is_zero_generic(x, ctx)
+                ok = is_zero_in_U(x, ctx)
                 rep.record(
                     "%s,tail=%s" % (label, list(t)),
                     ok,
-                    "element does not pair to zero generically",
+                    "element does not pair to zero under Kashiwara's form",
                 )
     return rep
 
@@ -260,9 +259,10 @@ class Session:
 
     ``verdicts`` maps (suite, sorted params) to whether that gate
     suite's report passed.  ``contexts`` holds one ``EvalContext`` per
-    (rank, mode), generic or specialized, with integer tables per numeric
-    point; they and its ladder-gate verdicts depend on nothing else, so
-    suites that share a context get the results they would get alone.
+    (rank, mode), Kashiwara's form or a specialized weight, with integer
+    tables per numeric point; they and its ladder-gate verdicts depend on
+    nothing else, so suites that share a context get the results they would
+    get alone.
     """
 
     def __init__(self):
@@ -341,7 +341,7 @@ def verify_span(n=2, max_deg=4, session=None) -> VerificationReport:
 
 
 def verify_normalizer(n=2, max_deg=4, session=None) -> VerificationReport:
-    params = {"n": n, "max_deg": max_deg, "m_cap": n}
+    params = {"n": n, "max_deg": max_deg}
     with _run("normalizer", params, "specialized(sigma=both)", session) as (rep, session):
         # a generator of the deformed-isotropy column j annihilates basis
         # tails supported on columns >= j; the doubled-root generator kills
@@ -405,7 +405,7 @@ def _b_tails(n, max_total, first=2):
 
 def verify_xyz(n=3, session=None) -> VerificationReport:
     params = {"n": n, "triples": _XYZ_TRIPLES, "seed": _XYZ_SEED}
-    with _run("xyz", params, "generic", session) as (rep, session):
+    with _run("xyz", params, "kashiwara", session) as (rep, session):
         rng = random.Random(_XYZ_SEED)
         # (a) the two-parameter bracket identity holds freely
         bad = 0
@@ -419,21 +419,21 @@ def verify_xyz(n=3, session=None) -> VerificationReport:
             if lhs != rhs:
                 bad += 1
         rep.record("bracket-identity:%d-random-triples" % _XYZ_TRIPLES, bad == 0, "%d failures" % bad)
-        # (b) the two vanishing conclusions, through the generic oracle
-        ctx = session.context(n, SpecMode.generic())
+        # (b) the two vanishing conclusions, in U_q^- by Kashiwara's form
+        ctx = session.context(n, SpecMode.kashiwara())
         for i in range(2, n):
             x, y, z = AlgElt.f(i - 1), AlgElt.f(i), AlgElt.f(i + 1)
             c1 = qbracket(qbracket(x, y, _QBAR), qbracket(y, z, _Q), ONE)
             c2 = qbracket(y, qbracket(x, qbracket(y, z, _Q), _Q), ONE)
             rep.record(
                 "vanish:[[x,y],[y,z]]:i=%d" % i,
-                is_zero_generic(c1, ctx),
-                "first conclusion nonzero generically",
+                is_zero_in_U(c1, ctx),
+                "first conclusion nonzero in U_q^-",
             )
             rep.record(
                 "vanish:[y,[x,[y,z]]]:i=%d" % i,
-                is_zero_generic(c2, ctx),
-                "second conclusion nonzero generically",
+                is_zero_in_U(c2, ctx),
+                "second conclusion nonzero in U_q^-",
             )
     return rep
 
@@ -491,8 +491,6 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
         for sctx, record in _branches(rep, n, session):
             for mu in _rank_weights(n, max_deg):
                 expected = 0 if any(c > 0 for c in mu) else 1
-                if expected and sum(-c for c in mu) > max_deg + 1:
-                    continue
                 count = fword_count(mu, n)
                 if count == 0 or count > word_limit:
                     continue

@@ -7,14 +7,16 @@ highest- and lowest-weight modules, the contravariant (Shapovalov) form,
 Gram matrices, ranks, and the ladder oracle deciding equality inside the
 quotient module -- reduces to this functional.
 
-The functional is computed once, over the generic field; the specialized
-mode is its image under a ring homomorphism.  A context therefore picks one
-of two coefficient rings -- generic Laurent numerators, or numerators in v
-alone for the specialized mode -- and the single engine (``_step`` driven by
-``_evaluate``) runs unchanged over either: every coefficient enters the ring
-once, through the ring's ``hom``, after each side's denominators are cleared,
-and one walk over a trie of the left words evaluates a whole pairing, after
-a height check has dropped the left words that reach the vacuum against no
+A context evaluates one of two forms with the same engine (``_step``
+driven by ``_evaluate``): the functional at the distinguished weight on one
+branch, where every L_j is sigma*i*v^{-1}, or Kashiwara's form on the
+lowering half, which needs no weight and decides membership in the ideal of
+the Serre relations (``is_zero_in_U``).  The two differ only in the
+constants a raising letter and a Cartan letter contribute.  Values are
+numerators in v in one packed ring: every coefficient enters the ring once,
+through its ``hom``, after each side's denominators are cleared, and one
+walk over a trie of the left words evaluates a whole pairing, after a
+height check has dropped the left words that reach the vacuum against no
 right word.  A numeric point is no mode: the irreducibility ranks evaluate
 integer Gram slices at it, each filled level by level from the Grams of the
 weights one lowering letter up.
@@ -39,7 +41,6 @@ from .scalars import (
     G0,
     G1,
     PONE,
-    PZERO,
     QQI_ZERO,
     ONE,
     ZERO,
@@ -48,42 +49,15 @@ from .scalars import (
     _gdiv_exact,
     _gmul,
     _gsub,
-    _mono_neg,
-    _spec_poly_sigma,
-    _strip,
-    padd,
     peval_qqi,
     pmul,
     qqi_inv,
     qqi_mul,
+    weight_symbol,
 )
 from .words import AlgElt, alpha_vec, antipode, cartan_pairing, root_vector
 
-_QDIFF = {(2,): G1, (-2,): (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
-
-# A coefficient ring of the engine (``_PolyRing`` on dicts, ``_PackedRing``
-# on packed ints) provides: ``zero``, its one zero value; ``mul``;
-# ``iadd(acc, key, val)``, setting acc[key] to acc[key] + val; ``hom``, the
-# image of a generic Laurent polynomial; and ``poly``, the Laurent
-# polynomial of a value.  Every coefficient enters the ring through ``hom``.
-
-
-class _PolyRing:
-    """Laurent numerators over Z[i] in v and the L_j, for the generic mode."""
-
-    zero: dict = {}
-    mul = staticmethod(pmul)
-
-    @staticmethod
-    def hom(p):
-        return p
-
-    poly = hom
-
-    @staticmethod
-    def iadd(acc, key, val):
-        acc[key] = padd(acc.get(key, PZERO), val)
-
+_QDIFF = {2: G1, -2: (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
 
 # A packed value (lo, re, im, l1, w) is the Laurent polynomial in v whose
 # coefficient of v^(lo+k) is re_k + i*im_k, where re_k and im_k are the
@@ -119,19 +93,16 @@ def _slots(val):
 
 
 def _pack_poly(p):
-    """The packed value of a Laurent polynomial in v alone (tuple keys)."""
-    if any(len(k) > 1 for k in p):
-        raise ValueError("an L-symbol reached the specialized ring")
-    terms = {k[0] if k else 0: g for k, g in p.items()}
-    span = range(min(terms, default=0), max(terms, default=0) + 1)
-    re, im = zip(*(terms.get(e, G0) for e in span))
+    """The packed value of a Laurent polynomial in v."""
+    span = range(min(p, default=0), max(p, default=0) + 1)
+    re, im = zip(*(p.get(e, G0) for e in span))
     return _packed(span.start, re, im, sum(map(abs, re)) + sum(map(abs, im)))
 
 
 def _unpack_poly(val):
-    """The Laurent polynomial in v (tuple keys) of a packed value."""
+    """The Laurent polynomial in v of a packed value."""
     lo, re, im, _l1 = _slots(val)
-    return {(lo + k,) if lo + k else (): g for k, g in enumerate(zip(re, im)) if g != G0}
+    return {lo + k: g for k, g in enumerate(zip(re, im)) if g != G0}
 
 
 def _common_width(p, r, bound):
@@ -170,19 +141,17 @@ def _kiadd(acc, key, val):
 
 
 class _PackedRing:
-    """Packed Laurent numerators in v alone, for the specialized mode, where
-    every L_j is sent to sigma*i*v^{-1}."""
+    """The engine's coefficient ring: packed Laurent numerators in v.  It
+    provides ``zero``, its one zero value; ``mul``; ``iadd(acc, key, val)``,
+    setting acc[key] to acc[key] + val; ``hom``, the packed value of a
+    Laurent polynomial; and ``poly``, the Laurent polynomial of a value.
+    Every coefficient enters the ring through ``hom``."""
 
     zero = _PZERO
     mul = staticmethod(_kmul)
     iadd = staticmethod(_kiadd)
+    hom = staticmethod(_pack_poly)
     poly = staticmethod(_unpack_poly)
-
-    def __init__(self, sigma: int):
-        self._sigma = sigma
-
-    def hom(self, p):
-        return _pack_poly(_spec_poly_sigma(p, self._sigma))
 
 
 class OracleError(RuntimeError):
@@ -190,9 +159,13 @@ class OracleError(RuntimeError):
 
 
 class EvalContext:
-    """Rank, specialization mode, coefficient ring and cached root data for
-    one suite run.  The ring is ``_PolyRing`` in generic mode and
-    ``_PackedRing`` in specialized mode, with integer tables per point."""
+    """Rank, form, coefficient ring and cached root data for one suite run.
+
+    The form is the contravariant form at the distinguished weight on one
+    branch (a specialized mode), or Kashiwara's form on the lowering half
+    (``SpecMode.kashiwara``); they differ only in the constants ``ecoef``
+    and ``kfactor``.  A specialized context keeps integer tables per
+    numeric point."""
 
     def __init__(self, n: int, mode: SpecMode):
         if n < 1:
@@ -201,7 +174,7 @@ class EvalContext:
             raise ValueError("a numeric point is evaluated in a specialized context")
         self.n = n
         self.mode = mode
-        self.ring = _PolyRing() if mode.kind == "generic" else _PackedRing(mode.sigma)
+        self.ring = _PackedRing()
         self.alpha = [None] + [alpha_vec(i, n) for i in range(1, n + 1)]
         self.cart = [None] + [
             [0] + [cartan_pairing(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
@@ -216,25 +189,25 @@ class EvalContext:
         """Coefficient created when a raising letter consumes a matching
         lowering letter over a tail of pairing value a; None when zero.
 
-        Generically this is (v^{2a} L_i/L_{i-1} - v^{-2a} L_{i-1}/L_i) over
-        q - q^{-1} (with L_0 = 1); the ring holds the numerator, and the
-        denominator is restored once per raising-letter count p, the key of
-        ``_evaluate``'s accumulator.
+        At the distinguished weight it is (v^{2a} L_i/L_{i-1} - v^{-2a}
+        L_{i-1}/L_i) over q - q^{-1}, with L_0 = 1 and every other L_j the
+        ``weight_symbol``: v^{2a} - v^{-2a} for i > 1, sigma*i*(v^{2a-1} +
+        v^{1-2a}) for i = 1.  Kashiwara's form keeps the K_i^{-1} half
+        without its eigenvalue: -v^{-2a}.  The ring holds the numerator,
+        and the denominator is restored once per raising-letter count p, the
+        key of ``_evaluate``'s accumulator.
         """
         key = (i, a)
         out = self._ecoef_cache.get(key, False)
         if out is False:
-            mono = [0] * (i + 1)
-            mono[0] = 2 * a
-            mono[i] = 1
-            if i > 1:
-                mono[i - 1] = -1
-            mono = tuple(mono)
-            ring = self.ring
-            out = ring.hom({mono: G1, _mono_neg(mono): (-1, 0)})
-            if out == ring.zero:
-                out = None
-            self._ecoef_cache[key] = out
+            if self.mode.kind == "kashiwara":
+                num = {-2 * a: (-1, 0)}
+            elif i > 1:
+                num = {2 * a: G1, -2 * a: (-1, 0)} if a else None
+            else:
+                si = (0, self.mode.sigma)
+                num = {2 * a - 1: si, 1 - 2 * a: si}
+            out = self._ecoef_cache[key] = num and self.ring.hom(num)
         return out
 
     def int_levels(self, k: int, v0):
@@ -276,12 +249,16 @@ class EvalContext:
 
     def kfactor(self, mu, wdot: int):
         """Multiplier for commuting a Cartan letter to the vacuum end:
-        q^{(mu, wt)} times the highest-weight eigenvalue of the letter."""
+        q^{(mu, wt)} times the highest-weight eigenvalue of the letter, the
+        ``weight_symbol`` to the power sum(mu).  Kashiwara's form has no
+        Cartan letter: it pairs lowering elements."""
         key = (mu, wdot)
         out = self._kfactor_cache.get(key)
         if out is None:
-            out = self.ring.hom({_strip((2 * wdot,) + tuple(mu)): G1})
-            self._kfactor_cache[key] = out
+            if self.mode.kind != "specialized":
+                raise ValueError("a Cartan letter needs the specialized weight")
+            val = weight_symbol(self.mode.sigma, sum(mu)) * Scalar.v_power(2 * wdot)
+            out = self._kfactor_cache[key] = self.ring.hom(val.num)
         return out
 
 
@@ -776,11 +753,15 @@ def is_zero_in_M(x: AlgElt, ctx: EvalContext) -> bool:
     return True
 
 
-def is_zero_generic(x: AlgElt, ctx: EvalContext) -> bool:
-    """Zero test in the negative half at a fully generic weight: the element
-    must pair to zero with every lowering word of its weight."""
-    if ctx.mode.kind != "generic":
-        raise ValueError("generic mode required")
+def is_zero_in_U(x: AlgElt, ctx: EvalContext) -> bool:
+    """Whether a lowering element vanishes in U_q^-, the free algebra on the
+    f_i modulo the quantum Serre relations: whether it pairs to zero under
+    Kashiwara's form with every lowering word of its weight.  The radical
+    of that form on the free algebra is exactly the ideal of the Serre
+    relations (Kashiwara, Duke Math. J. 63, 1991; Lusztig, Introduction to
+    Quantum Groups, 1.2 and 33.1), so no weight is needed."""
+    if ctx.mode.kind != "kashiwara":
+        raise ValueError("the zero test in U_q^- needs Kashiwara's form")
     if x.is_zero():
         return True
     for w in fwords_of_weight(x.weight(ctx.n), ctx.n):

@@ -64,8 +64,8 @@ MUTANTS = [
     (
         "canonical-pair-skips-the-gcd-division",
         "src/qsphere/scalars.py",
-        "        if len(g) > 1:\n            npoly = {\n",
-        "        if False:\n            npoly = {\n",
+        "        if len(g) > 1:\n            npoly, dpoly = ",
+        "        if False:\n            npoly, dpoly = ",
         ["tests/test_scalars.py"],
     ),
     (
@@ -116,10 +116,12 @@ MUTANTS = [
         ["tests/test_engine_properties.py"],
     ),
     (
-        "generic-ring-iadd-overwrites-instead-of-adding",
+        # a uniform sign per weight slice: every zero test and rank keeps
+        # its verdict, only a value comparison sees it
+        "kashiwara-ecoef-drops-its-sign",
         "src/qsphere/verma.py",
-        "        acc[key] = padd(acc.get(key, PZERO), val)\n",
-        "        acc[key] = val\n",
+        "                num = {-2 * a: (-1, 0)}\n",
+        "                num = {-2 * a: (1, 0)}\n",
         ["tests/test_engine_properties.py"],
     ),
     (

@@ -80,17 +80,6 @@ def test_engine_fault_is_exit_four(monkeypatch, capsys):
     assert "engine fault" in err and "inverse of zero" in err
 
 
-def test_denominator_outside_the_ring_is_an_engine_fault(monkeypatch, capsys):
-    from qsphere.scalars import ONE, Scalar
-
-    def harish_dividing_by_an_L_polynomial(**kw):
-        ONE / (ONE + Scalar.L_power(1, 1))
-
-    monkeypatch.setitem(suites.SUITES, "harish", harish_dividing_by_an_L_polynomial)
-    assert main(["verify", "harish", "--n", "2", "--max-deg", "1"]) == 4
-    assert "engine fault: ArithmeticError" in capsys.readouterr().err
-
-
 def test_rank_degree_point_and_out_are_the_only_settings(tmp_path, monkeypatch):
     """Every suite runs in one configuration per rank, degree and point: no
     branch-sign or scope option, and no environment variable seeds a flag."""
@@ -158,7 +147,7 @@ def test_oracle_precondition_failure_is_exit_three(monkeypatch):
     from qsphere.report import VerificationReport
 
     def failing_serre(n, weight_bound=5, session=None):
-        rep = VerificationReport("serre-radical", {"n": n, "weight_bound": weight_bound}, "generic")
+        rep = VerificationReport("serre-radical", {"n": n, "weight_bound": weight_bound}, "kashiwara")
         rep.record("forced", False, "forced failure")
         return session.record(rep)
 
@@ -172,7 +161,7 @@ def test_run_all_skips_dependents_of_a_fatal_suite(tmp_path, monkeypatch):
     from qsphere.report import VerificationReport
 
     def failing_serre(session=None, **kw):
-        rep = VerificationReport("serre-radical", kw, "generic")
+        rep = VerificationReport("serre-radical", kw, "kashiwara")
         rep.record("forced", False, "forced failure")
         return rep
 
@@ -238,7 +227,7 @@ def test_run_all_reports_what_each_suite_ran_with(tmp_path):
     assert main(["verify", "all", "--n", "1", "--max-deg", "2", "--out", str(out)]) == 0
     runs = json.loads(out.read_text())["params"]["runs"]
     assert list(runs) == sorted(s.name for s in SUITE_LIST)
-    assert runs["xyz"] == {"params": {"n": 3, "triples": 120, "seed": 2024}, "mode": "generic"}
+    assert runs["xyz"] == {"params": {"n": 3, "triples": 120, "seed": 2024}, "mode": "kashiwara"}
     assert runs["serre-radical"]["params"] == {"n": 2, "weight_bound": 2}
     assert runs["delta-inv"]["params"] == {"n": 2, "kmax": 2}
     assert runs["module-algebra"]["params"] == {"n": 1, "cases": 200, "seed": 5}

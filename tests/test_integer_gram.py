@@ -5,8 +5,8 @@ The oracle pairs every two words of a slice with ``shapovalov`` (the trie
 walk ``_evaluate`` of the specialized context) and evaluates the values at
 the point with ``scalar_to_qqi``; its rank comes from the Gauss-Jordan kernel
 of ``nullspace_qqi``, not from the Bareiss routine under test.  The level
-tables are checked against the generic ecoef formula, mapped to the point
-independently of the engine ring.
+tables are checked against the ecoef formula at the specialized weight,
+evaluated at the point independently of the engine ring.
 """
 
 from fractions import Fraction
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsphere.plane import nullspace_qqi
-from qsphere.scalars import QQI_ZERO, Scalar, SpecMode, _gmul, peval_qqi, qqi_inv, qqi_mul, scalar_to_qqi
+from qsphere.scalars import ONE, QQI_ZERO, Scalar, SpecMode, _gmul, peval_qqi, qqi_inv, qqi_mul, scalar_to_qqi, weight_symbol
 from qsphere.suites import _IRR_WORD_LIMIT, _rank_weights
 from qsphere.verma import (
     EvalContext,
@@ -67,7 +67,7 @@ def test_integer_gram_is_the_scaled_rational_gram(n):
         words = fwords_of_weight(mu, n)
         for ctx in contexts:
             for v0 in POINTS:
-                mode = SpecMode.numeric(v0, ctx.mode.sigma)
+                mode = SpecMode.numeric(v0)
                 rows = gram_int_rows(words, ctx, v0)
                 scale = ctx.int_levels(len(words[0]), v0)[1]
                 want = rational_gram(words, ctx, mode)
@@ -144,22 +144,24 @@ def test_rank_gauss_is_the_rank_of_a_product_of_known_inner_dimension(size, inne
     assert rank <= inner
 
 
-def generic_ecoef(i, a):
-    """(v^{2a} L_i/L_{i-1} - v^{-2a} L_{i-1}/L_i) / (q - q^{-1}), L_0 = 1."""
-    ratio = Scalar.L_power(i, 1) / Scalar.L_power(i - 1, 1) if i > 1 else Scalar.L_power(1, 1)
+def weight_ecoef(i, a, sigma):
+    """(v^{2a} L_i/L_{i-1} - v^{-2a} L_{i-1}/L_i) / (q - q^{-1}), L_0 = 1 and
+    every other L_j the weight symbol of the branch sigma."""
+    lj = [ONE] + [weight_symbol(sigma)] * i
+    ratio = lj[i] / lj[i - 1]
     q = Scalar.v_power(2)
     return (Scalar.v_power(2 * a) * ratio - Scalar.v_power(-2 * a) / ratio) / (q - 1 / q)
 
 
 def test_level_tables_are_the_ecoefs_times_the_lcm_of_their_denominators():
-    mode = SpecMode.numeric((3, 1), -1)
+    mode = SpecMode.numeric((3, 1))
     ctx = EvalContext(3, SpecMode.specialized(-1))
     tables, _scale = ctx.int_levels(6, (3, 1))
     for level in range(1, 7):
         s = ctx.int_levels(level, (3, 1))[1] // ctx.int_levels(level - 1, (3, 1))[1]
         span = 2 * (level - 1)
         keys = [(i, a) for i in range(1, 4) for a in range(-span, span + 1)]
-        vals = {(i, a): scalar_to_qqi(generic_ecoef(i, a), mode) for i, a in keys}
+        vals = {(i, a): scalar_to_qqi(weight_ecoef(i, a, -1), mode) for i, a in keys}
         nonzero = [v for v in vals.values() if v != QQI_ZERO]
         assert s == lcm(*(x.denominator for v in nonzero for x in v))
         for (i, a), val in vals.items():
@@ -175,7 +177,7 @@ def test_level_tables_equal_the_rational_evaluation_route(v0):
     ctx = EvalContext(3, SpecMode.specialized(1))
     tables, scale = ctx.int_levels(6, v0)
     point = SpecMode.numeric(v0).v0
-    eunit = qqi_inv(peval_qqi({(2,): (1, 0), (-2,): (-1, 0)}, point))
+    eunit = qqi_inv(peval_qqi({2: (1, 0), -2: (-1, 0)}, point))
     want_scale = 1
     for level in range(1, 7):
         span = 2 * (level - 1)

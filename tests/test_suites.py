@@ -94,7 +94,7 @@ def _passed(session, suite, params, mode):
 
 def test_serre_gate_blocks_oracle_suites():
     session = Session()
-    _failed(session, "serre-radical", {"n": 2, "weight_bound": 4}, "generic")
+    _failed(session, "serre-radical", {"n": 2, "weight_bound": 4}, "kashiwara")
     with pytest.raises(OracleError):
         session.ensure_gates("span", 2)
     with pytest.raises(OracleError):
@@ -104,7 +104,7 @@ def test_serre_gate_blocks_oracle_suites():
 def test_a_verdict_stays_in_its_session(monkeypatch):
     """A failing verdict gates only calls made with its own session."""
     failing = Session()
-    _failed(failing, "serre-radical", {"n": 2, "weight_bound": 4}, "generic")
+    _failed(failing, "serre-radical", {"n": 2, "weight_bound": 4}, "kashiwara")
     runs = _spy(monkeypatch, "verify_serre_radical", "n")
     other = Session()
     other.ensure_gates("span", 2)
@@ -117,7 +117,7 @@ def test_a_verdict_stays_in_its_session(monkeypatch):
 
 def test_verdict_at_another_rank_does_not_count(monkeypatch):
     session = Session()
-    _failed(session, "serre-radical", {"n": 3, "weight_bound": 4}, "generic")
+    _failed(session, "serre-radical", {"n": 3, "weight_bound": 4}, "kashiwara")
     runs = _spy(monkeypatch, "verify_serre_radical", "n")
     session.ensure_gates("span", 2)
     assert runs == [2]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsphere.scalars import I_UNIT, ONE, ZERO, Scalar, SpecMode, _gmul, scalar_to_qqi, specialize, theta
+from qsphere.scalars import I_UNIT, ONE, ZERO, Scalar, SpecMode, _gmul, scalar_to_qqi, theta, weight_symbol
 import qsphere.verma as verma
 from qsphere.suites import _rank_weights
 from qsphere.words import AlgElt, alpha_vec, gen_k, omega, root_vector
@@ -15,8 +15,8 @@ from qsphere.verma import (
     fword_elt,
     fwords_of_weight,
     invariant_form,
-    is_zero_generic,
     is_zero_in_M,
+    is_zero_in_U,
     pair_lowering,
     pair_words_qqi,
     rank_at,
@@ -36,14 +36,17 @@ QBAR = Scalar.v_power(-2)
 # ---------------------------------------------------------------------------
 
 def _lambda_eval(mu, mode):
-    out = ONE
-    for j, c in enumerate(mu, start=1):
-        if c:
-            out = out * Scalar.L_power(j, c)
-    return specialize(out, mode)
+    """The eigenvalue prod L_j^{mu_j} of K_mu on the highest-weight vector,
+    every L_j the weight symbol sigma*i*v^{-1}; Kashiwara's form drops it."""
+    if mode.kind == "kashiwara":
+        return ONE
+    return weight_symbol(mode.sigma) ** sum(mu)
 
 
 def reference_vacuum(word, ctx, strategy="leftmost", rng=None):
+    """The vacuum value of a word at the specialized weight of ctx; under
+    Kashiwara's form (words without Cartan letters), each commutator
+    [e_i, f_i] keeps only its term -K_i^{-1} / (q - q^{-1})."""
     n = ctx.n
     mode = ctx.mode
     qdiff = Q - QBAR
@@ -73,7 +76,8 @@ def reference_vacuum(word, ctx, strategy="leftmost", rng=None):
             terms.append((coeff, head + (b, a) + tail))
             if i == j:
                 av = alpha_vec(i, n)
-                terms.append((coeff / qdiff, head + (gen_k(av),) + tail))
+                if mode.kind != "kashiwara":
+                    terms.append((coeff / qdiff, head + (gen_k(av),) + tail))
                 terms.append((-coeff / qdiff, head + (gen_k(tuple(-c for c in av)),) + tail))
         elif a[0] == "e" and b[0] == "K":
             mu = b[1]
@@ -138,11 +142,12 @@ def test_vacuum_basics():
 
 
 def test_vacuum_generic_mode():
-    ctx = EvalContext(2, SpecMode.generic())
-    val = vacuum_eval(AlgElt.e(2) * AlgElt.f(2), ctx)
-    # (L2/L1 - L1/L2) / (q - q^{-1}): nonzero generically, zero specialized
-    assert not val.is_zero()
-    assert specialize(val, SpecMode.specialized(1)) == ZERO
+    """Kashiwara's form, which needs no weight, keeps the K_2^{-1} half of
+    (K_2 - K_2^{-1}) / (q - q^{-1}): e2 f2 pairs to -1/(q - q^{-1}) there,
+    and to zero at the specialized weight, where L2/L1 = 1."""
+    x = AlgElt.e(2) * AlgElt.f(2)
+    assert vacuum_eval(x, EvalContext(2, SpecMode.kashiwara())) == -ONE / (Q - QBAR)
+    assert vacuum_eval(x, EvalContext(2, SpecMode.specialized(1))) == ZERO
 
 
 def test_invariant_form_examples():
@@ -196,7 +201,7 @@ def test_pair_words_memoized_numeric():
     x = (1, 1, 2)
     val = pair_words_qqi(tuple(reversed(x)), x, ctx, 2)
     direct = vacuum_eval(omega(fword_elt(x)) * fword_elt(x), ctx)
-    assert val == scalar_to_qqi(direct, SpecMode.numeric(2, 1))
+    assert val == scalar_to_qqi(direct, SpecMode.numeric(2))
 
 
 def test_orthogonality_twist_between_plain_and_involuted_raising():
@@ -292,8 +297,9 @@ def test_rank_requires_numeric_mode():
 
 
 def test_rank_refuses_a_generic_context():
+    """Kashiwara's form has no weight, so no rank at a weight."""
     with pytest.raises(ValueError):
-        rank_at((-1, 0), EvalContext(2, SpecMode.generic()), 2)
+        rank_at((-1, 0), EvalContext(2, SpecMode.kashiwara()), 2)
 
 
 def test_a_numeric_mode_opens_no_context():
@@ -324,7 +330,9 @@ def test_spanning_set_is_built_once_per_context_and_weight(monkeypatch):
 
 
 def test_module_oracle_refuses_generic_and_numeric_contexts():
-    for mode in (SpecMode.generic(), SpecMode.numeric(2, 1)):
+    """Neither the weight-free Kashiwara form nor a numeric point is the
+    module's weight."""
+    for mode in (SpecMode.kashiwara(), SpecMode.numeric(2)):
         with pytest.raises(ValueError):
             is_zero_in_M(AlgElt.f(1), EvalContext(2, mode))
 
@@ -347,7 +355,7 @@ def _gate_by_word_pairings(coords, sigma):
         for x in verma.ladder_spanning_set(coords, sctx)
     ]
     for v0 in (2, 3):
-        mode = SpecMode.numeric(v0, sigma)
+        mode = SpecMode.numeric(v0)
 
         def entry(x, y):
             total = (Fraction(0), Fraction(0))
@@ -451,22 +459,25 @@ def test_ladder_gate_refuses_a_minor_that_vanishes_at_points(monkeypatch):
 
 
 def test_generic_zero_oracle():
-    ctx = EvalContext(2, SpecMode.generic())
-    assert is_zero_generic(AlgElt(), ctx)
+    """The weight-free zero test: in U_q^-, by Kashiwara's form."""
+    ctx = EvalContext(2, SpecMode.kashiwara())
+    assert is_zero_in_U(AlgElt(), ctx)
     f2 = AlgElt.f(2)
     serre = (
         f2 * f2 * AlgElt.f(1)
         - (f2 * AlgElt.f(1) * f2).scaled(Q + QBAR)
         + AlgElt.f(1) * f2 * f2
     )
-    assert is_zero_generic(serre, ctx)
-    assert not is_zero_generic(AlgElt.f(1), ctx)
+    assert is_zero_in_U(serre, ctx)
+    assert not is_zero_in_U(AlgElt.f(1), ctx)
+    with pytest.raises(ValueError):
+        is_zero_in_U(serre, EvalContext(2, SpecMode.specialized(1)))
 
 
 def test_numeric_mode_at_a_complex_rational_point():
     # v0 = 3 + i is admissible (not a root of unity) and stays exact
     ctx = EvalContext(2, SpecMode.specialized(1))
-    mode = SpecMode.numeric((3, 1), 1)
+    mode = SpecMode.numeric((3, 1))
     want = scalar_to_qqi(I_UNIT / theta(), mode)
     assert scalar_to_qqi(vacuum_eval(AlgElt.e(1) * AlgElt.f(1), ctx), mode) == want
     assert pair_words_qqi((1,), (1,), ctx, (3, 1)) == want
@@ -487,6 +498,5 @@ def test_quotient_generator_vanishes_and_detects_sign():
     ctx = EvalContext(2, SpecMode.specialized(1))
     fd = root_vector("f_delta", 1, 2)
     assert is_zero_in_M(fd, ctx)
-    # but it is NOT zero generically (it only dies in the quotient)
-    gctx = EvalContext(2, SpecMode.generic())
-    assert not is_zero_generic(fd, gctx)
+    # but it is NOT zero in U_q^- (it only dies in the quotient)
+    assert not is_zero_in_U(fd, EvalContext(2, SpecMode.kashiwara()))

@@ -128,9 +128,9 @@ def test_antipode_on_composite_raising_vector():
     # gamma(e_{eps_i}) = -q^{2(i-1)} et_{eps_i} K_{eps_i}^{-1}.  For i <= 2 the
     # two sides agree freely after Cartan normalization; for larger i they
     # differ by distant-root commutators, so the difference is sent through
-    # the generic pairing oracle instead.
+    # the zero test of U_q^- by Kashiwara's form instead.
     from qsphere.scalars import SpecMode
-    from qsphere.verma import EvalContext, is_zero_generic
+    from qsphere.verma import EvalContext, is_zero_in_U
 
     for n in (2, 3):
         for i in range(1, n + 1):
@@ -147,8 +147,8 @@ def test_antipode_on_composite_raising_vector():
                 diff = lhs - rhs
                 stripped = AlgElt({w[:-1]: c for w, c in diff.terms.items()})
                 assert all(w and w[-1] == ("K", eps_i) for w in diff.terms)
-                ctx = EvalContext(n, SpecMode.generic())
-                assert is_zero_generic(omega(stripped), ctx), (n, i)
+                ctx = EvalContext(n, SpecMode.kashiwara())
+                assert is_zero_in_U(omega(stripped), ctx), (n, i)
 
 
 def test_weights():
