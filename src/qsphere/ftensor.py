@@ -25,15 +25,6 @@ class FTensor:
         # contracted operand images, filled by plane.star for this tensor only
         self.images = {}
 
-    def coeff(self, m) -> Scalar:
-        for mm, c, _e, _f in self.entries:
-            if mm == tuple(m):
-                return c
-        raise KeyError(m)
-
-    def to_json(self):
-        return [{"m": list(m), "coeff": str(c)} for m, c, _e, _f in self.entries]
-
 
 def f_coefficient(m, n) -> Scalar:
     """(-theta)^{sum m} prod_i q^{-m_i^2/2 + 2 m_i (i-1)} / prod_i [m_i]_q!"""

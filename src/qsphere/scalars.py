@@ -14,14 +14,20 @@ A Scalar is a reduced fraction whose numerator is a Laurent polynomial in v
 and whose denominator is a polynomial in v with a nonzero constant term:
 v-powers live in the numerator.  Polynomials are dicts from integer
 exponents to coefficients, and coefficients are Gaussian integers stored as
-(real, imag) pairs of Python ints.  The canonical form is fixed, so equality
-is literal equality of the stored data.
+(real, imag) pairs of Python ints.  The canonical form is fixed: numerator
+and denominator are coprime, the denominator's leading coefficient is a
+positive integer, and no integer > 1 divides every real and imaginary part
+of both.  Two such forms of one value differ by a factor of Q(i) that keeps
+the leading coefficient positive, a positive rational, which the integer
+content then forces to be 1; so equality is literal equality of the stored
+data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -54,35 +60,6 @@ def _gmul(a, b):
 
 def _gnorm(a):
     return a[0] * a[0] + a[1] * a[1]
-
-
-def _rnd_div(x, n):
-    # nearest integer to x / n for n > 0, ties rounded up
-    return (2 * x + n) // (2 * n)
-
-
-def _gdivmod(a, b):
-    """Euclidean division by nearest-lattice-point rounding; |r| < |b|."""
-    n = _gnorm(b)
-    t = _gmul(a, (b[0], -b[1]))
-    q = (_rnd_div(t[0], n), _rnd_div(t[1], n))
-    return q, _gsub(a, _gmul(q, b))
-
-
-def _ggcd(a, b):
-    """The gcd, scaled by a unit into the quadrant re > 0, im >= 0."""
-    while b != G0:
-        a, b = b, _gdivmod(a, b)[1]
-    return _gmul(a, _gunit_for(a))
-
-
-def _gunit_for(a):
-    """The unit u with u * a in the canonical quadrant."""
-    for u in _UNITS:
-        c = _gmul(a, u)
-        if c[0] > 0 and c[1] >= 0:
-            return u
-    raise ZeroDivisionError("unit of zero")
 
 
 def _gdiv_exact(a, b):
@@ -153,25 +130,34 @@ def _pshift(p, e):
     return {k + e: c for k, c in p.items()} if e else dict(p)
 
 
-def _gcontent(p):
-    g = G0
+# ---- gcd and exact division of polynomials in v (exponents >= 0) ----------
+
+def _icontent(p):
+    """The gcd of every real and imaginary part of p's coefficients."""
+    g = 0
     for c in p.values():
-        g = _ggcd(g, c)
-        if g == G1:
-            return g
+        g = gcd(g, *c)
+        if g == 1:
+            break
     return g
 
 
-# ---- gcd and exact division of polynomials in v (exponents >= 0) ----------
+def _idiv(p, g):
+    return {k: (c[0] // g, c[1] // g) for k, c in p.items()} if g > 1 else p
 
-def _gprim(p):
-    """Divide by Gaussian content, normalize sign of the content."""
-    if not p:
-        return p, G0
-    c = _gcontent(p)
-    if c == G1:
-        return dict(p), G1
-    return {k: _gdiv_exact(v, c) for k, v in p.items()}, c
+
+def _iprim(p):
+    return _idiv(p, _icontent(p))
+
+
+def _positive_lead(p):
+    """p times the conjugate of its leading coefficient, unless that is a
+    positive integer already, and the factor used."""
+    lc = p[max(p)]
+    if lc[1] == 0 and lc[0] > 0:
+        return p, G1
+    u = (lc[0], -lc[1])
+    return pscale(p, u), u
 
 
 def _prem_uni(a, b):
@@ -196,15 +182,14 @@ def _prem_uni(a, b):
 
 
 def _pgcd_uni(p, r):
-    a, ca = _gprim(p)
-    b, cb = _gprim(r)
-    c = _ggcd(ca, cb)
+    """A gcd of p and r up to a constant of Q(i): a primitive remainder
+    sequence that strips only integer contents."""
+    a, b = _iprim(p), _iprim(r)
     if max(a) < max(b):
         a, b = b, a
     while b:
-        rem = _prem_uni(a, b)
-        a, b = b, _gprim(rem)[0]
-    return pscale(a, c)
+        a, b = b, _iprim(_prem_uni(a, b))
+    return a
 
 
 def _pdiv_uni(a, b):
@@ -241,24 +226,24 @@ def _canonical_pair(num, den):
     if len(dpoly) > 1:
         g = _pgcd_uni(dpoly, npoly)
         if len(g) > 1:
-            npoly, dpoly = _pdiv_uni(npoly, g), _pdiv_uni(dpoly, g)
-    gc = _ggcd(_gcontent(npoly), _gcontent(dpoly))
-    if gc != G1:
-        npoly = {k: _gdiv_exact(c, gc) for k, c in npoly.items()}
-        dpoly = {k: _gdiv_exact(c, gc) for k, c in dpoly.items()}
-    u = _gunit_for(dpoly[max(dpoly)])
-    if u != G1:
-        npoly = pscale(npoly, u)
-        dpoly = pscale(dpoly, u)
-    return _pshift(npoly, mn - md), dpoly
+            # pseudo-division: with g's leading coefficient the integer L,
+            # L^(k+1) times either polynomial is g times one over Z[i]
+            g = _positive_lead(g)[0]
+            f = (g[max(g)][0] ** (max(max(npoly), max(dpoly)) - max(g) + 1), 0)
+            npoly, dpoly = _pdiv_uni(pscale(npoly, f), g), _pdiv_uni(pscale(dpoly, f), g)
+    dpoly, u = _positive_lead(dpoly)
+    npoly = pscale(npoly, u)
+    c = gcd(_icontent(npoly), _icontent(dpoly))
+    return _pshift(_idiv(npoly, c), mn - md), _idiv(dpoly, c)
 
 
 class Scalar:
     """An element of the exact coefficient ring, in reduced canonical form.
 
     ``num`` is a Laurent polynomial in v; ``den`` is a polynomial in v with
-    a nonzero constant term, its leading coefficient in the quadrant re > 0,
-    im >= 0, and coprime to ``num``.  v-powers live in the numerator.
+    a nonzero constant term and a positive-integer leading coefficient,
+    coprime to ``num``, and the pair has integer content 1.  v-powers live
+    in the numerator.
     """
 
     __slots__ = ("num", "den", "_key")

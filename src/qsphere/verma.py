@@ -31,7 +31,6 @@ the radical property of the defining relations, which has its own suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import groupby, product
 from math import factorial, lcm
@@ -41,7 +40,6 @@ from .scalars import (
     G0,
     G1,
     PONE,
-    QQI_ZERO,
     ONE,
     ZERO,
     Scalar,
@@ -53,6 +51,7 @@ from .scalars import (
     pmul,
     qqi_inv,
     qqi_mul,
+    scalar_to_qqi,
     weight_symbol,
 )
 from .words import AlgElt, alpha_vec, antipode, cartan_pairing, root_vector
@@ -574,47 +573,11 @@ def rank_gauss(rows) -> int:
     return rank
 
 
-def _pair_int(u, w, tables, cart, memo):
-    """<(raising word u) (lowering word w)> times P_len(w), for index tuples
-    u, w of equal length, from the tables of ``EvalContext.int_levels``.
-
-    The recursion consumes the rightmost raising letter against each
-    matching lowering slot, so the entries of a Gram slice share their
-    subproblems through memo, which must map ((), ()) to 1.
-    """
-    key = (u, w)
-    val = memo.get(key)
-    if val is not None:
-        return val
-    k = len(w)
-    c = u[-1]
-    table = tables[k][c]
-    cart_c = cart[c]
-    u1 = u[:-1]
-    re = im = a = 0
-    for t in range(k - 1, -1, -1):
-        j = w[t]
-        if j == c:
-            e = table.get(a)
-            if e is not None:
-                sr, si = _pair_int(u1, w[:t] + w[t + 1 :], tables, cart, memo)
-                if sr or si:
-                    re += e[0] * sr - e[1] * si
-                    im += e[0] * si + e[1] * sr
-        a -= cart_c[j]
-    val = (re, im) if re or im else G0
-    memo[key] = val
-    return val
-
-
 def pair_words_qqi(u, w, ctx: EvalContext, v0):
-    """<(raising word u) (lowering word w)> of a specialized context at the
-    point v0: the integer pairing divided by its scale."""
-    if len(u) != len(w):
-        return QQI_ZERO
-    tables, scale = ctx.int_levels(len(w), v0)
-    re, im = _pair_int(u, w, tables, ctx.cart, {((), ()): G1})
-    return (Fraction(re, scale), Fraction(im, scale))
+    """<(raising word u) (lowering word w)> of a context at the point v0,
+    by the symbolic engine: an oracle for the integer Gram slices."""
+    left = [(tuple(("e", j) for j in reversed(u)), ONE)]
+    return scalar_to_qqi(pair_left(left, fword_elt(w), ctx), SpecMode.numeric(v0))
 
 
 def _symmetric_rows(size, entry):
@@ -672,12 +635,13 @@ def _fill_gram(words, tables, cart, grams):
 def gram_int_rows(words, ctx: EvalContext, v0):
     """The Gram slice on the lex-ordered words of one weight mu (all of
     length k) at v0 as Gaussian integers: P_k times the rational Gram, hence
-    of the same rank.  It applies ``_pair_int``'s recursion to whole rows:
-    for x = (c,) + x', row x is row x' of the Gram of mu+alpha_c times E_c,
-    whose column w holds, per slot t with w[t] = c, the level-k value of c
-    at the pairing value of w's letters after t, in the row of w without
-    slot t.  The tails of the words that start with c are the words of
-    mu+alpha_c in lex order, so that Gram is filled from them, level by
+    of the same rank.  It applies the engine's step, which consumes the
+    rightmost raising letter against each matching lowering slot, to whole
+    rows: for x = (c,) + x', row x is row x' of the Gram of mu+alpha_c
+    times E_c, whose column w holds, per slot t with w[t] = c, the level-k
+    value of c at the pairing value of w's letters after t, in the row of w
+    without slot t.  The tails of the words that start with c are the words
+    of mu+alpha_c in lex order, so that Gram is filled from them, level by
     level, once per letter multiset and call.
 
     The contravariant form is symmetric in every mode and at every point:

@@ -296,35 +296,6 @@ def antipode(x: AlgElt, n: int, inverse: bool = False) -> AlgElt:
     return total
 
 
-def knormal(x: AlgElt, n: int) -> AlgElt:
-    """Cartan normal form: commute every K-letter to the right end of its
-    word, collecting the q-powers, and merge the K's into a single letter.
-
-    Two words equal in the algebra modulo the Cartan commutation relations
-    have identical images, so expansion identities involving K-letters are
-    compared after this normalization.
-    """
-    terms: dict = {}
-    for w, c in x.terms.items():
-        mu = [0] * n
-        letters = []
-        vexp = 0
-        for g in w:
-            if g[0] == "K":
-                for idx, m in enumerate(g[1]):
-                    mu[idx] += m
-            else:
-                if any(mu):
-                    av = alpha_vec(g[1], n)
-                    dot = sum(m * a for m, a in zip(mu, av))
-                    vexp += 2 * dot if g[0] == "e" else -2 * dot
-                letters.append(g)
-        if any(mu):
-            letters.append(gen_k(tuple(mu)))
-        acc_add(terms, [(tuple(letters), c * Scalar.v_power(vexp) if vexp else c)])
-    return x._with(terms)
-
-
 def _antipode_gen(g, n, inverse):
     kind = g[0]
     if kind == "K":

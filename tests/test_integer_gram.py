@@ -111,7 +111,7 @@ def largest_r3_slices():
 
 def test_level_fill_at_the_largest_ranked_slice_matches_the_entry_recursion(largest_r3_slices):
     """Sampled entries of the 168-word fill against ``pair_words_qqi``, the
-    per-entry recursion, times the scale."""
+    symbolic engine at v0, times the scale."""
     words, slices = largest_r3_slices
 
     @PROPERTY

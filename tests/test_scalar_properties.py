@@ -11,6 +11,7 @@ canonicalization has gcds and units to cancel.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from qsphere.scalars import (
     peval_qqi,
     pmul,
     pneg,
+    pscale,
     qnum,
     qqi_add,
     qqi_inv,
@@ -129,10 +131,35 @@ def test_canonical_form_keeps_the_value_at_random_points(num0, den0, common, mon
     assert s.key() == Scalar(num0, pmul(den0, mono)).key()
     # a polynomial in v with a nonzero constant term
     assert 0 in s.den and all(k >= 0 for k in s.den)
+    # a positive-integer leading coefficient, and integer content 1
     lead = s.den[max(s.den)]
-    assert lead[0] > 0 and lead[1] >= 0
+    assert lead[1] == 0 and lead[0] > 0
+    assert _integer_content(s) == 1
     assume(peval_qqi(den, v0) != QQI_ZERO)
     assert _value(s.num, s.den, v0) == _value(num, den, v0)
+
+
+def _integer_content(s):
+    return gcd(*(x for c in (*s.num.values(), *s.den.values()) for x in c))
+
+
+# Gaussian integers that are no units: 1+i and 2-i are primes of Z[i],
+# 3 = 3 and 3+4i = (2+i)^2 are not
+NON_UNITS = st.one_of(
+    st.sampled_from([(1, 1), (2, -1), (3, 0), (3, 4)]),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda g: g[0] ** 2 + g[1] ** 2 > 1),
+)
+
+
+@PROPERTY
+@given(LAURENT, LAURENT, MONOMIALS, NON_UNITS)
+def test_a_gaussian_factor_of_numerator_and_denominator_cancels(num, den0, mono, lam):
+    """The positive-integer leading coefficient and the integer content fix
+    one form for every constant multiple of the pair."""
+    den = pmul(den0, mono)
+    s = Scalar(num, den)
+    assert Scalar(pscale(num, lam), pscale(den, lam)).key() == s.key()
+    assert _integer_content(s) == 1
 
 
 @PROPERTY

@@ -96,3 +96,14 @@ def test_rank_three_star_suite():
     rep = verify_star(3)
     assert rep.passed
     assert len(rep.checks) == 97
+
+
+def test_classical_limit_covers_every_candidate_pair():
+    """At degree 3 there are six candidates; the limit checks pair all of
+    them, not the first four."""
+    rep = verify_star(2, 3)
+    names = [c.name for c in rep.checks]
+    assert rep.passed
+    assert len(names) == 289
+    assert "limit:deg3[1]*deg3[1]" in names
+    assert sum(name.startswith("limit:") for name in names) == 36

@@ -11,12 +11,13 @@ from qsphere.words import (
     gen_e,
     gen_f,
     gen_k,
-    knormal,
     omega,
     qbracket,
     root_vector,
     weight_of,
 )
+
+from oracles import knormal
 
 Q = Scalar.v_power(2)
 QBAR = Scalar.v_power(-2)
