@@ -455,15 +455,15 @@ def qqi_inv(a):
 
 
 def qqi_pow(a, k: int):
+    if a[1] == 0:  # a real point: one Fraction power
+        return (a[0] ** k, a[1])
     if k < 0:
-        a = qqi_inv(a)
-        k = -k
+        a, k = qqi_inv(a), -k
     out = qqi(1)
     while k:
         if k & 1:
             out = qqi_mul(out, a)
-        a = qqi_mul(a, a)
-        k >>= 1
+        a, k = qqi_mul(a, a), k >> 1
     return out
 
 

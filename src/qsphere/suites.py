@@ -470,6 +470,11 @@ def _rank_weights(n, max_deg):
 def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationReport:
     """Full-slice Gram ranks against basis counts, plus nonzero diagonals.
 
+    No slice is filled: row (c,) + x' of the Gram G_mu is row x' of
+    G_{mu+alpha_c} times a sparse level matrix E_c, so each rank is the size
+    of a basis of the row space built from the bases one letter up
+    (``rank_at``), which are kept per sign and point for the run.
+
     Weights with more than ``_IRR_WORD_LIMIT`` words are outside the scope
     of the run (the limit is recorded in the report params as
     ``word_limit``); at rank 2 it covers every weight up to degree 4.

@@ -17,9 +17,9 @@ numerators in v in one packed ring: every coefficient enters the ring once,
 through its ``hom``, after each side's denominators are cleared, and one
 walk over a trie of the left words evaluates a whole pairing, after a
 height check has dropped the left words that reach the vacuum against no
-right word.  A numeric point is no mode: the irreducibility ranks evaluate
-integer Gram slices at it, each filled level by level from the Grams of the
-weights one lowering letter up.
+right word.  A numeric point is no mode: the irreducibility ranks take integer
+Gram slices at it, each ranked from a basis of its row space built from the
+bases of the weights one lowering letter up.
 
 Equality in the enveloping algebra and in the module is *never* decided by
 rewriting: an element is declared zero exactly when it pairs to zero with a
@@ -182,7 +182,7 @@ class EvalContext:
         self._kfactor_cache: dict = {}
         self._rank_gate: dict = {}
         self._spans: dict = {}
-        self._int_points: dict = {}  # v0 -> (point, 1/(q - q^{-1}) there, values, tables, scales)
+        self._int_points: dict = {}  # v0 -> (point, 1/(q - q^{-1}) there, values, tables, scales, bases)
 
     def ecoef(self, i: int, a: int):
         """Coefficient created when a raising letter consumes a matching
@@ -226,8 +226,8 @@ class EvalContext:
                 raise ValueError("integer tables need the specialized weight")
             pt = SpecMode.numeric(v0).v0
             inv_qdiff = qqi_inv(peval_qqi(_QDIFF, pt))  # 1/(q - q^{-1}) at v0
-            point = self._int_points[v0] = (pt, inv_qdiff, {}, [None], [1])
-        pt, inv_qdiff, values, tables, scales = point
+            point = self._int_points[v0] = (pt, inv_qdiff, {}, [None], [1], {})
+        pt, inv_qdiff, values, tables, scales, _bases = point
         cmax = max(abs(c) for row in self.cart[1:] for c in row[1:])
         while len(tables) <= k:
             top = cmax * (len(tables) - 1)
@@ -535,12 +535,13 @@ def enumerate_b_indices(n, max_total):
 # Gram matrices, ranks, and the module oracle
 # ---------------------------------------------------------------------------
 
-def rank_gauss(rows) -> int:
-    """Rank by fraction-free (Bareiss) elimination over an exact domain:
-    Gaussian integers as (re, im) pairs, or ``Scalar``s, which the field's
-    own *, - and / rank exactly over Q(i)(v).  Each update divides exactly
-    by the previous pivot (none on the first step, where it is the unit), so
-    Gaussian-integer entries stay integral."""
+def _bareiss(rows):
+    """The nonzero rows of a fraction-free (Bareiss) echelon form, which
+    span the row space of rows, over an exact domain: Gaussian integers as
+    (re, im) pairs, or ``Scalar``s, which the field's own *, - and / rank
+    exactly over Q(i)(v).  Each update divides exactly by the previous pivot
+    (none on the first step, where it is the unit), so Gaussian-integer
+    entries stay integral."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -548,14 +549,9 @@ def rank_gauss(rows) -> int:
         mul, sub, div, zero, prev = Scalar.__mul__, Scalar.__sub__, Scalar.__truediv__, ZERO, ONE
     else:
         mul, sub, div, zero, prev = _gmul, _gsub, _gdiv_exact, G0, G1
-    rank = 0
     row = 0
     for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col] != zero:
-                piv = r
-                break
+        piv = next((r for r in range(row, nrows) if m[r][col] != zero), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
@@ -563,14 +559,18 @@ def rank_gauss(rows) -> int:
         for r in range(row + 1, nrows):
             for c in range(col + 1, ncols):
                 x = sub(mul(pivot, m[r][c]), mul(m[r][col], m[row][c]))
-                m[r][c] = div(x, prev) if rank else x
+                m[r][c] = div(x, prev) if row else x
             m[r][col] = zero
         prev = pivot
-        rank += 1
         row += 1
         if row == nrows:
             break
-    return rank
+    return m[:row]
+
+
+def rank_gauss(rows) -> int:
+    """Rank by one fraction-free elimination; see ``_bareiss``."""
+    return len(_bareiss(rows))
 
 
 def pair_words_qqi(u, w, ctx: EvalContext, v0):
@@ -582,7 +582,8 @@ def pair_words_qqi(u, w, ctx: EvalContext, v0):
 
 def _symmetric_rows(size, entry):
     """The size x size matrix of entry(i, j), computed for i <= j only and
-    mirrored; see ``gram_int_rows`` for why a Gram matrix is symmetric."""
+    mirrored: the contravariant form is symmetric, as <a, b> = eps(omega(a) b)
+    with omega an involutive anti-automorphism and eps o omega = eps."""
     rows = [[None] * size for _ in range(size)]
     for i in range(size):
         row = rows[i]
@@ -591,27 +592,28 @@ def _symmetric_rows(size, entry):
     return rows
 
 
-def _fill_gram(words, tables, cart, grams):
-    """The Gram of the lex-ordered words of one weight, filled from the
-    Grams of their tails and memoized in grams by letter multiset; see
-    ``gram_int_rows``."""
+def _row_basis(words, tables, cart, bases):
+    """Echelon rows spanning the row space of the integer Gram slice on the
+    lex-ordered words of one weight (all of length k), built from the bases
+    of the weights one letter up and memoized in bases by letter multiset;
+    see ``rank_at``."""
     k = len(words[0])
     if not k:
         return [[G1]]
     key = words[0]  # the lex-first word is sorted: the letter multiset
-    rows = grams.get(key)
-    if rows is not None:
-        return rows
-    size = len(words)
-    rows = grams[key] = [[None] * size for _ in range(size)]
-    start = 0
+    basis = bases.get(key)
+    if basis is not None:
+        return basis
+    cands = []
     for c, block in groupby(words, itemgetter(0)):
         tails = [w[1:] for w in block]
-        up = _fill_gram(tails, tables, cart, grams)
+        up = _row_basis(tails, tables, cart, bases)
+        if not up:
+            continue
         index = {w: r for r, w in enumerate(tails)}
         level_c, cart_c = tables[k][c], cart[c]
-        cols = []  # the columns of E_c from the block on: (row, re, im)
-        for w in words[start:]:
+        cols = []  # the columns of E_c: (row of the tail word, re, im)
+        for w in words:
             col, a = [], 0
             for t in range(k - 1, -1, -1):
                 j = w[t]
@@ -619,48 +621,41 @@ def _fill_gram(words, tables, cart, grams):
                     col.append((index[w[:t] + w[t + 1 :]], e[0], e[1]))
                 a -= cart_c[j]
             cols.append(col)
-        for i, g in enumerate(up, start):
-            row = rows[i]
-            for j in range(i, size):
+        for b in up:
+            row = []
+            for col in cols:
                 re = im = 0
-                for r, er, ei in cols[j - start]:
-                    sr, si = g[r]
+                for r, er, ei in col:
+                    sr, si = b[r]
                     re += er * sr - ei * si
                     im += er * si + ei * sr
-                row[j] = rows[j][i] = (re, im)
-        start += len(tails)
-    return rows
-
-
-def gram_int_rows(words, ctx: EvalContext, v0):
-    """The Gram slice on the lex-ordered words of one weight mu (all of
-    length k) at v0 as Gaussian integers: P_k times the rational Gram, hence
-    of the same rank.  It applies the engine's step, which consumes the
-    rightmost raising letter against each matching lowering slot, to whole
-    rows: for x = (c,) + x', row x is row x' of the Gram of mu+alpha_c
-    times E_c, whose column w holds, per slot t with w[t] = c, the level-k
-    value of c at the pairing value of w's letters after t, in the row of w
-    without slot t.  The tails of the words that start with c are the words
-    of mu+alpha_c in lex order, so that Gram is filled from them, level by
-    level, once per letter multiset and call.
-
-    The contravariant form is symmetric in every mode and at every point:
-    <a, b> = eps(omega(a) b), omega is an involutive anti-automorphism and
-    eps o omega = eps, so <b, a> = eps(omega(omega(a) b)) = <a, b>.  Each
-    level computes the entries with i <= j and mirrors the others.
-    """
-    tables, _scale = ctx.int_levels(len(words[0]), v0)
-    return _fill_gram(words, tables, ctx.cart, {})
+                row.append((re, im) if re or im else G0)
+            cands.append(row)
+    basis = bases[key] = _bareiss(cands)
+    return basis
 
 
 def rank_at(coords, ctx: EvalContext, v0, limit: int = 400) -> int:
-    """Rank of the full Gram slice of a weight at the point v0."""
+    """Rank of the Gram slice G_mu of a weight at v0 as Gaussian integers:
+    P_k times the rational Gram (``int_levels``), hence of the same rank.
+
+    The slice is never filled.  The engine's step consumes the rightmost
+    raising letter against each matching lowering slot, so for x = (c,) + x'
+    row x of G_mu is row x' of G_{mu+alpha_c} times E_c, whose column w
+    holds, per slot t with w[t] = c, the level-k value of c at the pairing
+    value of w's letters after t, in the row of w without slot t.  The tails
+    of the words that start with c are the words of mu+alpha_c in lex order,
+    so rowspace(G_mu) = sum over c of rowspace(G_{mu+alpha_c}) E_c, with
+    [[1]] at the empty word: the rank is the size of the basis that one
+    elimination leaves of the bases one letter up mapped through their E_c,
+    kept per point and letter multiset for the context's run."""
     if ctx.mode.kind != "specialized":
         raise ValueError("rank computations need the specialized weight")
     words = fwords_of_weight(coords, ctx.n, limit=limit)
     if not words:
         return 0
-    return rank_gauss(gram_int_rows(words, ctx, v0))
+    tables, _scale = ctx.int_levels(len(words[0]), v0)
+    return len(_row_basis(words, tables, ctx.cart, ctx._int_points[v0][-1]))
 
 
 def ladder_spanning_set(coords, ctx: EvalContext):

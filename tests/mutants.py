@@ -84,19 +84,29 @@ MUTANTS = [
     ),
     (
         # level 1 has no level below it: there the mutant reads level 1
-        "level-fill-reads-the-tables-one-level-down",
+        "row-basis-reads-the-tables-one-level-down",
         "src/qsphere/verma.py",
         "        level_c, cart_c = tables[k][c], cart[c]\n",
         "        level_c, cart_c = tables[max(k - 1, 1)][c], cart[c]\n",
         ["tests/test_integer_gram.py"],
     ),
     (
-        # two letter multisets of one length and word count share a Gram of
-        # the right size, so the wrong one is read without an IndexError
-        "level-fill-memo-keyed-by-word-count-and-length",
+        # two letter multisets of one length and word count share a basis
+        # of the right row length, so the wrong one is read without an
+        # IndexError; the memo lasts the context's run, across weights
+        "row-basis-memo-keyed-by-word-count-and-length",
         "src/qsphere/verma.py",
         "    key = words[0]  # the lex-first word is sorted: the letter multiset\n",
         "    key = len(words), len(words[0])\n",
+        ["tests/test_integer_gram.py"],
+    ),
+    (
+        # every slice of the true form has rank at most 1, where one nonzero
+        # candidate already has the rank; random level tables see the loss
+        "row-basis-stacks-only-the-first-letters-candidates",
+        "src/qsphere/verma.py",
+        "        if not up:\n            continue\n",
+        "        if not up or cands:\n            continue\n",
         ["tests/test_integer_gram.py"],
     ),
     (
@@ -105,6 +115,14 @@ MUTANTS = [
         "            inv_qdiff = qqi_inv(peval_qqi(_QDIFF, pt))  # 1/(q - q^{-1}) at v0\n",
         "            inv_qdiff = peval_qqi(PONE, pt)\n",
         ["tests/test_integer_gram.py"],
+    ),
+    (
+        # a positive power is right; only negative exponents see the sign
+        "qqi-pow-real-point-drops-the-exponent-sign",
+        "src/qsphere/scalars.py",
+        "        return (a[0] ** k, a[1])\n",
+        "        return (a[0] ** abs(k), a[1])\n",
+        ["tests/test_scalars.py"],
     ),
     (
         "engine-clearing-drops-the-common-denominator",

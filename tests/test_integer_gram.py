@@ -1,16 +1,19 @@
-"""Differential tests: the integer Gram slices of ``rank_at`` against the
+"""Differential tests: the ranks of ``rank_at``, taken from row-space bases
+one letter up, against the full integer Gram slices of ``oracles`` and the
 rational Gram computed independently through the vacuum engine.
 
-The oracle pairs every two words of a slice with ``shapovalov`` (the trie
-walk ``_evaluate`` of the specialized context) and evaluates the values at
-the point with ``scalar_to_qqi``; its rank comes from the Gauss-Jordan kernel
-of ``nullspace_qqi``, not from the Bareiss routine under test.  The level
-tables are checked against the ecoef formula at the specialized weight,
-evaluated at the point independently of the engine ring.
+The rational oracle pairs every two words of a slice with ``shapovalov``
+(the trie walk ``_evaluate`` of the specialized context) and evaluates the
+values at the point with ``scalar_to_qqi``; its rank comes from the
+Gauss-Jordan kernel of ``nullspace_qqi``, not from the Bareiss routine under
+test.  The level tables are checked against the ecoef formula at the
+specialized weight, evaluated at the point independently of the engine ring.
 """
 
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +24,11 @@ from qsphere.scalars import ONE, QQI_ZERO, Scalar, SpecMode, _gmul, peval_qqi, q
 from qsphere.suites import _IRR_WORD_LIMIT, _rank_weights
 from qsphere.verma import (
     EvalContext,
+    _row_basis,
     _unpack_poly,
     fword_count,
     fword_elt,
     fwords_of_weight,
-    gram_int_rows,
     pair_words_qqi,
     rank_at,
     rank_gauss,
@@ -33,13 +36,15 @@ from qsphere.verma import (
 )
 from qsphere.words import alpha_vec
 
+from oracles import gram_int_rows
+
 POINTS = [2, Fraction(5, 2), (3, 1)]
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
 MAX_WORDS = 30
 
 
-def weights(n):
-    """Weights -(sum of a_j alpha_j) with at most MAX_WORDS lowering words."""
+def weights(n, max_words=MAX_WORDS):
+    """Weights -(sum of a_j alpha_j) with at most max_words lowering words."""
 
     def to_coords(counts):
         return tuple(-sum(a * alpha_vec(j, n)[c] for j, a in enumerate(counts, 1)) for c in range(n))
@@ -48,7 +53,7 @@ def weights(n):
         st.lists(st.integers(0, 3), min_size=n, max_size=n)
         .filter(lambda counts: 0 < sum(counts) <= 5)
         .map(to_coords)
-        .filter(lambda mu: len(fwords_of_weight(mu, n)) <= MAX_WORDS)
+        .filter(lambda mu: len(fwords_of_weight(mu, n)) <= max_words)
     )
 
 
@@ -120,6 +125,77 @@ def test_level_fill_at_the_largest_ranked_slice_matches_the_entry_recursion(larg
         for ctx, v0, rows, scale in slices:
             re, im = pair_words_qqi(tuple(reversed(words[i])), words[j], ctx, v0)
             assert rows[i][j] == (re * scale, im * scale), (ctx.mode, v0, words[i], words[j])
+
+    check()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_row_basis_spans_the_row_space_of_every_ranked_slice(n):
+    """At every weight that ``verify_irreducibility(n, 4)`` ranks, both signs
+    and three points: ``rank_at`` is the rank of the full integer Gram, and
+    the basis stacked under the Gram's rows leaves that rank unchanged, so
+    it spans the Gram's row space and not just a space of its dimension."""
+    ranked = [mu for mu in _rank_weights(n, 4) if 0 < fword_count(mu, n) <= _IRR_WORD_LIMIT]
+    for sigma in (1, -1):
+        ctx = EvalContext(n, SpecMode.specialized(sigma))
+        for v0 in (2, 3, (3, 1)):
+            for mu in ranked:
+                words = fwords_of_weight(mu, n)
+                rows = gram_int_rows(words, ctx, v0)
+                rank = rank_gauss(rows)
+                assert rank_at(mu, ctx, v0, limit=_IRR_WORD_LIMIT) == rank, (sigma, v0, mu)
+                tables, _scale = ctx.int_levels(len(words[0]), v0)
+                basis = _row_basis(words, tables, ctx.cart, {})
+                assert len(basis) == rank and rank_gauss(rows + basis) == rank, (sigma, v0, mu)
+
+
+def unmirrored_gram(words, tables, cart):
+    """The slice of the lex-ordered words of one weight under the level
+    tables: for each word x = (c,) + x', row x' of the slice of the tails
+    times the dense matrix E_c, with no entry mirrored, so any tables do."""
+    k = len(words[0])
+    if not k:
+        return [[(1, 0)]]
+    rows = []
+    for c, block in groupby(words, itemgetter(0)):
+        tails = [w[1:] for w in block]
+        e_c = [[(0, 0)] * len(words) for _ in tails]
+        for col, w in enumerate(words):
+            for t in range(k):
+                if w[t] == c:
+                    re, im = tables[k][c].get(-sum(cart[c][j] for j in w[t + 1 :]), (0, 0))
+                    r = tails.index(w[:t] + w[t + 1 :])
+                    e_c[r][col] = (e_c[r][col][0] + re, e_c[r][col][1] + im)
+        for g in unmirrored_gram(tails, tables, cart):
+            row = []
+            for col in range(len(words)):
+                terms = [_gmul(x, e[col]) for x, e in zip(g, e_c)]
+                row.append((sum(t[0] for t in terms), sum(t[1] for t in terms)))
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_row_basis_ranks_random_level_tables_like_the_full_product(n):
+    """Random Gaussian-integer level tables reach ranks that no slice of the
+    true form has; the basis has the rank of the unmirrored full product
+    and spans its row space."""
+    cart = EvalContext(n, SpecMode.specialized(1)).cart
+    entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+    @settings(PROPERTY, max_examples=60)
+    @given(weights(n, max_words=40), st.data())
+    def check(mu, data):
+        words = fwords_of_weight(mu, n)
+        tables = [None]
+        for level in range(1, len(words[0]) + 1):
+            span = range(-2 * (level - 1), 2 * (level - 1) + 1)
+            draws = [data.draw(st.lists(entry, min_size=len(span), max_size=len(span))) for _ in range(n)]
+            tables.append([None] + [{a: e for a, e in zip(span, d) if e != (0, 0)} for d in draws])
+        rows = unmirrored_gram(words, tables, cart)
+        rank = rank_gauss(rows)
+        basis = _row_basis(words, tables, cart, {})
+        assert len(basis) == rank and rank_gauss(rows + basis) == rank, (mu, tables)
 
     check()
 

@@ -12,6 +12,9 @@ from qsphere.scalars import (
     qfact,
     qnum,
     qqi,
+    qqi_inv,
+    qqi_mul,
+    qqi_pow,
     scalar_to_qqi,
     theta,
     weight_symbol,
@@ -78,6 +81,18 @@ def test_qfact():
 
 def test_theta_at_numeric_point():
     assert scalar_to_qqi(theta(), SpecMode.numeric(2)) == qqi(Fraction(3, 2))
+
+
+@pytest.mark.parametrize("point", [2, Fraction(-5, 3), (3, 1), (Fraction(1, 2), -2)])
+def test_qqi_pow_is_repeated_multiplication(point):
+    """Real points take one Fraction power; both kinds against k factors of
+    the point, or of its inverse for k < 0."""
+    a = SpecMode.numeric(point).v0
+    for k in range(-7, 8):
+        want = qqi(1)
+        for _ in range(abs(k)):
+            want = qqi_mul(want, a if k > 0 else qqi_inv(a))
+        assert qqi_pow(a, k) == want, (point, k)
 
 
 def test_numeric_mode_guards():
