@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .report import VerificationReport
+from .scalars import SpecMode
 from .suites import SUITE_BY_NAME, SUITE_LIST, SUITES, Session
 from .verma import OracleError
 
@@ -80,11 +81,10 @@ def _check_config(cfg: SuiteConfig):
         raise UsageError("--max-deg must be non-negative")
     if cfg.v0 is not None:
         try:
-            v0 = Fraction(cfg.v0)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError("--v must be a rational number P or P/Q, not %r" % cfg.v0) from None
-        if v0 in (0, 1, -1):
-            raise UsageError("--v must avoid 0 and the unit points")
+            SpecMode.numeric(cfg.v0)
+        except (ValueError, ZeroDivisionError) as e:
+            msg = "--v must be a rational P or P/Q other than 0 and +-1, not %r (%s)"
+            raise UsageError(msg % (cfg.v0, e)) from None
 
 
 def _validate(suite, cfg: SuiteConfig):

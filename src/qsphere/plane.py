@@ -13,22 +13,10 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .scalars import ONE, QQI_ZERO, ZERO, Scalar, SpecMode, scalar_to_qqi
+from .scalars import ONE, Q, QBAR, QQI_ZERO, ZERO, Scalar, SpecMode, scalar_to_qqi
 from .words import AlgElt, Combination, acc_add, alpha_vec
 
-_Q = Scalar.v_power(2)
-_QBAR = Scalar.v_power(-2)
-_QM1 = _Q - ONE  # q - 1
-
-
-def index_weight(k: int, n: int):
-    """Weight coordinates of x_k."""
-    w = [0] * n
-    if k > 0:
-        w[k - 1] = 1
-    elif k < 0:
-        w[-k - 1] = -1
-    return tuple(w)
+_QM1 = Q - ONE  # q - 1
 
 
 def word_weight(word, n):
@@ -62,15 +50,15 @@ def normalize_word(word, n) -> dict:
         i, j = word[pos], word[pos + 1]
         head, tail = word[:pos], word[pos + 2 :]
         if i != -j:
-            out = _scaled(normalize_word(head + (j, i) + tail, n), _QBAR)
+            out = _scaled(normalize_word(head + (j, i) + tail, n), QBAR)
         else:
             jj = i  # i = jj > 0, j = -jj
             out = dict(normalize_word(head + (-jj, jj) + tail, n))
             if jj == 1:
                 acc_add(out, normalize_word(head + (0, 0) + tail, n).items(), _QM1)
             else:
-                acc_add(out, normalize_word(head + (jj - 1, -jj + 1) + tail, n).items(), _Q)
-                acc_add(out, normalize_word(head + (-jj + 1, jj - 1) + tail, n).items(), -_QBAR)
+                acc_add(out, normalize_word(head + (jj - 1, -jj + 1) + tail, n).items(), Q)
+                acc_add(out, normalize_word(head + (-jj + 1, jj - 1) + tail, n).items(), -QBAR)
     _NF_CACHE[key] = out
     return out
 
@@ -203,28 +191,21 @@ def act_gen_on_word(g, word, n) -> dict:
         return acc
     i = g[1]
     av = alpha_vec(i, n)
+    # e walks right to left with +2(alpha_i, weight of the suffix passed),
+    # f left to right with -2(alpha_i, weight of the prefix passed)
     if kind == "e":
-        suff = 0  # 2*(alpha_i, weight of the suffix), accumulated from the right
-        for t in range(len(word) - 1, -1, -1):
-            k = word[t]
-            hit = _e_on_coord(i, k)
-            if hit is not None:
-                nk, sgn = hit
-                nf = normalize_word(word[:t] + (nk,) + word[t + 1 :], n)
-                acc_add(acc, nf.items(), sgn * Scalar.v_power(suff))
-            wk = index_weight(k, n)
-            suff += 2 * sum(a * b for a, b in zip(av, wk))
+        order, on_coord, sign = range(len(word) - 1, -1, -1), _e_on_coord, 1
     else:
-        pref = 0  # -2*(alpha_i, weight of the prefix), accumulated from the left
-        for t in range(len(word)):
-            k = word[t]
-            hit = _f_on_coord(i, k)
-            if hit is not None:
-                nk, sgn = hit
-                nf = normalize_word(word[:t] + (nk,) + word[t + 1 :], n)
-                acc_add(acc, nf.items(), sgn * Scalar.v_power(pref))
-            wk = index_weight(k, n)
-            pref -= 2 * sum(a * b for a, b in zip(av, wk))
+        order, on_coord, sign = range(len(word)), _f_on_coord, -1
+    passed = 0
+    for t in order:
+        k = word[t]
+        hit = on_coord(i, k)
+        if hit is not None:
+            nk, sgn = hit
+            nf = normalize_word(word[:t] + (nk,) + word[t + 1 :], n)
+            acc_add(acc, nf.items(), sgn * Scalar.v_power(passed))
+        passed += 2 * sign * sum(a * b for a, b in zip(av, word_weight((k,), n)))
     return acc
 
 
@@ -280,7 +261,7 @@ def casimir(n: int) -> PlanePoly:
     """The quadratic invariant (1/(1+q)) x_0^2 + sum_i q^{i-1} x_i x_{-i}."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    inv = ONE / (ONE + _Q)
+    inv = ONE / (ONE + Q)
     out = PlanePoly.from_word((0, 0), n).scaled(inv)
     for i in range(1, n + 1):
         out = out + PlanePoly.from_word((i, -i), n).scaled(Scalar.v_power(2 * (i - 1)))

@@ -342,23 +342,24 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(dict(self.den), dict(self.num))
+        return ONE / self
 
     def __truediv__(self, other):
         other = Scalar._promote(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * other.inverse()
+        if not other.num:
+            raise ZeroDivisionError("division by the zero scalar")
+        return Scalar(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
-        return Scalar._promote(other) * self.inverse()
+        other = Scalar._promote(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def __pow__(self, k: int):
         if k == 0:
             return ONE
-        base = self if k > 0 else self.inverse()
+        base = self if k > 0 else ONE / self
         out = base
         for _ in range(abs(k) - 1):
             out = out * base
@@ -414,6 +415,8 @@ def _poly_str(p, bare=False):
 ZERO = Scalar.integer(0)
 ONE = Scalar.integer(1)
 I_UNIT = Scalar.gauss(0, 1)
+Q = Scalar.v_power(2)  # the deformation parameter q = v^2
+QBAR = Scalar.v_power(-2)  # q^{-1}
 
 
 def weight_symbol(sigma: int, k: int = 1) -> Scalar:

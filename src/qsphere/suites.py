@@ -35,6 +35,8 @@ from fractions import Fraction
 
 from .scalars import (
     ONE,
+    Q,
+    QBAR,
     ZERO,
     Scalar,
     SpecMode,
@@ -75,8 +77,6 @@ from .plane import (
 )
 from .report import VerificationReport
 
-_Q = Scalar.v_power(2)
-_QBAR = Scalar.v_power(-2)
 # the irreducibility scope: the largest Gram slice (in words) it ranks
 _IRR_WORD_LIMIT = 200
 # the random samples of xyz's bracket identity and module-algebra's
@@ -205,7 +205,7 @@ def serre_elements(n):
     for j in range(2, n + 1):
         for jp in (j - 1, j + 1):
             if 1 <= jp <= n:
-                s = qbracket(AlgElt.f(j), qbracket(AlgElt.f(j), AlgElt.f(jp), _Q), _QBAR)
+                s = qbracket(AlgElt.f(j), qbracket(AlgElt.f(j), AlgElt.f(jp), Q), QBAR)
                 out.append(("serre[f%d,f%d]" % (j, jp), s))
     if n >= 2:
         out.append(
@@ -301,7 +301,6 @@ class Session:
 
 def _span_checks(n, max_deg):
     """All action checks ordered by weight height (the ladder order)."""
-    q = _Q
     checks = []
     for m in enumerate_b_indices(n, max_deg):
         b = b_monomial(m, n)
@@ -317,7 +316,7 @@ def _span_checks(n, max_deg):
                 mp = list(m)
                 mp[i - 1] -= 1
                 mp[i] += 1
-                rhs = b_monomial(tuple(mp), n).scaled(-q * qnum(mi))
+                rhs = b_monomial(tuple(mp), n).scaled(-Q * qnum(mi))
             checks.append(
                 (ht, "m=%s,gen=f%d" % (list(m), i + 1), AlgElt.f(i + 1) * b - rhs)
             )
@@ -358,7 +357,7 @@ def verify_normalizer(n=2, max_deg=4, session=None) -> VerificationReport:
             for i in range(1, n):
                 fe_i = root_vector("f_eps", i, n)
                 fe_n = root_vector("f_eps", i + 1, n)
-                ex = fe_n * fe_i - (fe_i * fe_n).scaled(_QBAR)
+                ex = fe_n * fe_i - (fe_i * fe_n).scaled(QBAR)
                 for m in _b_tails(n, max(0, max_deg - 2), first=i + 1):
                     x = ex * b_monomial(m, n)
                     ok = is_zero_in_M(x, ctx)
@@ -418,8 +417,8 @@ def verify_xyz(n=3, session=None) -> VerificationReport:
         ctx = session.context(n, SpecMode.kashiwara())
         for i in range(2, n):
             x, y, z = AlgElt.f(i - 1), AlgElt.f(i), AlgElt.f(i + 1)
-            c1 = qbracket(qbracket(x, y, _QBAR), qbracket(y, z, _Q), ONE)
-            c2 = qbracket(y, qbracket(x, qbracket(y, z, _Q), _Q), ONE)
+            c1 = qbracket(qbracket(x, y, QBAR), qbracket(y, z, Q), ONE)
+            c2 = qbracket(y, qbracket(x, qbracket(y, z, Q), Q), ONE)
             rep.record(
                 "vanish:[[x,y],[y,z]]:i=%d" % i,
                 is_zero_in_U(c1, ctx),
@@ -495,7 +494,7 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
                 if count == 0 or count > word_limit:
                     continue
                 for p in points:
-                    r = rank_at(mu, sctx, p, limit=word_limit)
+                    r = rank_at(mu, sctx, p)
                     record(
                         "rank:mu=%s,v0=%s" % (list(mu), p),
                         r == expected,
@@ -546,10 +545,10 @@ def _plane_relations(n):
     for i in range(-n, n + 1):
         for j in range(-n, n + 1):
             if i > j and i != -j:
-                rels.append(((i, j), {(j, i): _QBAR}))
-    rels.append(((1, -1), {(-1, 1): ONE, (0, 0): _Q - ONE}))
+                rels.append(((i, j), {(j, i): QBAR}))
+    rels.append(((1, -1), {(-1, 1): ONE, (0, 0): Q - ONE}))
     for j in range(2, n + 1):
-        rels.append(((j, -j), {(-j, j): ONE, (j - 1, -j + 1): _Q, (-j + 1, j - 1): -_QBAR}))
+        rels.append(((j, -j), {(-j, j): ONE, (j - 1, -j + 1): Q, (-j + 1, j - 1): -QBAR}))
     return rels
 
 
@@ -587,7 +586,7 @@ def verify_module_algebra(n=2, session=None) -> VerificationReport:
                 av = alpha_vec(i, n)
                 kp = act(AlgElt.K(av), p)
                 km = act(AlgElt.K(tuple(-a for a in av)), p)
-                rhs = (kp - km).scaled(ONE / (_Q - _QBAR))
+                rhs = (kp - km).scaled(ONE / (Q - QBAR))
             else:
                 rhs = PlanePoly(n)
             if lhs != rhs:
@@ -631,7 +630,7 @@ def verify_delta_inv(n=2, kmax=6, session=None) -> VerificationReport:
         f1, f2 = AlgElt.f(1), AlgElt.f(2)
 
         def c_of(k):
-            return (Scalar.v_power(-2 * k) - ONE) / (_QBAR - ONE)
+            return (Scalar.v_power(-2 * k) - ONE) / (QBAR - ONE)
 
         for k in range(kmax + 1):
             xk = x0 ** k
@@ -644,7 +643,7 @@ def verify_delta_inv(n=2, kmax=6, session=None) -> VerificationReport:
             if k >= 2:
                 ck = c_of(k) * c_of(k - 1)
                 got2 = act(f1, act(f1, xk))
-                want2 = (xm1 * xm1 * x0 ** (k - 2)).scaled(_Q * ck)
+                want2 = (xm1 * xm1 * x0 ** (k - 2)).scaled(Q * ck)
                 rep.record("inter2:k=%d" % k, got2 == want2, "second displayed step fails")
                 got3 = act(f2, got2)
                 want3 = (xm2 * xm1 * x0 ** (k - 2)).scaled(-ck * qnum(2))

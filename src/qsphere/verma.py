@@ -13,11 +13,11 @@ branch, where every L_j is sigma*i*v^{-1}, or Kashiwara's form on the
 lowering half, which needs no weight and decides membership in the ideal of
 the Serre relations (``is_zero_in_U``).  The two differ only in the
 constants a raising letter and a Cartan letter contribute.  Values are
-numerators in v in one packed ring: every coefficient enters the ring once,
-through its ``hom``, after each side's denominators are cleared, and one
-walk over a trie of the left words evaluates a whole pairing, after a
-height check has dropped the left words that reach the vacuum against no
-right word.  A numeric point is no mode: the irreducibility ranks take integer
+packed numerators in v: every coefficient is packed once, by
+``_pack_poly``, after each side's denominators are cleared, and one walk
+over a trie of the left words evaluates a whole pairing, after a height
+check has dropped the left words that reach the vacuum against no right
+word.  A numeric point is no mode: the irreducibility ranks take integer
 Gram slices at it, each ranked from a basis of its row space built from the
 bases of the weights one lowering letter up.
 
@@ -139,32 +139,18 @@ def _kiadd(acc, key, val):
     acc[key] = (lo, a, b, bound, w) if a or b else _PZERO
 
 
-class _PackedRing:
-    """The engine's coefficient ring: packed Laurent numerators in v.  It
-    provides ``zero``, its one zero value; ``mul``; ``iadd(acc, key, val)``,
-    setting acc[key] to acc[key] + val; ``hom``, the packed value of a
-    Laurent polynomial; and ``poly``, the Laurent polynomial of a value.
-    Every coefficient enters the ring through ``hom``."""
-
-    zero = _PZERO
-    mul = staticmethod(_kmul)
-    iadd = staticmethod(_kiadd)
-    hom = staticmethod(_pack_poly)
-    poly = staticmethod(_unpack_poly)
-
-
 class OracleError(RuntimeError):
     """An oracle precondition failed; results depending on it are void."""
 
 
 class EvalContext:
-    """Rank, form, coefficient ring and cached root data for one suite run.
+    """Rank, form and cached root data for one suite run.
 
     The form is the contravariant form at the distinguished weight on one
     branch (a specialized mode), or Kashiwara's form on the lowering half
     (``SpecMode.kashiwara``); they differ only in the constants ``ecoef``
-    and ``kfactor``.  A specialized context keeps integer tables per
-    numeric point."""
+    and ``kfactor``, kept as packed numerators in v.  A specialized context
+    keeps integer tables per numeric point."""
 
     def __init__(self, n: int, mode: SpecMode):
         if n < 1:
@@ -173,7 +159,6 @@ class EvalContext:
             raise ValueError("a numeric point is evaluated in a specialized context")
         self.n = n
         self.mode = mode
-        self.ring = _PackedRing()
         self.alpha = [None] + [alpha_vec(i, n) for i in range(1, n + 1)]
         self.cart = [None] + [
             [0] + [cartan_pairing(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
@@ -192,7 +177,7 @@ class EvalContext:
         L_{i-1}/L_i) over q - q^{-1}, with L_0 = 1 and every other L_j the
         ``weight_symbol``: v^{2a} - v^{-2a} for i > 1, sigma*i*(v^{2a-1} +
         v^{1-2a}) for i = 1.  Kashiwara's form keeps the K_i^{-1} half
-        without its eigenvalue: -v^{-2a}.  The ring holds the numerator,
+        without its eigenvalue: -v^{-2a}.  The packed value is the numerator,
         and the denominator is restored once per raising-letter count p, the
         key of ``_evaluate``'s accumulator.
         """
@@ -206,7 +191,7 @@ class EvalContext:
             else:
                 si = (0, self.mode.sigma)
                 num = {2 * a - 1: si, 1 - 2 * a: si}
-            out = self._ecoef_cache[key] = num and self.ring.hom(num)
+            out = self._ecoef_cache[key] = num and _pack_poly(num)
         return out
 
     def int_levels(self, k: int, v0):
@@ -216,7 +201,7 @@ class EvalContext:
         with |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as a
         gains one Cartan entry per tail letter.  Level l maps i to {a: e(i, a)
         * s_l} over the nonzero numerators, where e(i, a), kept once per
-        point, is the ring's ecoef numerator evaluated at v0 and divided by
+        point, is the ecoef numerator evaluated at v0 and divided by
         q - q^{-1} there, and s_l is the lcm of their denominators; a pairing
         of length-k words built from these Gaussian integers is the true
         value times P_k = s_1 ... s_k."""
@@ -237,7 +222,7 @@ class EvalContext:
                     key = i, a
                     if key not in values:  # None for a zero numerator
                         e = self.ecoef(i, a)
-                        values[key] = e and qqi_mul(peval_qqi(self.ring.poly(e), pt), inv_qdiff)
+                        values[key] = e and qqi_mul(peval_qqi(_unpack_poly(e), pt), inv_qdiff)
                     if values[key] is not None:
                         level[i][a] = values[key]
             s = lcm(*(x.denominator for row in level[1:] for val in row.values() for x in val))
@@ -257,24 +242,21 @@ class EvalContext:
             if self.mode.kind != "specialized":
                 raise ValueError("a Cartan letter needs the specialized weight")
             val = weight_symbol(self.mode.sigma, sum(mu)) * Scalar.v_power(2 * wdot)
-            out = self._kfactor_cache[key] = self.ring.hom(val.num)
+            out = self._kfactor_cache[key] = _pack_poly(val.num)
         return out
 
 
 def _step(state, token, ctx):
     """Apply one letter, read right to left, to a state mapping lowering
-    words (standing on the vacuum) to ring coefficients."""
+    words (standing on the vacuum) to packed numerators."""
     kind, x = token
     if kind == "f":
         return {(x,) + w: c for w, c in state.items()}
-    ring = ctx.ring
-    mul = ring.mul
     if kind == "K":
         alpha = ctx.alpha
         dots = [0] + [sum(m * a for m, a in zip(x, alpha[j])) for j in range(1, ctx.n + 1)]
         kfactor = ctx.kfactor
-        return {w: mul(c, kfactor(x, -sum(dots[j] for j in w))) for w, c in state.items()}
-    iadd = ring.iadd
+        return {w: _kmul(c, kfactor(x, -sum(dots[j] for j in w))) for w, c in state.items()}
     ecoefs = ctx._ecoef_cache
     cart_i = ctx.cart[x]
     out: dict = {}
@@ -287,14 +269,13 @@ def _step(state, token, ctx):
                 if coef is False:  # not yet built; None is a cached zero
                     coef = ctx.ecoef(x, a)
                 if coef is not None:
-                    iadd(out, w[:t] + w[t + 1 :], mul(c, coef))
+                    _kiadd(out, w[:t] + w[t + 1 :], _kmul(c, coef))
             a -= cart_i[j]
-    zero = ring.zero
-    return {w: c for w, c in out.items() if c != zero}
+    return {w: c for w, c in out.items() if c != _PZERO}
 
 
-def _build_trie(terms, iadd):
-    """Prefix trie over token words, each word's ring value summed into its
+def _build_trie(terms):
+    """Prefix trie over token words, each word's packed value summed into its
     end node's "end"; a node holds only its children, keyed by token, and
     "end"."""
     root: dict = {}
@@ -305,7 +286,7 @@ def _build_trie(terms, iadd):
             if nxt is None:
                 nxt = node[token] = {}
             node = nxt
-        iadd(node, "end", c)
+        _kiadd(node, "end", c)
     return root
 
 
@@ -313,12 +294,11 @@ def _walk(node, state, p, ctx, acc):
     """Add into acc[p'] the vacuum part of the state reached at each word end
     below node, times the end's value, where p' counts the word's raising
     letters (p of them lie above node)."""
-    ring = ctx.ring
     end = node.get("end")
     if end is not None:
         val = state.get(())
         if val is not None:
-            ring.iadd(acc, p, ring.mul(val, end))
+            _kiadd(acc, p, _kmul(val, end))
     for token, child in node.items():
         if token == "end":
             continue
@@ -327,14 +307,14 @@ def _walk(node, state, p, ctx, acc):
             _walk(child, ns, p + (token[0] == "e"), ctx, acc)
 
 
-def _cleared(terms, hom):
-    """The terms (word, c) as (word, hom(c * D)), and D, the product of the
+def _cleared(terms):
+    """The terms (word, c) as (word, packed c * D), and D, the product of the
     distinct denominators of the c: polynomials in v, so c * D is the
     numerator of c times the other denominators."""
     keyed = [(w, c, tuple(sorted(c.den.items()))) for w, c in terms]
     dens = {key: c.den for _w, c, key in keyed}
     others = {key: reduce(pmul, [d for k, d in dens.items() if k != key], PONE) for key in dens}
-    return [(w, hom(pmul(c.num, others[key]))) for w, c, key in keyed], reduce(pmul, dens.values(), PONE)
+    return [(w, _pack_poly(pmul(c.num, others[key]))) for w, c, key in keyed], reduce(pmul, dens.values(), PONE)
 
 
 def _evaluate(left, right, ctx: EvalContext) -> Scalar:
@@ -344,7 +324,7 @@ def _evaluate(left, right, ctx: EvalContext) -> Scalar:
     lowering index word standing on the vacuum.  A raising letter shortens
     a state word by one and a lowering letter lengthens it, so only the u
     whose raising letters outnumber their lowering ones by some len(w) are
-    kept.  Each side's coefficients enter the ring once, cleared of their
+    kept.  Each side's coefficients are packed once, cleared of their
     denominators: the right ones as the initial state, the left ones at the
     ends of a prefix trie, over which one walk shares the states of common
     prefixes.  The raising letters' factors 1/(q - q^{-1}) are kept aside as
@@ -355,18 +335,17 @@ def _evaluate(left, right, ctx: EvalContext) -> Scalar:
     left = [(u, c) for u, c in left if sum((t[0] == "e") - (t[0] == "f") for t in u) in lengths]
     if not left:
         return ZERO
-    ring = ctx.ring
-    right, rden = _cleared(right, ring.hom)
-    left, lden = _cleared(left, ring.hom)
+    right, rden = _cleared(right)
+    left, lden = _cleared(left)
     state: dict = {}
     for w, d in right:
-        ring.iadd(state, w, d)
+        _kiadd(state, w, d)
     acc: dict = {}
-    _walk(_build_trie(left, ring.iadd), {w: d for w, d in state.items() if d != ring.zero}, 0, ctx, acc)
+    _walk(_build_trie(left), {w: d for w, d in state.items() if d != _PZERO}, 0, ctx, acc)
     den = pmul(lden, rden)
     total = ZERO
     for p, val in acc.items():
-        total = total + Scalar(ring.poly(val), reduce(pmul, [_QDIFF] * p, den))
+        total = total + Scalar(_unpack_poly(val), reduce(pmul, [_QDIFF] * p, den))
     return total
 
 
@@ -481,16 +460,8 @@ def fword_count(coords, n):
     return out
 
 
-def fwords_of_weight(coords, n, limit=None):
-    """All words in the lowering generators of the given weight, lex order;
-    OracleError, before any enumeration, when there are more than limit."""
-    if limit is not None:
-        count = fword_count(coords, n)
-        if count > limit:
-            raise OracleError(
-                "weight %r has %d words, above the enumeration limit %d"
-                % (tuple(coords), count, limit)
-            )
+def fwords_of_weight(coords, n):
+    """All words in the lowering generators of the given weight, lex order."""
     a = weight_alpha_counts(coords, n)
     if a is None:
         return []
@@ -635,7 +606,7 @@ def _row_basis(words, tables, cart, bases):
     return basis
 
 
-def rank_at(coords, ctx: EvalContext, v0, limit: int = 400) -> int:
+def rank_at(coords, ctx: EvalContext, v0) -> int:
     """Rank of the Gram slice G_mu of a weight at v0 as Gaussian integers:
     P_k times the rational Gram (``int_levels``), hence of the same rank.
 
@@ -651,7 +622,7 @@ def rank_at(coords, ctx: EvalContext, v0, limit: int = 400) -> int:
     kept per point and letter multiset for the context's run."""
     if ctx.mode.kind != "specialized":
         raise ValueError("rank computations need the specialized weight")
-    words = fwords_of_weight(coords, ctx.n, limit=limit)
+    words = fwords_of_weight(coords, ctx.n)
     if not words:
         return 0
     tables, _scale = ctx.int_levels(len(words[0]), v0)

@@ -10,8 +10,7 @@ coordinates, the Chevalley anti-involution and the antipode.
 
 from __future__ import annotations
 
-from . import scalars
-from .scalars import ONE, Scalar
+from .scalars import ONE, Q, QBAR, Scalar
 
 
 def gen_e(i: int):
@@ -230,10 +229,6 @@ def qbracket(a: AlgElt, b: AlgElt, c: Scalar) -> AlgElt:
     return a * b - (b * a).scaled(c)
 
 
-_Q = scalars.Scalar.v_power(2)
-_QBAR = scalars.Scalar.v_power(-2)
-
-
 def root_vector(kind: str, i: int, n: int) -> AlgElt:
     """Composite root vectors as fully expanded word combinations.
 
@@ -245,23 +240,23 @@ def root_vector(kind: str, i: int, n: int) -> AlgElt:
         if n < 2:
             raise ValueError("delta root vectors need rank >= 2")
         mk = AlgElt.e if kind == "e_delta" else AlgElt.f
-        inner = qbracket(mk(1), mk(2), _Q)
-        out = qbracket(mk(1), inner, _QBAR)
+        inner = qbracket(mk(1), mk(2), Q)
+        out = qbracket(mk(1), inner, QBAR)
     else:
         if not 1 <= i <= n:
             raise ValueError("root-vector index out of range")
         if kind == "f_eps":
             out = AlgElt.f(1)
             for j in range(2, i + 1):
-                out = qbracket(out, AlgElt.f(j), _QBAR)
+                out = qbracket(out, AlgElt.f(j), QBAR)
         elif kind == "e_eps":
             out = AlgElt.e(i)
             for j in range(i - 1, 0, -1):
-                out = qbracket(out, AlgElt.e(j), _Q)
+                out = qbracket(out, AlgElt.e(j), Q)
         elif kind == "et_eps":
             out = AlgElt.e(1)
             for j in range(2, i + 1):
-                out = qbracket(AlgElt.e(j), out, _QBAR)
+                out = qbracket(AlgElt.e(j), out, QBAR)
         else:
             raise ValueError("unknown root-vector kind %r" % kind)
     return out

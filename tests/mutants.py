@@ -157,6 +157,22 @@ MUTANTS = [
         "                    key = a\n",
         ["tests/test_integer_gram.py"],
     ),
+    (
+        # the f half of the coproduct walk scales by q^{+(alpha_i, prefix)}
+        "coproduct-walk-f-uses-the-e-sign",
+        "src/qsphere/plane.py",
+        "        order, on_coord, sign = range(len(word)), _f_on_coord, -1\n",
+        "        order, on_coord, sign = range(len(word)), _f_on_coord, 1\n",
+        ["tests/test_plane.py"],
+    ),
+    (
+        # a quotient whose cross products share a factor keeps it
+        "division-skips-the-canonical-form",
+        "src/qsphere/scalars.py",
+        "        return Scalar(pmul(self.num, other.den), pmul(self.den, other.num))\n",
+        "        return Scalar(pmul(self.num, other.den), pmul(self.den, other.num), _canonical=True)\n",
+        ["tests/test_scalars.py"],
+    ),
 ]
 
 

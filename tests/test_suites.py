@@ -278,8 +278,8 @@ def test_irreducibility_scope_is_the_enumerated_word_limit(monkeypatch, word_lim
 
 
 def test_irreducibility_ranks_slices_up_to_the_suite_word_limit(monkeypatch):
-    """A suite word limit above rank_at's own default reaches the ranks: the
-    weight (-2, 0, -2) has 420 words and is ranked, not refused."""
+    """The suite's word limit alone bounds the ranks: at 500 the weight
+    (-2, 0, -2) has 420 words and is ranked, not refused."""
     assert suites.fword_count((-2, 0, -2), 3) == 420
     monkeypatch.setattr(suites, "_IRR_WORD_LIMIT", 500)
     rep = suites.verify_irreducibility(3, 3)
@@ -288,6 +288,24 @@ def test_irreducibility_ranks_slices_up_to_the_suite_word_limit(monkeypatch):
     names = {c.name for c in rep.checks}
     for s in ("+1", "-1"):
         assert "rank:mu=[-2, 0, -2],v0=3|sigma=%s" % s in names
+
+
+def test_irreducibility_enumerates_no_weight_above_the_word_limit(monkeypatch):
+    """The suite decides the scope before any enumeration: at rank 3 and
+    degree 4 some rank weights have more than _IRR_WORD_LIMIT words, and
+    no word list of one of them is ever built."""
+    n, limit = 3, suites._IRR_WORD_LIMIT
+    assert any(suites.fword_count(mu, n) > limit for mu in suites._rank_weights(n, 4))
+    enumerate_words, seen = verma.fwords_of_weight, []
+
+    def bounded(coords, rank):
+        assert suites.fword_count(coords, rank) <= limit, coords
+        seen.append(coords)
+        return enumerate_words(coords, rank)
+
+    monkeypatch.setattr(verma, "fwords_of_weight", bounded)
+    assert suites.verify_irreducibility(n, 4).passed
+    assert seen
 
 
 def test_irreducibility_ranks_in_the_specialized_contexts():

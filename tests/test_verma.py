@@ -9,7 +9,6 @@ from qsphere.suites import _rank_weights
 from qsphere.words import AlgElt, alpha_vec, gen_k, omega, root_vector
 from qsphere.verma import (
     EvalContext,
-    OracleError,
     b_monomial,
     fword_count,
     fword_elt,
@@ -260,21 +259,9 @@ def test_word_count_is_the_enumeration_length(n):
     for mu in _rank_weights(n, 4) + OUTSIDE_CONE[n]:
         count = fword_count(mu, n)
         assert count == _count_by_last_letter(mu, n, memo), mu
-        assert len(fwords_of_weight(mu, n, limit=count)) == count, mu
-        message = "has %d words, above the enumeration limit %d$" % (count, count - 1)
-        with pytest.raises(OracleError, match=message):
-            fwords_of_weight(mu, n, limit=count - 1)
+        assert len(fwords_of_weight(mu, n)) == count, mu
     for mu in OUTSIDE_CONE[n]:
         assert fword_count(mu, n) == 0, mu
-
-
-def test_over_limit_weight_is_refused_without_enumerating(monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("words were enumerated")
-
-    monkeypatch.setattr(verma, "_append_words", refuse)
-    with pytest.raises(OracleError):
-        fwords_of_weight((-4, -2, -1), 3, limit=200)
 
 
 def test_rank_examples():
