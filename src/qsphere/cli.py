@@ -39,6 +39,7 @@ SUITE_DEFAULTS = {
 class SuiteConfig:
     n: int = None
     max_deg: int = None
+    # the --v text, or the point ``_check_config`` parsed from it
     v0: Fraction = None
     out: str = None
     # what the suites of one run share; each suite makes its own when None
@@ -69,26 +70,30 @@ def _suite_kwargs(suite, cfg: SuiteConfig):
     if cfg.max_deg is not None and suite.deg is not None:
         kw[suite.deg] = cfg.max_deg
     if cfg.v0 is not None and "v0" in kw:
-        kw["v0"] = Fraction(cfg.v0)
+        kw["v0"] = cfg.v0
     return kw
 
 
-def _check_config(cfg: SuiteConfig):
-    """Reject flag values that no suite accepts, before anything runs."""
+def _check_config(cfg: SuiteConfig) -> SuiteConfig:
+    """Reject flag values that no suite accepts, before anything runs; the
+    config with --v parsed, once, into its checked point, a Fraction, which
+    the suites take as it is."""
     if cfg.n is not None and cfg.n < 1:
         raise UsageError("--n must be at least 1")
     if cfg.max_deg is not None and cfg.max_deg < 0:
         raise UsageError("--max-deg must be non-negative")
-    if cfg.v0 is not None:
-        try:
-            SpecMode.numeric(cfg.v0)
-        except (ValueError, ZeroDivisionError) as e:
-            msg = "--v must be a rational P or P/Q other than 0 and +-1, not %r (%s)"
-            raise UsageError(msg % (cfg.v0, e)) from None
+    if cfg.v0 is None:
+        return cfg
+    try:
+        point = SpecMode.numeric(cfg.v0).v0[0]
+    except (ValueError, ZeroDivisionError) as e:
+        msg = "--v must be a rational P or P/Q other than 0 and +-1, not %r (%s)"
+        raise UsageError(msg % (cfg.v0, e)) from None
+    return replace(cfg, v0=point)
 
 
 def _validate(suite, cfg: SuiteConfig):
-    _check_config(cfg)
+    cfg = _check_config(cfg)
     kw = _suite_kwargs(suite, cfg)
     if kw["n"] < suite.min_rank:
         raise UsageError("suite %r needs --n >= %d" % (suite.name, suite.min_rank))
@@ -107,7 +112,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
 
 
 def run_all(cfg: SuiteConfig) -> VerificationReport:
-    _check_config(cfg)
+    cfg = _check_config(cfg)
     runs = {}
     agg = VerificationReport(
         "all",

@@ -49,9 +49,11 @@ from .words import AlgElt, acc_add, alpha_vec, omega, qbracket, root_vector
 from .verma import (
     EvalContext,
     OracleError,
+    b_factors,
     b_height,
     b_monomial,
     enumerate_b_indices,
+    expand,
     fword_count,
     fword_elt,
     fwords_of_weight,
@@ -86,9 +88,9 @@ _MODULE_ALGEBRA_CASES, _MODULE_ALGEBRA_SEED = 200, 5
 
 
 def _check_points(v0):
-    v0 = Fraction(v0)
-    alt = Fraction(3) if v0 != 3 else Fraction(5)
-    return (v0, alt)
+    """The point the run was given, checked by whoever parsed it, and a
+    second point: 3, or 5 when the first is 3."""
+    return (v0, Fraction(3) if v0 != 3 else Fraction(5))
 
 
 @contextmanager
@@ -130,11 +132,14 @@ def _branches(rep, n, session):
 # Pairing factorization and its one-line consequences
 # ---------------------------------------------------------------------------
 
-def _epart_plain(k, n) -> AlgElt:
-    out = AlgElt.unit()
-    for i in range(n, 0, -1):
-        if k[i - 1]:
-            out = out * root_vector("e_eps", i, n) ** k[i - 1]
+def _omega_epart(k, n) -> tuple:
+    """The factors of omega(e_{eps_n}^{k_n} ... e_{eps_1}^{k_1}): omega
+    reverses the product, so omega(e_{eps_1}) k_1 times, ..., then
+    omega(e_{eps_n}) k_n times."""
+    out = ()
+    for i, ki in enumerate(k, start=1):
+        if ki:
+            out += (omega(root_vector("e_eps", i, n)),) * ki
     return out
 
 
@@ -155,9 +160,9 @@ def verify_factorization(n=2, max_deg=4, session=None) -> VerificationReport:
     with _run("factorization", params, "specialized(sigma=both)", session) as (rep, session):
         indices = enumerate_b_indices(n, max_deg)
         monomials = [(m, b_monomial(m, n)) for m in indices]
+        eparts = [(k, _omega_epart(k, n)) for k in indices]
         for ctx, record in _branches(rep, n, session):
-            for k in indices:
-                eomega = omega(_epart_plain(k, n))
+            for k, eomega in eparts:
                 for m, b in monomials:
                     lhs = pair_lowering(eomega, b, ctx)
                     rhs = _factorization_rhs(m, ctx.mode.sigma) if k == m else ZERO
@@ -175,10 +180,10 @@ def verify_harish(n=2, max_deg=4, session=None) -> VerificationReport:
         for ctx, record in _branches(rep, n, session):
             shift = weight_symbol(ctx.mode.sigma)
             for i in range(1, n + 1):
-                e_i = root_vector("e_eps", i, n)
+                oe_i = omega(root_vector("e_eps", i, n))
                 f_i = root_vector("f_eps", i, n)
                 for m in range(max_deg + 1):
-                    engine = pair_lowering(omega(e_i ** m), f_i ** m, ctx)
+                    engine = pair_lowering((oe_i,) * m, f_i ** m, ctx)
                     prod = ONE
                     for l in range(1, m + 1):
                         prod = prod * (qnum(l * half) / qnum(half))
@@ -487,6 +492,10 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
         "word_limit": word_limit,
     }
     with _run("irreducibility", params, "numeric(sigma=both)", session) as (rep, session):
+        monomials = []  # (m, the factors of b_m, b_m), built once for both branches
+        for m in enumerate_b_indices(n, max_deg):
+            fs = b_factors(m, n)
+            monomials.append((m, fs, expand(fs)))
         for sctx, record in _branches(rep, n, session):
             for mu in _rank_weights(n, max_deg):
                 expected = 0 if any(c > 0 for c in mu) else 1
@@ -500,9 +509,8 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
                         r == expected,
                         "rank %d, expected %d" % (r, expected),
                     )
-            for m in enumerate_b_indices(n, max_deg):
-                b = b_monomial(m, n)
-                diag = shapovalov(b, b, sctx)
+            for m, fs, b in monomials:
+                diag = shapovalov(fs, b, sctx)
                 name = "diagonal:m=%s" % (list(m),)
                 record(name, not diag.is_zero(), "diagonal form value vanishes")
     return rep

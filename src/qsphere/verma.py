@@ -14,12 +14,22 @@ lowering half, which needs no weight and decides membership in the ideal of
 the Serre relations (``is_zero_in_U``).  The two differ only in the
 constants a raising letter and a Cartan letter contribute.  Values are
 packed numerators in v: every coefficient is packed once, by
-``_pack_poly``, after each side's denominators are cleared, and one walk
-over a trie of the left words evaluates a whole pairing, after a height
-check has dropped the left words that reach the vacuum against no right
-word.  A numeric point is no mode: the irreducibility ranks take integer
-Gram slices at it, each ranked from a basis of its row space built from the
-bases of the weights one lowering letter up.
+``_pack_poly``, after its denominators are cleared.
+
+Every left side the suites pair is a product -- a basis monomial b_m of
+root-vector factors, a ladder element f_j b_m, an e-part -- and
+<omega(x_1 ... x_k) y> = <omega(x_k) ... omega(x_1) y>.  So the engine
+evaluates factor by factor: one walk over a trie of x_1's words takes the
+state of y's words to the states at the word ends, which, times each end's
+value, add up to one merged state; x_2's walk starts from that state, and
+the vacuum entry is read after the last factor.  A product of factors of
+a_1, ..., a_k words costs walks over a_1 + ... + a_k words, not over the
+a_1 * ... * a_k words of its expansion; a flat left side is one factor.  A
+height check first drops the right words, and each factor the left words,
+that can reach the vacuum in no way.  A numeric point is no mode: the
+irreducibility ranks take integer Gram slices at it, each ranked from a
+basis of its row space built from the bases of the weights one lowering
+letter up.
 
 Equality in the enveloping algebra and in the module is *never* decided by
 rewriting: an element is declared zero exactly when it pairs to zero with a
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import groupby, product
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import itemgetter
 
 from .scalars import (
@@ -177,9 +187,8 @@ class EvalContext:
         L_{i-1}/L_i) over q - q^{-1}, with L_0 = 1 and every other L_j the
         ``weight_symbol``: v^{2a} - v^{-2a} for i > 1, sigma*i*(v^{2a-1} +
         v^{1-2a}) for i = 1.  Kashiwara's form keeps the K_i^{-1} half
-        without its eigenvalue: -v^{-2a}.  The packed value is the numerator,
-        and the denominator is restored once per raising-letter count p, the
-        key of ``_evaluate``'s accumulator.
+        without its eigenvalue: -v^{-2a}.  The packed value is the numerator;
+        ``_cleared`` folds the denominator into each word's coefficient.
         """
         key = (i, a)
         out = self._ecoef_cache.get(key, False)
@@ -290,69 +299,104 @@ def _build_trie(terms):
     return root
 
 
-def _walk(node, state, p, ctx, acc):
-    """Add into acc[p'] the vacuum part of the state reached at each word end
-    below node, times the end's value, where p' counts the word's raising
-    letters (p of them lie above node)."""
+def _walk(node, state, ctx, keep, out):
+    """Add into out the state reached at each word end below node, times the
+    end's value, on the state words whose length is in keep."""
     end = node.get("end")
     if end is not None:
-        val = state.get(())
-        if val is not None:
-            _kiadd(acc, p, _kmul(val, end))
+        for w, c in state.items():
+            if len(w) in keep:
+                _kiadd(out, w, _kmul(c, end))
     for token, child in node.items():
         if token == "end":
             continue
         ns = _step(state, token, ctx)
         if ns:
-            _walk(child, ns, p + (token[0] == "e"), ctx, acc)
+            _walk(child, ns, ctx, keep, out)
 
 
 def _cleared(terms):
-    """The terms (word, c) as (word, packed c * D), and D, the product of the
-    distinct denominators of the c: polynomials in v, so c * D is the
-    numerator of c times the other denominators."""
-    keyed = [(w, c, tuple(sorted(c.den.items()))) for w, c in terms]
-    dens = {key: c.den for _w, c, key in keyed}
+    """The terms (word, c, p) as (word, packed c * D * (q - q^{-1})^(top - p)),
+    and D * (q - q^{-1})^top: D is the product of the distinct denominators
+    of the c, polynomials in v, so c * D is the numerator of c times the
+    other denominators, and top is the largest p.  A word's p counts its
+    raising letters, each of which leaves a factor 1/(q - q^{-1}) out of the
+    packed ``ecoef``: so every cleared word carries one denominator."""
+    keyed = [(w, c, p, tuple(sorted(c.den.items()))) for w, c, p in terms]
+    dens = {key: c.den for _w, c, _p, key in keyed}
     others = {key: reduce(pmul, [d for k, d in dens.items() if k != key], PONE) for key in dens}
-    return [(w, _pack_poly(pmul(c.num, others[key]))) for w, c, key in keyed], reduce(pmul, dens.values(), PONE)
+    top = max((p for _w, _c, p, _k in keyed), default=0)
+    out = []
+    for w, c, p, key in keyed:
+        num = pmul(c.num, others[key])
+        out.append((w, _pack_poly(pmul(num, _qdiff_power(top - p)) if p < top else num)))
+    den = reduce(pmul, dens.values(), PONE)
+    return out, pmul(den, _qdiff_power(top)) if top else den
 
 
-def _evaluate(left, right, ctx: EvalContext) -> Scalar:
-    """Sum of c * d * <u w> over left terms (u, c) and right terms (w, d).
+def _qdiff_power(k):
+    """(q - q^{-1})^k = (v^2 - v^{-2})^k, by the binomial theorem."""
+    return {2 * k - 4 * j: ((-1) ** j * comb(k, j), 0) for j in range(k + 1)}
 
-    Each u is a token word in processing order (right to left); each w is a
-    lowering index word standing on the vacuum.  A raising letter shortens
-    a state word by one and a lowering letter lengthens it, so only the u
-    whose raising letters outnumber their lowering ones by some len(w) are
-    kept.  Each side's coefficients are packed once, cleared of their
-    denominators: the right ones as the initial state, the left ones at the
-    ends of a prefix trie, over which one walk shares the states of common
-    prefixes.  The raising letters' factors 1/(q - q^{-1}) are kept aside as
-    the count p that keys the accumulator, and restored with the cleared
-    denominators at the end.
+
+def _height(u):
+    """By how much the token word u shortens a state word: its raising
+    letters less its lowering letters."""
+    return sum((t[0] == "e") - (t[0] == "f") for t in u)
+
+
+def _evaluate(factors, right, ctx: EvalContext) -> Scalar:
+    """Sum of c * d * <u_1 ... u_k w> over one left term (u_i, c_i) per
+    factor, c the product of the c_i, and the right terms (w, d).
+
+    Each u_i is a token word in processing order (right to left), and the
+    first factor acts first; each w is a lowering index word standing on
+    the vacuum.  The right terms are the initial state.  Each factor walks a
+    prefix trie of its words from the state the one before it left, and the
+    states at the word ends, times the ends' values, add up to the next
+    state: a factor of a words after one of b costs walks over a + b words,
+    not a * b.  Every coefficient is packed once, cleared by ``_cleared``,
+    and the cleared denominators are restored once, on the vacuum entry.
+
+    A raising letter shortens a state word by one and a lowering letter
+    lengthens it, so the vacuum is reached only where the net heights of
+    one word per factor sum to len(w).  No right word of another length is
+    kept, and with none left the value is zero before anything is cleared.
+    Each factor keeps only the words that take some state word to a length
+    the later factors can still bring to the vacuum, and its walk keeps only
+    the state words of such lengths: at the last factor, the vacuum entry.
     """
-    lengths = {len(w) for w, _d in right}
-    left = [(u, c) for u, c in left if sum((t[0] == "e") - (t[0] == "f") for t in u) in lengths]
-    if not left:
+    factors = [[(u, c, _height(u)) for u, c in factor] for factor in factors]
+    reach = [{0}]
+    for factor in reversed(factors):
+        reach.append({r + h for r in reach[-1] for _u, _c, h in factor})
+    reach.reverse()  # reach[i]: the sums of one net height per factor from factor i on
+    right = [(w, d, 0) for w, d in right if len(w) in reach[0]]
+    if not right:
         return ZERO
-    right, rden = _cleared(right)
-    left, lden = _cleared(left)
+    right, den = _cleared(right)
     state: dict = {}
     for w, d in right:
         _kiadd(state, w, d)
-    acc: dict = {}
-    _walk(_build_trie(left), {w: d for w, d in state.items() if d != _PZERO}, 0, ctx, acc)
-    den = pmul(lden, rden)
-    total = ZERO
-    for p, val in acc.items():
-        total = total + Scalar(_unpack_poly(val), reduce(pmul, [_QDIFF] * p, den))
-    return total
+    for factor, keep in zip(factors, reach[1:]):
+        state = {w: d for w, d in state.items() if d != _PZERO}
+        lengths = {len(w) for w in state}
+        terms = [(u, c, sum(t[0] == "e" for t in u)) for u, c, h in factor if any(l - h in keep for l in lengths)]
+        if not terms:
+            return ZERO
+        terms, fden = _cleared(terms)
+        den = pmul(den, fden)
+        out: dict = {}
+        _walk(_build_trie(terms), state, ctx, keep, out)
+        state = out
+    val = state.get(())
+    return ZERO if val is None or val == _PZERO else Scalar(_unpack_poly(val), den)
 
 
 def vacuum_eval(x: AlgElt, ctx: EvalContext) -> Scalar:
     """Cartan projection of an algebra element, evaluated at the weight."""
     left = [(tuple(reversed(w)), c) for w, c in x.terms.items()]
-    return _evaluate(left, [((), ONE)], ctx)
+    return _evaluate([left], [((), ONE)], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +428,28 @@ def _left_token_words(x: AlgElt):
     return out
 
 
-def pair_lowering(x: AlgElt, y: AlgElt, ctx: EvalContext) -> Scalar:
-    """<omega(x) y> for pure lowering elements x, y, with shared-state
-    evaluation across all words of both sides."""
-    xt = _pure_f_indices(x)
-    if xt is None:
-        raise ValueError("the left factor must be a pure lowering element")
-    left = [(tuple(("e", j) for j in w), c) for w, c in xt]
+def pair_lowering(x, y: AlgElt, ctx: EvalContext) -> Scalar:
+    """<omega(x) y> for pure lowering elements x, y.  x is an element or the
+    sequence of its factors x_1, ..., x_k (x = x_1 ... x_k, the empty
+    sequence the unit), which the engine applies one at a time, as
+    omega(x) = omega(x_k) ... omega(x_1)."""
+    left = []
+    for factor in (x,) if isinstance(x, AlgElt) else x:
+        xt = _pure_f_indices(factor)
+        if xt is None:
+            raise ValueError("the left factor must be a pure lowering element")
+        left.append([(tuple(("e", j) for j in w), c) for w, c in xt])
     return pair_left(left, y, ctx)
 
 
-def pair_left(left, y: AlgElt, ctx: EvalContext) -> Scalar:
-    """<L y> for a left factor without lowering letters and a pure lowering
-    element y; left is a list of (token word in processing order, coeff)."""
+def pair_left(factors, y: AlgElt, ctx: EvalContext) -> Scalar:
+    """<L y> for a left side L without lowering letters and a pure lowering
+    element y; L is the product of its factors, each a list of (token word
+    in processing order, coeff), the factor that acts first on y first."""
     yt = _pure_f_indices(y)
     if yt is None:
         raise ValueError("the right factor must be a pure lowering element")
-    return _evaluate(left, yt, ctx)
+    return _evaluate(factors, yt, ctx)
 
 
 shapovalov = pair_lowering  # the contravariant form <omega(x) y> on lowering elements
@@ -414,7 +463,7 @@ def invariant_form(x: AlgElt, y: AlgElt, ctx: EvalContext) -> Scalar:
     left = _left_token_words(gy)
     if left is None:
         raise ValueError("the raising factor must have no lowering letters")
-    return pair_left(left, x, ctx)
+    return pair_left([left], x, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +533,24 @@ def b_index_of_weight(coords):
     return tuple(-c for c in coords)
 
 
-def b_monomial(m, n) -> AlgElt:
-    """The basis monomial f_{eps_1}^{m_1} ... f_{eps_n}^{m_n}."""
-    out = AlgElt.unit()
+def expand(factors) -> AlgElt:
+    """The product x_1 ... x_k of a factor sequence; the unit if empty."""
+    return reduce(AlgElt.__mul__, factors, AlgElt.unit())
+
+
+def b_factors(m, n) -> tuple:
+    """The factors of the basis monomial b_m: f_{eps_1} m_1 times, ...,
+    f_{eps_n} m_n times."""
+    out = ()
     for i, mi in enumerate(m, start=1):
         if mi:
-            out = out * root_vector("f_eps", i, n) ** mi
+            out += (root_vector("f_eps", i, n),) * mi
     return out
+
+
+def b_monomial(m, n) -> AlgElt:
+    """The basis monomial f_{eps_1}^{m_1} ... f_{eps_n}^{m_n}."""
+    return expand(b_factors(m, n))
 
 
 def b_height(m) -> int:
@@ -548,7 +608,7 @@ def pair_words_qqi(u, w, ctx: EvalContext, v0):
     """<(raising word u) (lowering word w)> of a context at the point v0,
     by the symbolic engine: an oracle for the integer Gram slices."""
     left = [(tuple(("e", j) for j in reversed(u)), ONE)]
-    return scalar_to_qqi(pair_left(left, fword_elt(w), ctx), SpecMode.numeric(v0))
+    return scalar_to_qqi(pair_left([left], fword_elt(w), ctx), SpecMode.numeric(v0))
 
 
 def _symmetric_rows(size, entry):
@@ -630,33 +690,37 @@ def rank_at(coords, ctx: EvalContext, v0) -> int:
 
 
 def ladder_spanning_set(coords, ctx: EvalContext):
-    """Generator-prepended basis monomials spanning the weight space,
-    granted the ladder facts at lower heights, and b_0 = 1 at the zero
-    weight, the base case; built once per context and weight, so callers
-    must not mutate the list."""
+    """Generator-prepended basis monomials f_j b_m spanning the weight
+    space, granted the ladder facts at lower heights, and b_0 = 1 at the
+    zero weight, the base case.  Each element is the tuple of its factors,
+    f_j and ``b_factors(m)``, the unit the empty tuple, so that the engine
+    pairs it factor by factor; built once per context and weight, so
+    callers must not mutate the list."""
     key = tuple(coords)
     out = ctx._spans.get(key)
     if out is None:
-        out = ctx._spans[key] = [] if any(key) else [AlgElt.unit()]
+        out = ctx._spans[key] = [] if any(key) else [()]
         for j in range(1, ctx.n + 1):
             up = tuple(c + a for c, a in zip(coords, ctx.alpha[j]))
             m = b_index_of_weight(up)
             if m is not None:
-                out.append(AlgElt.f(j) * b_monomial(m, ctx.n))
+                out.append((AlgElt.f(j),) + b_factors(m, ctx.n))
     return out
 
 
 def _ladder_rank_ok(coords, ctx: EvalContext) -> bool:
     """Verify rank(Gram of the spanning set) == number of basis monomials.
     The Gram is computed once in the specialized context and ranked exactly
-    over Q(i)(v), so no entry or minor can vanish by accident of a point."""
+    over Q(i)(v), so no entry or minor can vanish by accident of a point;
+    each entry pairs one element by its factors against the other expanded."""
     key = tuple(coords)
     cached = ctx._rank_gate.get(key)
     if cached is not None:
         return cached
     expected = 0 if b_index_of_weight(coords) is None else 1
     span = ladder_spanning_set(coords, ctx)
-    rows = _symmetric_rows(len(span), lambda i, j: shapovalov(span[i], span[j], ctx))
+    elts = [expand(s) for s in span]
+    rows = _symmetric_rows(len(span), lambda i, j: shapovalov(span[i], elts[j], ctx))
     ok = ctx._rank_gate[key] = rank_gauss(rows) == expected
     return ok
 
@@ -677,8 +741,8 @@ def is_zero_in_M(x: AlgElt, ctx: EvalContext) -> bool:
             "rank gate failed at weight %r: form rank does not match the "
             "basis count" % (wt,)
         )
-    for w in ladder_spanning_set(wt, ctx):
-        if not shapovalov(w, x, ctx).is_zero():
+    for s in ladder_spanning_set(wt, ctx):
+        if not shapovalov(s, x, ctx).is_zero():
             return False
     return True
 

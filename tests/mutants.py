@@ -127,8 +127,8 @@ MUTANTS = [
     (
         "engine-clearing-drops-the-common-denominator",
         "src/qsphere/verma.py",
-        "], reduce(pmul, dens.values(), PONE)\n",
-        "], PONE\n",
+        "    den = reduce(pmul, dens.values(), PONE)\n",
+        "    den = PONE\n",
         ["tests/test_engine_properties.py"],
     ),
     (
@@ -136,8 +136,40 @@ MUTANTS = [
         # raising letters alone drops words that reach the vacuum
         "engine-height-check-counts-only-raising-letters",
         "src/qsphere/verma.py",
-        "if sum((t[0] == \"e\") - (t[0] == \"f\") for t in u) in lengths]\n",
-        "if sum(t[0] == \"e\" for t in u) in lengths]\n",
+        "    return sum((t[0] == \"e\") - (t[0] == \"f\") for t in u)\n",
+        "    return sum(t[0] == \"e\" for t in u)\n",
+        ["tests/test_engine_properties.py"],
+    ),
+    (
+        # the product taken in the opposite order; a flat left, one
+        # factor, is the same either way
+        "factored-pairing-applies-the-factors-in-reverse",
+        "src/qsphere/verma.py",
+        "    factors = [[(u, c, _height(u)) for u, c in factor] for factor in factors]\n",
+        "    factors = [[(u, c, _height(u)) for u, c in factor] for factor in reversed(factors)]\n",
+        ["tests/test_engine_properties.py"],
+    ),
+    (
+        # only the first factor's denominator, (q - q^{-1})^top among
+        # them, reaches the value
+        "factored-pairing-drops-a-later-factors-denominator",
+        "src/qsphere/verma.py",
+        "        den = pmul(den, fden)\n",
+        "        den = pmul(den, fden) if factor is factors[0] else den\n",
+        ["tests/test_engine_properties.py"],
+    ),
+    (
+        # the same values, only the clearing comes before the height check
+        "factored-pairing-clears-before-the-height-check",
+        "src/qsphere/verma.py",
+        "    right = [(w, d, 0) for w, d in right if len(w) in reach[0]]\n"
+        "    if not right:\n"
+        "        return ZERO\n"
+        "    right, den = _cleared(right)\n",
+        "    right, den = _cleared([(w, d, 0) for w, d in right])\n"
+        "    right = [(w, d) for w, d in right if len(w) in reach[0]]\n"
+        "    if not right:\n"
+        "        return ZERO\n",
         ["tests/test_engine_properties.py"],
     ),
     (

@@ -56,6 +56,27 @@ def test_malformed_numeric_point_is_usage_error():
     assert main(["verify", "all", "--v", "abc"]) == 2
 
 
+def test_numeric_point_text_is_parsed_once_per_run(monkeypatch, tmp_path):
+    """`all` parses the --v text once into its checked point; every suite
+    that takes a point gets that Fraction, and the report names it as the
+    text's reduced form."""
+    from qsphere.scalars import SpecMode
+
+    parsed, numeric = [], SpecMode.numeric
+    monkeypatch.setattr(SpecMode, "numeric", staticmethod(lambda v0: parsed.append(v0) or numeric(v0)))
+    points = []
+    monkeypatch.setitem(
+        suites.SUITES,
+        "irreducibility",
+        lambda session=None, **kw: points.append(kw["v0"]) or VerificationReport("irreducibility", {}, "stub"),
+    )
+    out = tmp_path / "all.json"
+    assert main(["verify", "all", "--n", "2", "--max-deg", "1", "--v", "10/2", "--out", str(out)]) == 0
+    assert [v for v in parsed if isinstance(v, str)] == ["10/2"]
+    assert points == [Fraction(5)] and type(points[0]) is Fraction
+    assert json.loads(out.read_text())["params"]["v"] == "5"
+
+
 def test_out_of_range_bounds_are_usage_errors():
     assert main(["verify", "factorization", "--n", "0"]) == 2
     assert main(["verify", "all", "--n", "0"]) == 2

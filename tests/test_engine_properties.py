@@ -160,7 +160,101 @@ def test_pairing_of_multi_term_elements_is_the_termwise_reference(n):
                 (c * d * reference_vacuum(u + tuple(("f", j) for j in w), ctx) for u, c in left for w, d in right),
                 ZERO,
             )
-            assert verma._evaluate(engine_left, right, ctx) == want, (left, right, ctx.mode)
+            assert verma._evaluate([engine_left], right, ctx) == want, (left, right, ctx.mode)
+
+    check()
+
+
+def exact_words(n, length):
+    return st.lists(st.integers(1, n), min_size=length, max_size=length).map(tuple)
+
+
+# coefficients without denominators: a pairing value whose denominator
+# joins (q - q^{-1})^3 to products of (v + 2) and (v^2 + 1) can take seconds
+# to put in canonical form, on the flat path as well; the flat tests above
+# cover coefficient denominators
+FACTOR_COEFFS = st.sampled_from([ONE, Scalar.integer(-2), Scalar.gauss(1, 1), Scalar.v_power(-1)])
+
+
+def factor_elements(n, max_len):
+    return st.lists(st.tuples(lowering_words(n, max_len), FACTOR_COEFFS), min_size=1, max_size=3).map(
+        lambda terms: sum((fword_elt(w).scaled(c) for w, c in terms), AlgElt())
+    )
+
+
+@st.composite
+def factor_lists(draw, n):
+    """One to four nonzero lowering factors, each a sum of one to three
+    words of up to two letters, three letters at most over all factors.
+    A factor's words may differ in length, so its heights are mixed."""
+    factors, budget = [], 3
+    for _ in range(draw(st.integers(1, 4))):
+        max_len = draw(st.integers(0, min(2, budget)))
+        budget -= max_len
+        factors.append(draw(factor_elements(n, max_len).filter(bool)))
+    return tuple(factors)
+
+
+@st.composite
+def factored_pairings(draw, n):
+    """Factors as ``factor_lists`` draws them, and a right element that
+    holds, scaled, the words of their product with one factor dropped or
+    two neighbours swapped, so that most pairings reach the vacuum, plus a
+    random lowering element."""
+    factors = draw(factor_lists(n))
+    shuffled = list(factors)
+    if len(shuffled) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(shuffled) - 2))
+        shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
+    elif draw(st.booleans()):
+        del shuffled[draw(st.integers(0, len(shuffled) - 1))]
+    right = verma.expand(shuffled).scaled(draw(FACTOR_COEFFS)) + draw(factor_elements(n, 3))
+    return factors, right
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_factored_pairing_is_the_pairing_of_the_expanded_product(n):
+    """Pairing a left side factor by factor, one merged state per factor,
+    against ``pair_lowering`` of the expanded product, one state per word,
+    at both branches and under Kashiwara's form."""
+    contexts = [EvalContext(n, mode) for mode in MODES + [KASHIWARA]]
+
+    @PROPERTY
+    @given(factored_pairings(n))
+    def check(case):
+        factors, right = case
+        product = verma.expand(factors)
+        for ctx in contexts:
+            got = pair_lowering(factors, right, ctx)
+            assert got == pair_lowering(product, right, ctx), (factors, right, ctx.mode)
+
+    check()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_factored_pairing_off_the_heights_clears_nothing(n, monkeypatch):
+    """When no sum of one net height per factor is the length of a right
+    word, the pairing is zero before any coefficient is cleared; when one
+    is, it is cleared."""
+    cleared = []
+    original = verma._cleared
+    monkeypatch.setattr(verma, "_cleared", lambda terms: cleared.append(terms) or original(terms))
+    ctx = EvalContext(n, MODES[0])
+
+    @PROPERTY
+    @given(factor_lists(n), st.data())
+    def check(factors, data):
+        sums = {0}
+        for x in factors:
+            sums = {s + len(w) for s in sums for w in x.terms}
+        miss = data.draw(st.sampled_from([k for k in range(max(sums) + 2) if k not in sums]))
+        right = fword_elt(data.draw(exact_words(n, miss)))
+        del cleared[:]
+        assert pair_lowering(factors, right, ctx) == ZERO
+        assert cleared == [], (factors, right)
+        hit = fword_elt(data.draw(exact_words(n, data.draw(st.sampled_from(sorted(sums))))))
+        pair_lowering(factors, hit + right, ctx)
+        assert cleared, (factors, hit)
 
     check()
 
