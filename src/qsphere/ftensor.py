@@ -9,8 +9,8 @@ identity degree by degree -- is verified by the f-inverse suite.
 from __future__ import annotations
 
 from .scalars import ONE, Scalar, qfact, theta
-from .words import AlgElt, root_vector
-from .verma import b_monomial, enumerate_b_indices
+from .words import root_factors
+from .verma import b_monomial, enumerate_b_indices, expand
 
 
 class FTensor:
@@ -39,18 +39,11 @@ def f_coefficient(m, n) -> Scalar:
     return out
 
 
-def epart_twisted(m, n) -> AlgElt:
-    out = AlgElt.unit()
-    for i, mi in enumerate(m, start=1):
-        if mi:
-            out = out * root_vector("et_eps", i, n) ** mi
-    return out
-
-
 def build_F(n: int, D: int) -> FTensor:
     if D < 0:
         raise ValueError("truncation degree must be non-negative")
     entries = []
     for m in enumerate_b_indices(n, D):
-        entries.append((m, f_coefficient(m, n), epart_twisted(m, n), b_monomial(m, n)))
+        epart = expand(root_factors("et_eps", m, n))
+        entries.append((m, f_coefficient(m, n), epart, b_monomial(m, n)))
     return FTensor(n, D, entries)

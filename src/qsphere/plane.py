@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .scalars import ONE, Q, QBAR, QQI_ZERO, ZERO, Scalar, SpecMode, scalar_to_qqi
-from .words import AlgElt, Combination, acc_add, alpha_vec
+from .words import AlgElt, Combination, acc_add, alpha_vec, k_inverse, map_letters, swap_ef
 
 _QM1 = Q - ONE  # q - 1
 
@@ -271,21 +271,7 @@ def casimir(n: int) -> PlanePoly:
 def chev_twist(x: AlgElt) -> AlgElt:
     """Algebra automorphism e -> -f, f -> -e, K -> K^{-1} (the plane-side
     compatibility twist; involutive)."""
-    terms: dict = {}
-    for w, c in x.terms.items():
-        sign = 1
-        nw = []
-        for g in w:
-            if g[0] == "K":
-                nw.append(("K", tuple(-a for a in g[1])))
-            elif g[0] == "e":
-                nw.append(("f", g[1]))
-                sign = -sign
-            else:
-                nw.append(("e", g[1]))
-                sign = -sign
-        acc_add(terms, [(tuple(nw), c if sign > 0 else -c)])
-    return x._with(terms)
+    return map_letters(x, lambda g: ((k_inverse(g),), 1) if g[0] == "K" else ((swap_ef(g),), -1))
 
 
 def iota(p: PlanePoly) -> PlanePoly:

@@ -45,11 +45,10 @@ from .scalars import (
     theta,
     weight_symbol,
 )
-from .words import AlgElt, acc_add, alpha_vec, omega, qbracket, root_vector
+from .words import AlgElt, acc_add, alpha_vec, omega, qbracket, root_factors, root_vector
 from .verma import (
     EvalContext,
     OracleError,
-    b_factors,
     b_height,
     b_monomial,
     enumerate_b_indices,
@@ -65,7 +64,7 @@ from .verma import (
     shapovalov,
     vacuum_eval,
 )
-from .ftensor import build_F, epart_twisted
+from .ftensor import build_F
 from .plane import (
     PlanePoly,
     act,
@@ -132,17 +131,6 @@ def _branches(rep, n, session):
 # Pairing factorization and its one-line consequences
 # ---------------------------------------------------------------------------
 
-def _omega_epart(k, n) -> tuple:
-    """The factors of omega(e_{eps_n}^{k_n} ... e_{eps_1}^{k_1}): omega
-    reverses the product, so omega(e_{eps_1}) k_1 times, ..., then
-    omega(e_{eps_n}) k_n times."""
-    out = ()
-    for i, ki in enumerate(k, start=1):
-        if ki:
-            out += (omega(root_vector("e_eps", i, n)),) * ki
-    return out
-
-
 def _factorization_rhs(m, sigma) -> Scalar:
     out = ONE
     thinv = ONE / theta()
@@ -160,7 +148,9 @@ def verify_factorization(n=2, max_deg=4, session=None) -> VerificationReport:
     with _run("factorization", params, "specialized(sigma=both)", session) as (rep, session):
         indices = enumerate_b_indices(n, max_deg)
         monomials = [(m, b_monomial(m, n)) for m in indices]
-        eparts = [(k, _omega_epart(k, n)) for k in indices]
+        # omega(e_{eps_n}^{k_n} ... e_{eps_1}^{k_1}) by its factors, as omega
+        # reverses the product
+        eparts = [(k, tuple(map(omega, root_factors("e_eps", k, n)))) for k in indices]
         for ctx, record in _branches(rep, n, session):
             for k, eomega in eparts:
                 for m, b in monomials:
@@ -494,7 +484,7 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
     with _run("irreducibility", params, "numeric(sigma=both)", session) as (rep, session):
         monomials = []  # (m, the factors of b_m, b_m), built once for both branches
         for m in enumerate_b_indices(n, max_deg):
-            fs = b_factors(m, n)
+            fs = root_factors("f_eps", m, n)
             monomials.append((m, fs, expand(fs)))
         for sctx, record in _branches(rep, n, session):
             for mu in _rank_weights(n, max_deg):
@@ -517,25 +507,29 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
 
 
 def verify_f_inverse(n=2, max_deg=4, session=None) -> VerificationReport:
+    """F's coefficients normalize the pairings of its f- and e-parts, and
+    parts of distinct indices of one total degree pair to zero; each e-part
+    is paired by its root-vector factors."""
     params = {"n": n, "max_deg": max_deg}
     with _run("f-inverse", params, "specialized(sigma=both)", session) as (rep, session):
         F = build_F(n, max_deg)
+        eparts = {m: root_factors("et_eps", m, n) for m, _c, _e, _f in F.entries}
+        by_total: dict = {}  # total degree -> (m, f-part) of each index
+        for m, _c, _e, fp in F.entries:
+            by_total.setdefault(sum(m), []).append((m, fp))
         for ctx, record in _branches(rep, n, session):
-            for m, coeff, ep, fp in F.entries:
-                val = coeff * invariant_form(fp, ep, ctx)
+            for m, coeff, _ep, fp in F.entries:
+                val = coeff * invariant_form(fp, eparts[m], ctx)
                 record("diag:k=%s" % (list(m),), val == ONE, "normalization is %s" % val)
             # off-diagonal vanishing for equal total degree
-            by_total: dict = {}
-            for m, _c, _e, _f in F.entries:
-                by_total.setdefault(sum(m), []).append(m)
             for total, ms in sorted(by_total.items()):
                 if total == 0 or total > 3:
                     continue
-                for ma in ms:
-                    for mb in ms:
+                for ma, _fa in ms:
+                    for mb, fb in ms:
                         if ma == mb:
                             continue
-                        val = invariant_form(b_monomial(mb, n), epart_twisted(ma, n), ctx)
+                        val = invariant_form(fb, eparts[ma], ctx)
                         record(
                             "offdiag:m=%s,k=%s" % (list(ma), list(mb)),
                             val.is_zero(),

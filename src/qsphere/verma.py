@@ -64,7 +64,7 @@ from .scalars import (
     scalar_to_qqi,
     weight_symbol,
 )
-from .words import AlgElt, alpha_vec, antipode, cartan_pairing, root_vector
+from .words import AlgElt, alpha_vec, antipode, cartan_pairing, root_factors
 
 _QDIFF = {2: G1, -2: (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
 
@@ -416,18 +416,6 @@ def _pure_f_indices(x: AlgElt):
     return out
 
 
-def _left_token_words(x: AlgElt):
-    """Words of a left factor as token tuples in processing order (right to
-    left); None if any lowering letter appears."""
-    out = []
-    for w, c in x.terms.items():
-        for g in w:
-            if g[0] == "f":
-                return None
-        out.append((tuple(reversed(w)), c))
-    return out
-
-
 def pair_lowering(x, y: AlgElt, ctx: EvalContext) -> Scalar:
     """<omega(x) y> for pure lowering elements x, y.  x is an element or the
     sequence of its factors x_1, ..., x_k (x = x_1 ... x_k, the empty
@@ -455,15 +443,20 @@ def pair_left(factors, y: AlgElt, ctx: EvalContext) -> Scalar:
 shapovalov = pair_lowering  # the contravariant form <omega(x) y> on lowering elements
 
 
-def invariant_form(x: AlgElt, y: AlgElt, ctx: EvalContext) -> Scalar:
+def invariant_form(x: AlgElt, y, ctx: EvalContext) -> Scalar:
     """The invariant pairing of x (highest-weight side) against y (lowest-
     weight side): the vacuum value of antipode^{-1}(y) x, for a pure
-    lowering x and a y without lowering letters."""
-    gy = antipode(y, ctx.n, inverse=True)
-    left = _left_token_words(gy)
-    if left is None:
-        raise ValueError("the raising factor must have no lowering letters")
-    return pair_left([left], x, ctx)
+    lowering x and a y without lowering letters.  y is an element or the
+    sequence of its factors y_1, ..., y_k, and antipode^{-1}(y_1 ... y_k) =
+    antipode^{-1}(y_k) ... antipode^{-1}(y_1): the engine applies
+    antipode^{-1}(y_1) first."""
+    left = []
+    for factor in (y,) if isinstance(y, AlgElt) else y:
+        if any(g[0] == "f" for w in factor.terms for g in w):
+            raise ValueError("the raising factor must have no lowering letters")
+        gy = antipode(factor, ctx.n, inverse=True)
+        left.append([(tuple(reversed(w)), c) for w, c in gy.terms.items()])
+    return pair_left(left, x, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -538,19 +531,9 @@ def expand(factors) -> AlgElt:
     return reduce(AlgElt.__mul__, factors, AlgElt.unit())
 
 
-def b_factors(m, n) -> tuple:
-    """The factors of the basis monomial b_m: f_{eps_1} m_1 times, ...,
-    f_{eps_n} m_n times."""
-    out = ()
-    for i, mi in enumerate(m, start=1):
-        if mi:
-            out += (root_vector("f_eps", i, n),) * mi
-    return out
-
-
 def b_monomial(m, n) -> AlgElt:
     """The basis monomial f_{eps_1}^{m_1} ... f_{eps_n}^{m_n}."""
-    return expand(b_factors(m, n))
+    return expand(root_factors("f_eps", m, n))
 
 
 def b_height(m) -> int:
@@ -693,9 +676,9 @@ def ladder_spanning_set(coords, ctx: EvalContext):
     """Generator-prepended basis monomials f_j b_m spanning the weight
     space, granted the ladder facts at lower heights, and b_0 = 1 at the
     zero weight, the base case.  Each element is the tuple of its factors,
-    f_j and ``b_factors(m)``, the unit the empty tuple, so that the engine
-    pairs it factor by factor; built once per context and weight, so
-    callers must not mutate the list."""
+    f_j and ``root_factors("f_eps", m)``, the unit the empty tuple, so that
+    the engine pairs it factor by factor; built once per context and
+    weight, so callers must not mutate the list."""
     key = tuple(coords)
     out = ctx._spans.get(key)
     if out is None:
@@ -704,7 +687,7 @@ def ladder_spanning_set(coords, ctx: EvalContext):
             up = tuple(c + a for c, a in zip(coords, ctx.alpha[j]))
             m = b_index_of_weight(up)
             if m is not None:
-                out.append((AlgElt.f(j),) + b_factors(m, ctx.n))
+                out.append((AlgElt.f(j),) + root_factors("f_eps", m, ctx.n))
     return out
 
 

@@ -5,7 +5,9 @@ mu an integer vector in the orthogonal weight basis.  No relations are
 imposed here: equality statements about the enveloping algebra are decided
 downstream by pairing oracles, never by rewriting.  This module supplies
 q-commutators, the composite root vectors attached to the short weight
-coordinates, the Chevalley anti-involution and the antipode.
+coordinates and the factor lists of their products, and the Chevalley
+anti-involution and the antipode, each a table of letter images for one
+loop, ``map_letters``.
 """
 
 from __future__ import annotations
@@ -262,18 +264,46 @@ def root_vector(kind: str, i: int, n: int) -> AlgElt:
     return out
 
 
+def root_factors(kind: str, m, n: int) -> tuple:
+    """The factors of prod_i root_vector(kind, i, n)^{m_i}, i ascending:
+    root_vector(kind, 1, n) m_1 times, ..., root_vector(kind, n, n) m_n
+    times; the empty tuple, the unit, when m is zero."""
+    out = ()
+    for i, mi in enumerate(m, start=1):
+        if mi:
+            out += (root_vector(kind, i, n),) * mi
+    return out
+
+
+def map_letters(x: AlgElt, image, reverse: bool = False) -> AlgElt:
+    """The element whose words are x's words, reversed first if reverse, with
+    each letter g replaced by the letters of image(g) -> (letters, sign) and
+    the coefficient multiplied by the signs: with reverse, the anti-
+    homomorphism of the free algebra taking each letter to its image."""
+    terms: dict = {}
+    for w, c in x.terms.items():
+        word, sign = [], 1
+        for g in reversed(w) if reverse else w:
+            letters, s = image(g)
+            word.extend(letters)
+            sign *= s
+        acc_add(terms, [(tuple(word), c if sign > 0 else -c)])
+    return x._with(terms)
+
+
+def swap_ef(g):
+    """The letter f_i for e_i and e_i for f_i."""
+    return ("f" if g[0] == "e" else "e", g[1])
+
+
+def k_inverse(g):
+    """The Cartan letter K_{-mu} for K_mu."""
+    return ("K", tuple(-a for a in g[1]))
+
+
 def omega(x: AlgElt) -> AlgElt:
     """Chevalley anti-involution: reverses words, swaps e <-> f, fixes K."""
-    return x._with({tuple(_omega_gen(g) for g in reversed(w)): c for w, c in x.terms.items()})
-
-
-def _omega_gen(g):
-    kind = g[0]
-    if kind == "e":
-        return ("f", g[1])
-    if kind == "f":
-        return ("e", g[1])
-    return g
+    return map_letters(x, lambda g: ((g if g[0] == "K" else swap_ef(g),), 1), reverse=True)
 
 
 def antipode(x: AlgElt, n: int, inverse: bool = False) -> AlgElt:
@@ -282,25 +312,12 @@ def antipode(x: AlgElt, n: int, inverse: bool = False) -> AlgElt:
     gamma(e_i) = -e_i K_i^{-1},  gamma(f_i) = -K_i f_i,  gamma(K) = K^{-1};
     the inverse puts the Cartan factor on the other side.
     """
-    total = AlgElt()
-    for w, c in x.terms.items():
-        piece = AlgElt.unit()
-        for g in reversed(w):
-            piece = piece * _antipode_gen(g, n, inverse)
-        total = total + piece.scaled(c)
-    return total
 
+    def image(g):
+        if g[0] == "K":
+            return (k_inverse(g),), 1
+        k = gen_k(alpha_vec(g[1], n))
+        letters = (g, k_inverse(k)) if g[0] == "e" else (k, g)
+        return letters[::-1] if inverse else letters, -1
 
-def _antipode_gen(g, n, inverse):
-    kind = g[0]
-    if kind == "K":
-        return AlgElt({(gen_k(tuple(-c for c in g[1])),): ONE})
-    i = g[1]
-    av = alpha_vec(i, n)
-    kneg = gen_k(tuple(-c for c in av))
-    kpos = gen_k(av)
-    if kind == "e":
-        word = (gen_e(i), kneg) if not inverse else (kneg, gen_e(i))
-    else:
-        word = (kpos, gen_f(i)) if not inverse else (gen_f(i), kpos)
-    return AlgElt({word: -ONE})
+    return map_letters(x, image, reverse=True)

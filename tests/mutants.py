@@ -198,6 +198,23 @@ MUTANTS = [
         ["tests/test_plane.py"],
     ),
     (
+        # antipode^{-1}(y_1) ... antipode^{-1}(y_k) in place of the reversed
+        # product; one factor, or an element, is the same either way
+        "invariant-form-applies-the-factor-antipodes-in-reverse",
+        "src/qsphere/verma.py",
+        "    for factor in (y,) if isinstance(y, AlgElt) else y:\n",
+        "    for factor in (y,) if isinstance(y, AlgElt) else reversed(y):\n",
+        ["tests/test_engine_properties.py"],
+    ),
+    (
+        # a homomorphism: one letter, and so every generator, keeps its image
+        "antipode-keeps-the-word-order",
+        "src/qsphere/words.py",
+        "    return map_letters(x, image, reverse=True)\n",
+        "    return map_letters(x, image)\n",
+        ["tests/test_words.py"],
+    ),
+    (
         # a quotient whose cross products share a factor keeps it
         "division-skips-the-canonical-form",
         "src/qsphere/scalars.py",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsphere import verma
-from qsphere.scalars import ONE, ZERO, Scalar, SpecMode, scalar_to_qqi
+from qsphere.scalars import I_UNIT, ONE, Q, ZERO, Scalar, SpecMode, scalar_to_qqi
 from qsphere.verma import (
     _PZERO,
     EvalContext,
@@ -18,6 +18,7 @@ from qsphere.verma import (
     _pack_poly,
     _unpack_poly,
     fword_elt,
+    invariant_form,
     pair_lowering,
     pair_words_qqi,
     vacuum_eval,
@@ -32,11 +33,12 @@ KASHIWARA = SpecMode.kashiwara()
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
 
+def cartan_letters(n):
+    return st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(gen_k)
+
+
 def letters(n):
-    return st.one_of(
-        st.tuples(st.sampled_from("ef"), st.integers(1, n)),
-        st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(gen_k),
-    )
+    return st.one_of(st.tuples(st.sampled_from("ef"), st.integers(1, n)), cartan_letters(n))
 
 
 def free_words(n, max_len=6):
@@ -255,6 +257,89 @@ def test_factored_pairing_off_the_heights_clears_nothing(n, monkeypatch):
         hit = fword_elt(data.draw(exact_words(n, data.draw(st.sampled_from(sorted(sums))))))
         pair_lowering(factors, hit + right, ctx)
         assert cleared, (factors, hit)
+
+    check()
+
+
+@st.composite
+def raising_factor_lists(draw, n):
+    """One to three nonzero factors without lowering letters, each a sum of
+    one or two words of up to two raising letters and at most one Cartan
+    letter, three raising letters at most over all factors, and a lowering
+    element that holds, scaled, a permutation of the lowering letters of
+    one word per factor, plus a random lowering element.  The antipodes of
+    the factors carry the Cartan letters of their raising letters."""
+    factors, budget, letters = [], 3, []
+    for _ in range(draw(st.integers(1, 3))):
+        words = []
+        for _ in range(draw(st.integers(1, 2))):
+            word = [("e", j) for j in draw(lowering_words(n, min(2, budget)))]
+            if draw(st.booleans()):
+                word.insert(draw(st.integers(0, len(word))), draw(cartan_letters(n)))
+            words.append((tuple(word), draw(FACTOR_COEFFS)))
+        budget -= max(sum(g[0] == "e" for g in w) for w, _c in words)
+        letters += [g[1] for g in draw(st.sampled_from(words))[0] if g[0] == "e"]
+        factors.append(sum((AlgElt({w: c}) for w, c in words), AlgElt()))
+    x = fword_elt(draw(st.permutations(letters))).scaled(draw(FACTOR_COEFFS)) + draw(factor_elements(n, 3))
+    return tuple(factors), x
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_invariant_form_of_factors_is_that_of_their_product(n):
+    """The invariant pairing given the raising side by its factors, whose
+    inverse antipodes the engine applies first factor first, against the
+    pairing of the expanded product, at both branches."""
+    contexts = [EvalContext(n, mode) for mode in MODES]
+
+    @PROPERTY
+    @given(raising_factor_lists(n))
+    def check(case):
+        factors, x = case
+        product = verma.expand(factors)
+        for ctx in contexts:
+            got = invariant_form(x, factors, ctx)
+            assert got == invariant_form(x, product, ctx), (factors, x, ctx.mode)
+
+    check()
+
+
+# real coefficients, some with denominators
+REAL_COEFFS = st.sampled_from(
+    [ONE, Scalar.integer(-2), Scalar.v_power(-1), Q, ONE / (Scalar.v_power(2) + ONE)]
+)
+
+
+@st.composite
+def real_weight_pairs(draw, n):
+    """Two lowering elements of one weight with real coefficients: each a
+    sum of one to three permutations of one lowering word."""
+    w = draw(lowering_words(n))
+
+    def element():
+        terms = draw(st.lists(st.tuples(st.permutations(w), REAL_COEFFS), min_size=1, max_size=3))
+        return sum((fword_elt(u).scaled(c) for u, c in terms), AlgElt())
+
+    return w, element(), element()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_branch_sign_multiplies_real_pairings_by_a_weight_sign(n):
+    """On real inputs a lowering pairing of weight mu is (sigma*i)^{a_1} times
+    a value in Q(v) that does not depend on sigma, a_1 the number of alpha_1
+    in mu: every e_1 contributes one sigma*i, every other raising letter a
+    real coefficient.  So the value at sigma = -1 is (-1)^{a_1} times the
+    value at sigma = +1."""
+    plus, minus = (EvalContext(n, mode) for mode in MODES)
+
+    @PROPERTY
+    @given(real_weight_pairs(n))
+    def check(case):
+        w, x, y = case
+        a1 = w.count(1)
+        value = pair_lowering(x, y, plus)
+        assert pair_lowering(x, y, minus) == (-value if a1 % 2 else value), (x, y)
+        real = value / I_UNIT**a1
+        assert all(im == 0 for poly in (real.num, real.den) for _re, im in poly.values()), (x, y)
 
     check()
 

@@ -23,6 +23,7 @@ GOLDEN = [
     ("irreducibility", 2, 3, "71b0299914ed81c03d8bd02406c947142fc63bb162457ed8a12a280440eac93c"),
     ("irreducibility", 3, None, "717606a30fe6736937ffa1f789031274a1975316260ba0226bc8f928c0c7385f"),
     ("f-inverse", 2, 2, "ac202929e86398add3594d986fadfb1c0663e4988f86a5d992c269f9840c1680"),
+    ("f-inverse", 3, 3, "19d31b3384f7c27e1d25a4a6316f8c1c628cbb8a49b413443d0381571d2ba455"),
     ("serre-radical", 2, None, "28dc63cc6eb8e881d092c942113022762c18e26f520d26aded93b2e0c7e65914"),
     ("xyz", 3, None, "12da95a70d5f21fa87a0f7b1df30e14a49ec09b11655868896d516b84e751a61"),
     ("module-algebra", 2, None, "75136dfeed37d4efefcfb9027cf424de81626e26af28356d1d29a75432e6bc14"),

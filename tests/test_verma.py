@@ -178,6 +178,8 @@ def test_invariant_form_rejects_a_raising_factor_with_lowering_letters():
     ctx = EvalContext(2, SpecMode.specialized(1))
     with pytest.raises(ValueError, match="raising factor"):
         invariant_form(AlgElt.f(1), AlgElt.f(1) * AlgElt.e(1), ctx)
+    with pytest.raises(ValueError, match="raising factor"):
+        invariant_form(AlgElt.f(1), (AlgElt.e(1), AlgElt.f(1)), ctx)
     # the lowering side is checked by pair_left
     with pytest.raises(ValueError, match="right factor"):
         invariant_form(AlgElt.e(1), AlgElt.e(1), ctx)
@@ -308,8 +310,8 @@ def test_module_oracle():
 def test_spanning_set_is_built_once_per_context_and_weight(monkeypatch):
     """The rank gate and every zero test at one weight share one spanning set."""
     built = []
-    original = verma.b_factors
-    monkeypatch.setattr(verma, "b_factors", lambda m, n: built.append(m) or original(m, n))
+    original = verma.root_factors
+    monkeypatch.setattr(verma, "root_factors", lambda kind, m, n: built.append(m) or original(kind, m, n))
     ctx = EvalContext(2, SpecMode.specialized(1))
     x = AlgElt.f(2) * AlgElt.f(1) + root_vector("f_eps", 2, 2).scaled(Q)
     assert is_zero_in_M(x, ctx) and is_zero_in_M(x.scaled(2), ctx)

@@ -11,8 +11,10 @@ from qsphere.words import (
     gen_e,
     gen_f,
     gen_k,
+    map_letters,
     omega,
     qbracket,
+    root_factors,
     root_vector,
     weight_of,
 )
@@ -150,6 +152,27 @@ def test_antipode_on_composite_raising_vector():
                 assert all(w and w[-1] == ("K", eps_i) for w in diff.terms)
                 ctx = EvalContext(n, SpecMode.kashiwara())
                 assert is_zero_in_U(omega(stripped), ctx), (n, i)
+
+
+def test_root_factors_repeat_each_root_vector_by_its_index():
+    n = 3
+    e2, e3 = root_vector("et_eps", 2, n), root_vector("et_eps", 3, n)
+    assert root_factors("et_eps", (0, 2, 1), n) == (e2, e2, e3)
+    assert root_factors("f_eps", (0, 0, 0), n) == ()
+
+
+def test_map_letters_replaces_letters_and_multiplies_signs():
+    e1, f2, k = gen_e(1), gen_f(2), gen_k((1, 0))
+    x = AlgElt({(e1, f2): Q, (k,): ONE})
+
+    def double(g):
+        return (g, g), -1
+
+    assert map_letters(x, double) == AlgElt({(e1, e1, f2, f2): Q, (k, k): -ONE})
+    assert map_letters(x, double, reverse=True) == AlgElt({(f2, f2, e1, e1): Q, (k, k): -ONE})
+    # words with one image add up, and a zero sum is dropped
+    collapse = map_letters(AlgElt.e(1) + AlgElt.e(2), lambda g: ((e1,), 1 if g == e1 else -1))
+    assert collapse.is_zero() and collapse.terms == {}
 
 
 def test_weights():
