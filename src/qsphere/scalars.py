@@ -480,8 +480,9 @@ class SpecMode:
 
     kind is one of "kashiwara", "specialized", "numeric".  A specialized
     mode is the distinguished weight on the branch sigma, where every L_j is
-    ``weight_symbol(sigma)``; "kashiwara" is Kashiwara's form on the
-    lowering half, which needs no weight (``verma.EvalContext``).  A numeric
+    ``weight_symbol(sigma)``, or on both branches when sigma is None;
+    "kashiwara" is Kashiwara's form on the lowering half, which needs no
+    weight (``verma.EvalContext``).  A numeric
     mode is a Gaussian rational point v0, nonzero and no root of unity, for
     ``scalar_to_qqi`` alone, not an engine mode.
     """
@@ -495,8 +496,8 @@ class SpecMode:
         return SpecMode("kashiwara")
 
     @staticmethod
-    def specialized(sigma: int = 1) -> "SpecMode":
-        if sigma not in (1, -1):
+    def specialized(sigma: int = None) -> "SpecMode":
+        if sigma not in (1, -1, None):
             raise ValueError("branch sign must be +1 or -1")
         return SpecMode("specialized", sigma)
 

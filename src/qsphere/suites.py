@@ -10,8 +10,9 @@ star product on the invariant dimensions) runs behind a gate.
 
 What one run shares lives in a ``Session``: the verdicts of the gate
 suites, keyed on each report's suite and params, and one
-``EvalContext`` per rank and mode, whose engine tables and ladder-gate
-verdicts carry over from one suite to the next.  Every verdict in the
+``EvalContext`` per rank and mode (one sign-free specialized context per
+rank), whose engine tables, spanning sets and ladder-gate verdicts carry
+over from one suite to the next.  Every verdict in the
 session at the rank that covers the dependent run must pass; when none
 covers it, the gate suite runs once, in the same session, at what the
 dependent run needs.
@@ -20,9 +21,11 @@ Every suite body runs inside one scaffold, ``_run``, which makes a fresh
 session when the suite gets none (two standalone calls share nothing),
 opens the gates and keeps the verdicts the table asks for, and times the
 body; no suite does this itself.  Every suite that specializes the weight
-runs once per (rank, degree, point), at both square roots
-L_j = sigma*i*v^{-1}: it loops over ``_branches``, which also checks that
-its verdicts do not depend on the sign.
+runs once per (rank, degree, point), for both square roots
+L_j = sigma*i*v^{-1}: its body runs once inside ``_branches``, every
+engine value a pair (at +1, at -1) from one walk, records one verdict per
+sign, and ``_branches`` reports the two signs' checks in turn and checks
+that no verdict depends on the sign.
 """
 
 from __future__ import annotations
@@ -109,20 +112,30 @@ def _run(name, params, mode, session):
         session.record(rep)
 
 
+@contextmanager
 def _branches(rep, n, session):
-    """For each branch sign, the specialized context and a recorder that tags
-    every check name with the sign.  Verdicts must not depend on the branch:
-    ``branch-invariance`` compares the two maps."""
+    """The session's sign-free specialized context and a recorder, for a
+    body that runs once for both branch signs: the engine's values in that
+    context are pairs (at +1, at -1), and ``record(name, oks, witness)``
+    takes one verdict per sign, and one witness per sign or one for both.
+    When the body ends, the checks are recorded with the sign in their
+    names, those of sigma = +1 first, then those of sigma = -1, then
+    ``branch-invariance``, which checks that no verdict depends on the
+    sign."""
+    ctx = session.context(n, SpecMode.specialized())
+    checks = []
+
+    def record(name, oks, witness):
+        checks.append((name, oks, witness))
+
+    yield ctx, record
     verdicts = []
-    for s in (1, -1):
+    for k, s in enumerate(ctx.signs):
         seen = {}
-
-        def record(name, ok, witness=None):
-            seen[name] = ok
-            rep.record("%s|sigma=%+d" % (name, s), ok, witness)
-
+        for name, oks, witness in checks:
+            seen[name] = oks[k]
+            rep.record("%s|sigma=%+d" % (name, s), oks[k], witness if isinstance(witness, str) else witness[k])
         verdicts.append(seen)
-        yield session.context(n, SpecMode.specialized(s)), record
     ok = verdicts[0] == verdicts[1]
     rep.record("branch-invariance", ok, "verdict vectors differ between branches")
 
@@ -151,13 +164,13 @@ def verify_factorization(n=2, max_deg=4, session=None) -> VerificationReport:
         # omega(e_{eps_n}^{k_n} ... e_{eps_1}^{k_1}) by its factors, as omega
         # reverses the product
         eparts = [(k, tuple(map(omega, root_factors("e_eps", k, n)))) for k in indices]
-        for ctx, record in _branches(rep, n, session):
+        with _branches(rep, n, session) as (ctx, record):
             for k, eomega in eparts:
                 for m, b in monomials:
                     lhs = pair_lowering(eomega, b, ctx)
-                    rhs = _factorization_rhs(m, ctx.mode.sigma) if k == m else ZERO
+                    rhs = [_factorization_rhs(m, s) if k == m else ZERO for s in ctx.signs]
                     name = "k=%s,m=%s" % (list(k), list(m))
-                    record(name, lhs == rhs, "lhs=%s rhs=%s" % (lhs, rhs))
+                    record(name, [l == r for l, r in zip(lhs, rhs)], ["lhs=%s rhs=%s" % lr for lr in zip(lhs, rhs)])
     return rep
 
 
@@ -167,26 +180,25 @@ def verify_harish(n=2, max_deg=4, session=None) -> VerificationReport:
     params = {"n": n, "max_deg": max_deg}
     with _run("harish", params, "specialized(sigma=both)", session) as (rep, session):
         half = Fraction(1, 2)
-        for ctx, record in _branches(rep, n, session):
-            shift = weight_symbol(ctx.mode.sigma)
+        with _branches(rep, n, session) as (ctx, record):
             for i in range(1, n + 1):
                 oe_i = omega(root_vector("e_eps", i, n))
                 f_i = root_vector("f_eps", i, n)
                 for m in range(max_deg + 1):
-                    engine = pair_lowering((oe_i,) * m, f_i ** m, ctx)
-                    prod = ONE
-                    for l in range(1, m + 1):
-                        prod = prod * (qnum(l * half) / qnum(half))
-                    for l in range(m):
-                        prod = prod * qnum(-l * half, shift=shift)
+                    engines = pair_lowering((oe_i,) * m, f_i ** m, ctx)
                     m_ei = [m if j == i else 0 for j in range(1, n + 1)]
-                    closed = _factorization_rhs(m_ei, ctx.mode.sigma)
-                    ok = engine == prod == closed
-                    record(
-                        "i=%d,m=%d" % (i, m),
-                        ok,
-                        "engine=%s product=%s closed=%s" % (engine, prod, closed),
-                    )
+                    ratio = ONE
+                    for l in range(1, m + 1):
+                        ratio = ratio * (qnum(l * half) / qnum(half))
+                    oks, witnesses = [], []
+                    for s, engine in zip(ctx.signs, engines):
+                        prod = ratio
+                        for l in range(m):
+                            prod = prod * qnum(-l * half, shift=weight_symbol(s))
+                        closed = _factorization_rhs(m_ei, s)
+                        oks.append(engine == prod == closed)
+                        witnesses.append("engine=%s product=%s closed=%s" % (engine, prod, closed))
+                    record("i=%d,m=%d" % (i, m), oks, witnesses)
     return rep
 
 
@@ -249,10 +261,11 @@ class Session:
 
     ``verdicts`` maps (suite, sorted params) to whether that gate
     suite's report passed.  ``contexts`` holds one ``EvalContext`` per
-    (rank, mode), Kashiwara's form or a specialized weight, with integer
-    tables per numeric point; they and its ladder-gate verdicts depend on
-    nothing else, so suites that share a context get the results they would
-    get alone.
+    (rank, mode), Kashiwara's form or the sign-free specialized weight,
+    whose every value covers both branch signs, with integer tables per
+    sign and numeric point; they, its spanning sets and its ladder-gate
+    verdicts (computed once for both signs) depend on nothing else, so
+    suites that share a context get the results they would get alone.
     """
 
     def __init__(self):
@@ -323,7 +336,7 @@ def verify_span(n=2, max_deg=4, session=None) -> VerificationReport:
     params = {"n": n, "max_deg": max_deg}
     with _run("span", params, "specialized(sigma=both)", session) as (rep, session):
         checks = _span_checks(n, max_deg)
-        for ctx, record in _branches(rep, n, session):
+        with _branches(rep, n, session) as (ctx, record):
             for _ht, name, x in checks:
                 record(name, is_zero_in_M(x, ctx), "difference is nonzero in the module")
     return rep
@@ -338,7 +351,7 @@ def verify_normalizer(n=2, max_deg=4, session=None) -> VerificationReport:
         gens = [("fdelta", root_vector("f_delta", 1, n), 2)]
         gens += [("f%d" % j, AlgElt.f(j), j) for j in range(2, n + 1)]
         tail_deg = max(0, max_deg - 1)
-        for ctx, record in _branches(rep, n, session):
+        with _branches(rep, n, session) as (ctx, record):
             for gname, g, first in gens:
                 for m in _b_tails(n, tail_deg, first=first):
                     x = g * b_monomial(m, n)
@@ -365,16 +378,16 @@ def verify_normalizer(n=2, max_deg=4, session=None) -> VerificationReport:
             fdelta = root_vector("f_delta", 1, n)
             for i in range(1, n + 1):
                 x = AlgElt.e(i) * fdelta
-                bad = None
+                bad = [None] * len(ctx.signs)  # per sign, the first word and value
                 for w in fwords_of_weight(x.weight(n), n):
-                    val = vacuum_eval(omega(fword_elt(w)) * x, ctx)
-                    if not val.is_zero():
-                        bad = (w, str(val))
+                    vals = vacuum_eval(omega(fword_elt(w)) * x, ctx)
+                    bad = [b or (None if v.is_zero() else (w, str(v))) for b, v in zip(bad, vals)]
+                    if all(bad):
                         break
                 record(
                     "singular:e%d" % i,
-                    bad is None,
-                    "raising generator does not kill the quotient vector: %r" % (bad,),
+                    [b is None for b in bad],
+                    ["raising generator does not kill the quotient vector: %r" % (b,) for b in bad],
                 )
     return rep
 
@@ -486,23 +499,23 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
         for m in enumerate_b_indices(n, max_deg):
             fs = root_factors("f_eps", m, n)
             monomials.append((m, fs, expand(fs)))
-        for sctx, record in _branches(rep, n, session):
+        with _branches(rep, n, session) as (sctx, record):
             for mu in _rank_weights(n, max_deg):
                 expected = 0 if any(c > 0 for c in mu) else 1
                 count = fword_count(mu, n)
                 if count == 0 or count > word_limit:
                     continue
                 for p in points:
-                    r = rank_at(mu, sctx, p)
+                    ranks = rank_at(mu, sctx, p)
                     record(
                         "rank:mu=%s,v0=%s" % (list(mu), p),
-                        r == expected,
-                        "rank %d, expected %d" % (r, expected),
+                        [r == expected for r in ranks],
+                        ["rank %d, expected %d" % (r, expected) for r in ranks],
                     )
             for m, fs, b in monomials:
-                diag = shapovalov(fs, b, sctx)
+                diags = shapovalov(fs, b, sctx)
                 name = "diagonal:m=%s" % (list(m),)
-                record(name, not diag.is_zero(), "diagonal form value vanishes")
+                record(name, [not d.is_zero() for d in diags], "diagonal form value vanishes")
     return rep
 
 
@@ -517,10 +530,10 @@ def verify_f_inverse(n=2, max_deg=4, session=None) -> VerificationReport:
         by_total: dict = {}  # total degree -> (m, f-part) of each index
         for m, _c, _e, fp in F.entries:
             by_total.setdefault(sum(m), []).append((m, fp))
-        for ctx, record in _branches(rep, n, session):
+        with _branches(rep, n, session) as (ctx, record):
             for m, coeff, _ep, fp in F.entries:
-                val = coeff * invariant_form(fp, eparts[m], ctx)
-                record("diag:k=%s" % (list(m),), val == ONE, "normalization is %s" % val)
+                vals = [coeff * v for v in invariant_form(fp, eparts[m], ctx)]
+                record("diag:k=%s" % (list(m),), [v == ONE for v in vals], ["normalization is %s" % v for v in vals])
             # off-diagonal vanishing for equal total degree
             for total, ms in sorted(by_total.items()):
                 if total == 0 or total > 3:
@@ -529,11 +542,11 @@ def verify_f_inverse(n=2, max_deg=4, session=None) -> VerificationReport:
                     for mb, fb in ms:
                         if ma == mb:
                             continue
-                        val = invariant_form(fb, eparts[ma], ctx)
+                        vals = invariant_form(fb, eparts[ma], ctx)
                         record(
                             "offdiag:m=%s,k=%s" % (list(ma), list(mb)),
-                            val.is_zero(),
-                            "cross pairing is %s" % val,
+                            [v.is_zero() for v in vals],
+                            ["cross pairing is %s" % v for v in vals],
                         )
     return rep
 

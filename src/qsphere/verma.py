@@ -8,13 +8,19 @@ Gram matrices, ranks, and the ladder oracle deciding equality inside the
 quotient module -- reduces to this functional.
 
 A context evaluates one of two forms with the same engine (``_step``
-driven by ``_evaluate``): the functional at the distinguished weight on one
-branch, where every L_j is sigma*i*v^{-1}, or Kashiwara's form on the
-lowering half, which needs no weight and decides membership in the ideal of
-the Serre relations (``is_zero_in_U``).  The two differ only in the
-constants a raising letter and a Cartan letter contribute.  Values are
-packed numerators in v: every coefficient is packed once, by
-``_pack_poly``, after its denominators are cleared.
+driven by ``_parities``): the functional at the distinguished weight,
+where every L_j is sigma*i*v^{-1}, or Kashiwara's form on the lowering
+half, which needs no weight and decides membership in the ideal of the
+Serre relations (``is_zero_in_U``).  The two differ only in the constants
+a raising letter and a Cartan letter contribute.  The engine is sign-free:
+sigma enters only as sigma times ecoef(1, a) and sigma^sum(mu) times a
+Cartan letter's kfactor, so it walks with the sigma = +1 constants, every
+path carrying a parity that an e_1 and a Cartan letter of odd sum(mu) flip,
+and returns the parts (even, odd) of the value even + sigma*odd.  One walk
+gives both signs, for any input; a context returns the value at its own
+sign, or at both (``EvalContext``).  Values are packed numerators in v:
+every coefficient is packed once, by ``_pack_poly``, after its
+denominators are cleared.
 
 Every left side the suites pair is a product -- a basis monomial b_m of
 root-vector factors, a ladder element f_j b_m, an e-part -- and
@@ -156,11 +162,17 @@ class OracleError(RuntimeError):
 class EvalContext:
     """Rank, form and cached root data for one suite run.
 
-    The form is the contravariant form at the distinguished weight on one
-    branch (a specialized mode), or Kashiwara's form on the lowering half
-    (``SpecMode.kashiwara``); they differ only in the constants ``ecoef``
-    and ``kfactor``, kept as packed numerators in v.  A specialized context
-    keeps integer tables per numeric point."""
+    The form is the contravariant form at the distinguished weight, or
+    Kashiwara's form on the lowering half (``SpecMode.kashiwara``); they
+    differ only in the constants ``ecoef`` and ``kfactor``, kept as packed
+    numerators in v.  A specialized context is sign-free: its constants are
+    those of the branch sigma = +1, and the engine carries sigma as a parity
+    per path (``_parities``), so one walk gives the value at both signs.
+    ``signs`` are the signs whose values it returns: a context made with
+    ``SpecMode.specialized(sigma)`` returns the ``Scalar`` at sigma, one made
+    with ``SpecMode.specialized()`` the pair (at +1, at -1); Kashiwara's form
+    has no sign, and its one value is the sum of the parts.  A specialized
+    context keeps integer tables per sign and numeric point."""
 
     def __init__(self, n: int, mode: SpecMode):
         if n < 1:
@@ -169,6 +181,7 @@ class EvalContext:
             raise ValueError("a numeric point is evaluated in a specialized context")
         self.n = n
         self.mode = mode
+        self.signs = (1, -1) if mode.sigma is None else (mode.sigma,)
         self.alpha = [None] + [alpha_vec(i, n) for i in range(1, n + 1)]
         self.cart = [None] + [
             [0] + [cartan_pairing(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
@@ -177,7 +190,17 @@ class EvalContext:
         self._kfactor_cache: dict = {}
         self._rank_gate: dict = {}
         self._spans: dict = {}
-        self._int_points: dict = {}  # v0 -> (point, 1/(q - q^{-1}) there, values, tables, scales, bases)
+        # (v0, sigma) -> (point, 1/(q - q^{-1}) there, values, tables, scales, bases)
+        self._int_points: dict = {}
+
+    def per_sign(self, values):
+        """values, one per sign of ``signs``: the one value of a one-sign
+        context, else the pair."""
+        return values[0] if len(self.signs) == 1 else tuple(values)
+
+    def sign_values(self, value):
+        """The values per sign of what ``per_sign`` returned."""
+        return (value,) if len(self.signs) == 1 else value
 
     def ecoef(self, i: int, a: int):
         """Coefficient created when a raising letter consumes a matching
@@ -186,8 +209,9 @@ class EvalContext:
         At the distinguished weight it is (v^{2a} L_i/L_{i-1} - v^{-2a}
         L_{i-1}/L_i) over q - q^{-1}, with L_0 = 1 and every other L_j the
         ``weight_symbol``: v^{2a} - v^{-2a} for i > 1, sigma*i*(v^{2a-1} +
-        v^{1-2a}) for i = 1.  Kashiwara's form keeps the K_i^{-1} half
-        without its eigenvalue: -v^{-2a}.  The packed value is the numerator;
+        v^{1-2a}) for i = 1, kept at sigma = +1 (an e_1 flips its path's
+        parity).  Kashiwara's form keeps the K_i^{-1} half without its
+        eigenvalue: -v^{-2a}.  The packed value is the numerator;
         ``_cleared`` folds the denominator into each word's coefficient.
         """
         key = (i, a)
@@ -198,40 +222,46 @@ class EvalContext:
             elif i > 1:
                 num = {2 * a: G1, -2 * a: (-1, 0)} if a else None
             else:
-                si = (0, self.mode.sigma)
-                num = {2 * a - 1: si, 1 - 2 * a: si}
+                num = {2 * a - 1: (0, 1), 1 - 2 * a: (0, 1)}
             out = self._ecoef_cache[key] = num and _pack_poly(num)
         return out
 
-    def int_levels(self, k: int, v0):
-        """Integer ecoef tables at the point v0 for levels 0..k, and the
-        scale P_k (specialized mode; v0 is checked by ``SpecMode.numeric``
-        once per point).  A step on words of length l only meets ecoef(i, a)
-        with |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as a
-        gains one Cartan entry per tail letter.  Level l maps i to {a: e(i, a)
-        * s_l} over the nonzero numerators, where e(i, a), kept once per
-        point, is the ecoef numerator evaluated at v0 and divided by
-        q - q^{-1} there, and s_l is the lcm of their denominators; a pairing
-        of length-k words built from these Gaussian integers is the true
-        value times P_k = s_1 ... s_k."""
-        point = self._int_points.get(v0)
+    def int_levels(self, k: int, v0, sigma=None):
+        """Integer ecoef tables at the point v0 on the branch sigma (the
+        context's one sign by default) for levels 0..k, and the scale P_k
+        (specialized mode; v0 is checked by ``SpecMode.numeric`` once per
+        point).  A step on words of length l only meets ecoef(i, a) with
+        |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as a gains
+        one Cartan entry per tail letter.  Level l maps i to {a: e(i, a) *
+        s_l} over the nonzero numerators, where e(i, a), kept once per sign
+        and point, is the ecoef numerator at sigma evaluated at v0 and
+        divided by q - q^{-1} there, and s_l is the lcm of their
+        denominators; a pairing of length-k words built from these Gaussian
+        integers is the true value times P_k = s_1 ... s_k."""
+        if sigma is None:
+            if len(self.signs) != 1:
+                raise ValueError("a sign-free context needs a branch sign")
+            sigma = self.signs[0]
+        point = self._int_points.get((v0, sigma))
         if point is None:
             if self.mode.kind != "specialized":
                 raise ValueError("integer tables need the specialized weight")
             pt = SpecMode.numeric(v0).v0
             inv_qdiff = qqi_inv(peval_qqi(_QDIFF, pt))  # 1/(q - q^{-1}) at v0
-            point = self._int_points[v0] = (pt, inv_qdiff, {}, [None], [1], {})
+            point = self._int_points[v0, sigma] = (pt, inv_qdiff, {}, [None], [1], {})
         pt, inv_qdiff, values, tables, scales, _bases = point
         cmax = max(abs(c) for row in self.cart[1:] for c in row[1:])
         while len(tables) <= k:
             top = cmax * (len(tables) - 1)
             level = [None] + [{} for _ in range(self.n)]
             for i in range(1, self.n + 1):
+                # ecoef(1, a) is sigma times the numerator kept
+                unit = qqi_mul(inv_qdiff, (sigma, 0)) if i == 1 else inv_qdiff
                 for a in range(-top, top + 1):
                     key = i, a
                     if key not in values:  # None for a zero numerator
                         e = self.ecoef(i, a)
-                        values[key] = e and qqi_mul(peval_qqi(_unpack_poly(e), pt), inv_qdiff)
+                        values[key] = e and qqi_mul(peval_qqi(_unpack_poly(e), pt), unit)
                     if values[key] is not None:
                         level[i][a] = values[key]
             s = lcm(*(x.denominator for row in level[1:] for val in row.values() for x in val))
@@ -243,14 +273,15 @@ class EvalContext:
     def kfactor(self, mu, wdot: int):
         """Multiplier for commuting a Cartan letter to the vacuum end:
         q^{(mu, wt)} times the highest-weight eigenvalue of the letter, the
-        ``weight_symbol`` to the power sum(mu).  Kashiwara's form has no
+        ``weight_symbol`` to the power sum(mu), kept at sigma = +1 (a letter
+        of odd sum(mu) flips its path's parity).  Kashiwara's form has no
         Cartan letter: it pairs lowering elements."""
         key = (mu, wdot)
         out = self._kfactor_cache.get(key)
         if out is None:
             if self.mode.kind != "specialized":
                 raise ValueError("a Cartan letter needs the specialized weight")
-            val = weight_symbol(self.mode.sigma, sum(mu)) * Scalar.v_power(2 * wdot)
+            val = weight_symbol(1, sum(mu)) * Scalar.v_power(2 * wdot)
             out = self._kfactor_cache[key] = _pack_poly(val.num)
         return out
 
@@ -299,11 +330,23 @@ def _build_trie(terms):
     return root
 
 
-def _walk(node, state, ctx, keep, out):
-    """Add into out the state reached at each word end below node, times the
-    end's value, on the state words whose length is in keep."""
+def _sign_parity(token):
+    """1 when a letter multiplies its path's value by an odd power of sigma:
+    e_1, whose ``ecoef`` is sigma times the one kept, and a Cartan letter of
+    odd sum(mu), whose ``kfactor`` holds sigma^sum(mu); else 0."""
+    kind, x = token
+    if kind == "K":
+        return sum(x) & 1
+    return int(kind == "e" and x == 1)
+
+
+def _walk(node, state, ctx, keep, outs, parity):
+    """Add into outs[p] the state reached at each word end below node, times
+    the end's value, on the state words whose length is in keep, p being
+    parity flipped by the sign parity of every letter on the way."""
     end = node.get("end")
     if end is not None:
+        out = outs[parity]
         for w, c in state.items():
             if len(w) in keep:
                 _kiadd(out, w, _kmul(c, end))
@@ -312,25 +355,30 @@ def _walk(node, state, ctx, keep, out):
             continue
         ns = _step(state, token, ctx)
         if ns:
-            _walk(child, ns, ctx, keep, out)
+            _walk(child, ns, ctx, keep, outs, parity ^ _sign_parity(token))
 
 
 def _cleared(terms):
     """The terms (word, c, p) as (word, packed c * D * (q - q^{-1})^(top - p)),
-    and D * (q - q^{-1})^top: D is the product of the distinct denominators
-    of the c, polynomials in v, so c * D is the numerator of c times the
-    other denominators, and top is the largest p.  A word's p counts its
-    raising letters, each of which leaves a factor 1/(q - q^{-1}) out of the
-    packed ``ecoef``: so every cleared word carries one denominator."""
+    and D * (q - q^{-1})^top: D is the lcm of the denominators of the c,
+    polynomials in v with a nonzero constant term, up to a constant, so
+    each c * D is a polynomial, and top is the largest p.  A word's p counts
+    its raising letters, each of which leaves a factor 1/(q - q^{-1}) out of
+    the packed ``ecoef``: so every cleared word carries one denominator."""
     keyed = [(w, c, p, tuple(sorted(c.den.items()))) for w, c, p in terms]
-    dens = {key: c.den for _w, c, _p, key in keyed}
-    others = {key: reduce(pmul, [d for k, d in dens.items() if k != key], PONE) for key in dens}
+    den, quotients = PONE, {}  # D so far, and D / d per denominator d
+    for key, d in {key: c.den for _w, c, _p, key in keyed}.items():
+        # D / d reduced is N / M: D * M is the lcm of D and d, and D * M / d = N;
+        # 1 / d is reduced already, d being a canonical denominator
+        ratio = Scalar(den, d, _canonical=den == PONE)
+        quotients = {k: pmul(q, ratio.den) for k, q in quotients.items()}
+        quotients[key] = ratio.num
+        den = pmul(den, ratio.den)
     top = max((p for _w, _c, p, _k in keyed), default=0)
     out = []
     for w, c, p, key in keyed:
-        num = pmul(c.num, others[key])
+        num = pmul(c.num, quotients[key])
         out.append((w, _pack_poly(pmul(num, _qdiff_power(top - p)) if p < top else num)))
-    den = reduce(pmul, dens.values(), PONE)
     return out, pmul(den, _qdiff_power(top)) if top else den
 
 
@@ -345,18 +393,21 @@ def _height(u):
     return sum((t[0] == "e") - (t[0] == "f") for t in u)
 
 
-def _evaluate(factors, right, ctx: EvalContext) -> Scalar:
-    """Sum of c * d * <u_1 ... u_k w> over one left term (u_i, c_i) per
-    factor, c the product of the c_i, and the right terms (w, d).
+def _parities(factors, right, ctx):
+    """(even, odd): the sum of c * d * <u_1 ... u_k w> over one left term
+    (u_i, c_i) per factor, c the product of the c_i, and the right terms
+    (w, d), split by the parity of the path u_1 ... u_k (``_sign_parity``)
+    and taken at sigma = +1, so that the value at sigma is even + sigma*odd.
 
     Each u_i is a token word in processing order (right to left), and the
     first factor acts first; each w is a lowering index word standing on
-    the vacuum.  The right terms are the initial state.  Each factor walks a
-    prefix trie of its words from the state the one before it left, and the
-    states at the word ends, times the ends' values, add up to the next
-    state: a factor of a words after one of b costs walks over a + b words,
-    not a * b.  Every coefficient is packed once, cleared by ``_cleared``,
-    and the cleared denominators are restored once, on the vacuum entry.
+    the vacuum.  The right terms are the initial state, of even parity.
+    Each factor walks a prefix trie of its words from each parity's state
+    the one before it left, and the states at the word ends, times the
+    ends' values, add up to the next state of the end's parity: a factor of
+    a words after one of b costs walks over a + b words, not a * b.  Every
+    coefficient is packed once, cleared by ``_cleared``, and the cleared
+    denominators are restored once, on the vacuum entries.
 
     A raising letter shortens a state word by one and a lowering letter
     lengthens it, so the vacuum is reached only where the net heights of
@@ -373,27 +424,47 @@ def _evaluate(factors, right, ctx: EvalContext) -> Scalar:
     reach.reverse()  # reach[i]: the sums of one net height per factor from factor i on
     right = [(w, d, 0) for w, d in right if len(w) in reach[0]]
     if not right:
-        return ZERO
+        return ZERO, ZERO
     right, den = _cleared(right)
-    state: dict = {}
+    states: list = [{}, {}]
     for w, d in right:
-        _kiadd(state, w, d)
+        _kiadd(states[0], w, d)
     for factor, keep in zip(factors, reach[1:]):
-        state = {w: d for w, d in state.items() if d != _PZERO}
-        lengths = {len(w) for w in state}
+        states = [{w: d for w, d in state.items() if d != _PZERO} for state in states]
+        lengths = {len(w) for state in states for w in state}
         terms = [(u, c, sum(t[0] == "e" for t in u)) for u, c, h in factor if any(l - h in keep for l in lengths)]
         if not terms:
-            return ZERO
+            return ZERO, ZERO
         terms, fden = _cleared(terms)
         den = pmul(den, fden)
-        out: dict = {}
-        _walk(_build_trie(terms), state, ctx, keep, out)
-        state = out
-    val = state.get(())
-    return ZERO if val is None or val == _PZERO else Scalar(_unpack_poly(val), den)
+        trie = _build_trie(terms)
+        outs: list = [{}, {}]
+        for parity, state in enumerate(states):
+            if state:
+                _walk(trie, state, ctx, keep, outs, parity)
+        states = outs
+    vals = [state.get(()) for state in states]
+    return tuple(ZERO if val is None or val == _PZERO else Scalar(_unpack_poly(val), den) for val in vals)
 
 
-def vacuum_eval(x: AlgElt, ctx: EvalContext) -> Scalar:
+def _at_sign(parts, sigma):
+    """even + sigma*odd for the parts (even, odd) of ``_parities``."""
+    even, odd = parts
+    if not odd:
+        return even
+    if sigma < 0:
+        odd = -odd
+    return even + odd if even else odd
+
+
+def _evaluate(factors, right, ctx: EvalContext):
+    """The value of ``_parities`` at the signs of the context: a ``Scalar``,
+    or in a sign-free context the pair (at +1, at -1)."""
+    parts = _parities(factors, right, ctx)
+    return ctx.per_sign([_at_sign(parts, s) for s in ctx.signs])
+
+
+def vacuum_eval(x: AlgElt, ctx: EvalContext):
     """Cartan projection of an algebra element, evaluated at the weight."""
     left = [(tuple(reversed(w)), c) for w, c in x.terms.items()]
     return _evaluate([left], [((), ONE)], ctx)
@@ -416,7 +487,7 @@ def _pure_f_indices(x: AlgElt):
     return out
 
 
-def pair_lowering(x, y: AlgElt, ctx: EvalContext) -> Scalar:
+def pair_lowering(x, y: AlgElt, ctx: EvalContext):
     """<omega(x) y> for pure lowering elements x, y.  x is an element or the
     sequence of its factors x_1, ..., x_k (x = x_1 ... x_k, the empty
     sequence the unit), which the engine applies one at a time, as
@@ -430,10 +501,12 @@ def pair_lowering(x, y: AlgElt, ctx: EvalContext) -> Scalar:
     return pair_left(left, y, ctx)
 
 
-def pair_left(factors, y: AlgElt, ctx: EvalContext) -> Scalar:
+def pair_left(factors, y: AlgElt, ctx: EvalContext):
     """<L y> for a left side L without lowering letters and a pure lowering
     element y; L is the product of its factors, each a list of (token word
-    in processing order, coeff), the factor that acts first on y first."""
+    in processing order, coeff), the factor that acts first on y first.
+    Like every pairing, a ``Scalar``, or in a sign-free context the pair
+    (at +1, at -1) from one walk."""
     yt = _pure_f_indices(y)
     if yt is None:
         raise ValueError("the right factor must be a pure lowering element")
@@ -443,7 +516,7 @@ def pair_left(factors, y: AlgElt, ctx: EvalContext) -> Scalar:
 shapovalov = pair_lowering  # the contravariant form <omega(x) y> on lowering elements
 
 
-def invariant_form(x: AlgElt, y, ctx: EvalContext) -> Scalar:
+def invariant_form(x: AlgElt, y, ctx: EvalContext):
     """The invariant pairing of x (highest-weight side) against y (lowest-
     weight side): the vacuum value of antipode^{-1}(y) x, for a pure
     lowering x and a y without lowering letters.  y is an element or the
@@ -591,7 +664,9 @@ def pair_words_qqi(u, w, ctx: EvalContext, v0):
     """<(raising word u) (lowering word w)> of a context at the point v0,
     by the symbolic engine: an oracle for the integer Gram slices."""
     left = [(tuple(("e", j) for j in reversed(u)), ONE)]
-    return scalar_to_qqi(pair_left([left], fword_elt(w), ctx), SpecMode.numeric(v0))
+    mode = SpecMode.numeric(v0)
+    values = ctx.sign_values(pair_left([left], fword_elt(w), ctx))
+    return ctx.per_sign([scalar_to_qqi(x, mode) for x in values])
 
 
 def _symmetric_rows(size, entry):
@@ -649,7 +724,7 @@ def _row_basis(words, tables, cart, bases):
     return basis
 
 
-def rank_at(coords, ctx: EvalContext, v0) -> int:
+def rank_at(coords, ctx: EvalContext, v0):
     """Rank of the Gram slice G_mu of a weight at v0 as Gaussian integers:
     P_k times the rational Gram (``int_levels``), hence of the same rank.
 
@@ -662,14 +737,18 @@ def rank_at(coords, ctx: EvalContext, v0) -> int:
     so rowspace(G_mu) = sum over c of rowspace(G_{mu+alpha_c}) E_c, with
     [[1]] at the empty word: the rank is the size of the basis that one
     elimination leaves of the bases one letter up mapped through their E_c,
-    kept per point and letter multiset for the context's run."""
+    kept per sign, point and letter multiset for the context's run.  One
+    rank per sign of the context (``EvalContext.per_sign``)."""
     if ctx.mode.kind != "specialized":
         raise ValueError("rank computations need the specialized weight")
     words = fwords_of_weight(coords, ctx.n)
     if not words:
-        return 0
-    tables, _scale = ctx.int_levels(len(words[0]), v0)
-    return len(_row_basis(words, tables, ctx.cart, ctx._int_points[v0][-1]))
+        return ctx.per_sign([0] * len(ctx.signs))
+    ranks = []
+    for s in ctx.signs:
+        tables, _scale = ctx.int_levels(len(words[0]), v0, s)
+        ranks.append(len(_row_basis(words, tables, ctx.cart, ctx._int_points[v0, s][-1])))
+    return ctx.per_sign(ranks)
 
 
 def ladder_spanning_set(coords, ctx: EvalContext):
@@ -692,10 +771,12 @@ def ladder_spanning_set(coords, ctx: EvalContext):
 
 
 def _ladder_rank_ok(coords, ctx: EvalContext) -> bool:
-    """Verify rank(Gram of the spanning set) == number of basis monomials.
-    The Gram is computed once in the specialized context and ranked exactly
-    over Q(i)(v), so no entry or minor can vanish by accident of a point;
-    each entry pairs one element by its factors against the other expanded."""
+    """Verify rank(Gram of the spanning set) == number of basis monomials
+    at every sign of the context.  The Gram is computed once in the
+    specialized context, each entry one walk for every sign, and ranked
+    exactly over Q(i)(v) per sign, so no entry or minor can vanish by
+    accident of a point; each entry pairs one element by its factors
+    against the other expanded."""
     key = tuple(coords)
     cached = ctx._rank_gate.get(key)
     if cached is not None:
@@ -703,21 +784,25 @@ def _ladder_rank_ok(coords, ctx: EvalContext) -> bool:
     expected = 0 if b_index_of_weight(coords) is None else 1
     span = ladder_spanning_set(coords, ctx)
     elts = [expand(s) for s in span]
-    rows = _symmetric_rows(len(span), lambda i, j: shapovalov(span[i], elts[j], ctx))
-    ok = ctx._rank_gate[key] = rank_gauss(rows) == expected
+    rows = _symmetric_rows(len(span), lambda i, j: ctx.sign_values(shapovalov(span[i], elts[j], ctx)))
+    ok = ctx._rank_gate[key] = all(
+        rank_gauss([[entry[k] for entry in row] for row in rows]) == expected for k in range(len(ctx.signs))
+    )
     return ok
 
 
-def is_zero_in_M(x: AlgElt, ctx: EvalContext) -> bool:
-    """Whether a lowering element vanishes in the irreducible quotient.
+def is_zero_in_M(x: AlgElt, ctx: EvalContext):
+    """Whether a lowering element vanishes in the irreducible quotient, at
+    each sign of the context (``EvalContext.per_sign``).
 
     Sound when used ladder-style: all action checks at lower weight heights
     must have passed already, and the rank gate for this weight must hold.
     """
     if ctx.mode.kind != "specialized":
         raise ValueError("module oracle needs the specialized weight")
+    zero = [True] * len(ctx.signs)
     if x.is_zero():
-        return True
+        return ctx.per_sign(zero)
     wt = x.weight(ctx.n)
     if not _ladder_rank_ok(wt, ctx):
         raise OracleError(
@@ -725,9 +810,11 @@ def is_zero_in_M(x: AlgElt, ctx: EvalContext) -> bool:
             "basis count" % (wt,)
         )
     for s in ladder_spanning_set(wt, ctx):
-        if not shapovalov(s, x, ctx).is_zero():
-            return False
-    return True
+        values = ctx.sign_values(shapovalov(s, x, ctx))
+        zero = [z and v.is_zero() for z, v in zip(zero, values)]
+        if not any(zero):
+            break
+    return ctx.per_sign(zero)
 
 
 def is_zero_in_U(x: AlgElt, ctx: EvalContext) -> bool:

@@ -41,6 +41,8 @@ MUTANTS = [
         ["tests/test_engine_properties.py"],
     ),
     (
+        # the one body run records both signs' verdicts; the invariance
+        # check compares the two maps it builds from them
         "branch-invariance-always-passes",
         "src/qsphere/suites.py",
         "    ok = verdicts[0] == verdicts[1]\n",
@@ -127,8 +129,8 @@ MUTANTS = [
     (
         "engine-clearing-drops-the-common-denominator",
         "src/qsphere/verma.py",
-        "    den = reduce(pmul, dens.values(), PONE)\n",
-        "    den = PONE\n",
+        "    return out, pmul(den, _qdiff_power(top)) if top else den\n",
+        "    return out, _qdiff_power(top) if top else PONE\n",
         ["tests/test_engine_properties.py"],
     ),
     (
@@ -164,12 +166,12 @@ MUTANTS = [
         "src/qsphere/verma.py",
         "    right = [(w, d, 0) for w, d in right if len(w) in reach[0]]\n"
         "    if not right:\n"
-        "        return ZERO\n"
+        "        return ZERO, ZERO\n"
         "    right, den = _cleared(right)\n",
         "    right, den = _cleared([(w, d, 0) for w, d in right])\n"
         "    right = [(w, d) for w, d in right if len(w) in reach[0]]\n"
         "    if not right:\n"
-        "        return ZERO\n",
+        "        return ZERO, ZERO\n",
         ["tests/test_engine_properties.py"],
     ),
     (
@@ -213,6 +215,32 @@ MUTANTS = [
         "    return map_letters(x, image, reverse=True)\n",
         "    return map_letters(x, image)\n",
         ["tests/test_words.py"],
+    ),
+    (
+        # a Cartan letter of odd sum(mu) keeps its path's parity: its
+        # power of sigma is lost at sigma = -1
+        "parity-skips-cartan-letters",
+        "src/qsphere/verma.py",
+        "        return sum(x) & 1\n",
+        "        return 0\n",
+        ["tests/test_engine_properties.py"],
+    ),
+    (
+        # every value is taken at sigma = +1, whatever the sign asked for
+        "parity-skips-e1",
+        "src/qsphere/verma.py",
+        "    return int(kind == \"e\" and x == 1)\n",
+        "    return 0\n",
+        ["tests/test_engine_properties.py"],
+    ),
+    (
+        # the lcm of d and d*e is d*e; their product d^2*e is a common
+        # multiple too, and every value stays right
+        "engine-clearing-multiplies-the-denominators",
+        "src/qsphere/verma.py",
+        "        ratio = Scalar(den, d, _canonical=den == PONE)\n",
+        "        ratio = Scalar(den, d, _canonical=True)\n",
+        ["tests/test_engine_properties.py"],
     ),
     (
         # a quotient whose cross products share a factor keeps it

@@ -23,7 +23,7 @@ from qsphere.verma import (
     pair_words_qqi,
     vacuum_eval,
 )
-from qsphere.words import AlgElt, gen_k, omega
+from qsphere.words import AlgElt, antipode, gen_k, omega
 
 from test_verma import reference_vacuum
 
@@ -63,7 +63,7 @@ def ef_words(draw, n):
 
 # small coefficients, including two with distinct nontrivial denominators,
 # so that one side may carry both and the engine must clear it by their
-# product
+# lcm
 COEFFS = st.sampled_from(
     [
         ONE,
@@ -112,6 +112,34 @@ def test_kashiwara_value_is_the_reference_value(n):
         assert vacuum_eval(AlgElt({word: c}), ctx) == c * reference_vacuum(word, ctx), (word, c)
 
     check()
+
+
+V = Scalar.v_power(1)
+
+
+def test_right_sides_over_v_plus_2_and_its_square_clear_to_its_square():
+    """The lcm (v + 2)^2, not the product (v + 2)^3."""
+    d = V + Scalar.integer(2)
+    _terms, den = verma._cleared([((1,), ONE / d, 0), ((2,), ONE / (d * d), 0)])
+    assert den == (d * d).num
+
+
+@pytest.mark.parametrize(
+    "d, e", [(V + Scalar.integer(2), V + Scalar.integer(3)), (Scalar.integer(2) * V + ONE, V * V + Scalar.integer(3))]
+)
+def test_clearing_takes_the_lcm_of_the_denominators(d, e):
+    """Coefficients over d and d*e clear to a denominator of the degree of
+    d*e, their lcm, not of their product d^2*e; each cleared term over it
+    is its coefficient, and a pairing keeps the termwise value."""
+    right = [((1,), ONE / d), ((2,), Scalar.gauss(1, 1) / (d * e))]
+    cleared, den = verma._cleared([(w, c, 0) for w, c in right])
+    assert max(den) == max((d * e).num)
+    for (_w, c), (_w2, packed) in zip(right, cleared):
+        assert Scalar(_unpack_poly(packed), den) == c
+    ctx = EvalContext(2, MODES[0])
+    x = fword_elt((1,)) + fword_elt((2,))
+    y = sum((fword_elt(w).scaled(c) for w, c in right), AlgElt())
+    assert pair_lowering(x, y, ctx) == sum((pair_lowering(x, fword_elt(w), ctx) * c for w, c in right), ZERO)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -342,6 +370,113 @@ def test_the_branch_sign_multiplies_real_pairings_by_a_weight_sign(n):
         assert all(im == 0 for poly in (real.num, real.den) for _re, im in poly.values()), (x, y)
 
     check()
+
+
+# Gaussian-integer coefficients, for the values that split by sign parity
+GAUSS_COEFFS = st.sampled_from([ONE, Scalar.integer(-2), Scalar.gauss(1, 1), Scalar.gauss(2, -1), Scalar.gauss(0, 1)])
+
+
+def _walked_parity(u, n):
+    """The sign parity of the raising word u as the engine walks it: the
+    count of e_1 letters and of Cartan letters of odd sum(mu) in the one
+    word of its inverse antipode, mod 2, the power of sigma its value
+    carries (e_1's own K_1^{-1} cancels its sigma)."""
+    (image,) = antipode(AlgElt({u: ONE}), n, inverse=True).terms
+    return sum(g == ("e", 1) or (g[0] == "K" and sum(g[1]) % 2 == 1) for g in image) % 2
+
+
+@st.composite
+def weight_invariant_pairs(draw, n, mixed):
+    """A lowering element x, a raising side y of one weight, and the sign
+    parity of y's first word, with Gaussian-integer coefficients: x sums
+    permutations of a lowering word w, and each word of y permutes the
+    raising letters of w around up to two Cartan letters.  Unless mixed, y
+    keeps only the words of its first word's parity; if mixed, y also
+    holds its first word with a Cartan letter of sum 1 inserted, so that
+    both parities occur."""
+    w = draw(lowering_words(n, 3))
+    words = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = [("e", j) for j in draw(st.permutations(w))]
+        for k in draw(st.lists(cartan_letters(n), max_size=2)):
+            word.insert(draw(st.integers(0, len(word))), k)
+        words.append(tuple(word))
+    parity = _walked_parity(words[0], n)
+    if mixed:
+        at = draw(st.integers(0, len(words[0])))
+        words.append(words[0][:at] + (gen_k((1,) + (0,) * (n - 1)),) + words[0][at:])
+    else:
+        words = [u for u in words if _walked_parity(u, n) == parity]
+    y = sum((AlgElt({u: draw(GAUSS_COEFFS)}) for u in words), AlgElt())
+    terms = draw(st.lists(st.tuples(st.permutations(w), GAUSS_COEFFS), min_size=1, max_size=3))
+    x = sum((fword_elt(u).scaled(c) for u, c in terms), AlgElt())
+    return x, y, parity
+
+
+def _spy_parities(monkeypatch):
+    """The (even, odd) parts of every walk, in call order."""
+    parts = []
+    original = verma._parities
+
+    def spy(*args):
+        parts.append(original(*args))
+        return parts[-1]
+
+    monkeypatch.setattr(verma, "_parities", spy)
+    return parts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_weight_homogeneous_invariant_pairings_live_in_their_predicted_parity(n, monkeypatch):
+    """On inputs of one weight and one sign parity, with Gaussian-integer
+    coefficients and Cartan letters, exactly the part of the predicted
+    parity may be nonzero, and the sign-free context's pair is the values
+    of the two per-sign contexts."""
+    both, plus, minus = (EvalContext(n, mode) for mode in [SpecMode.specialized()] + MODES)
+    parts = _spy_parities(monkeypatch)
+
+    @PROPERTY
+    @given(weight_invariant_pairs(n, mixed=False))
+    def check(case):
+        x, y, parity = case
+        del parts[:]
+        pair = invariant_form(x, y, both)
+        assert parts[0][1 - parity] == ZERO, (x, y, parity)
+        assert pair == (invariant_form(x, y, plus), invariant_form(x, y, minus)), (x, y)
+
+    check()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mixed_parity_invariant_pairings_are_the_reference_values(n, monkeypatch):
+    """With both sign parities in the raising side, both parts are live,
+    and even + sigma*odd is the reference rewriter's value at each sign."""
+    contexts = [EvalContext(n, mode) for mode in MODES]
+    both = EvalContext(n, SpecMode.specialized())
+    parts = _spy_parities(monkeypatch)
+    live = []
+
+    @PROPERTY
+    @given(weight_invariant_pairs(n, mixed=True))
+    def check(case):
+        x, y, _parity = case
+        left = antipode(y, n, inverse=True).terms.items()
+        wants = []
+        for ctx in contexts:
+            ref = (c * d * reference_vacuum(u + tuple(("f", j) for j in w), ctx) for u, c in left for w, d in _pure(x))
+            wants.append(sum(ref, ZERO))
+            assert invariant_form(x, y, ctx) == wants[-1], (x, y, ctx.mode)
+        del parts[:]
+        assert invariant_form(x, y, both) == tuple(wants), (x, y)
+        live.append(all(parts[0]))
+
+    check()
+    assert any(live)
+
+
+def _pure(x):
+    """The (index word, coefficient) terms of a pure lowering element."""
+    return [(tuple(g[1] for g in w), c) for w, c in x.terms.items()]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -140,7 +140,7 @@ def test_serre_radical_run_opens_the_gate(monkeypatch):
 
 def _spy_ladder_gates(monkeypatch):
     """Record the (branch sign, weight) of every ladder gate computed, not
-    read from its context."""
+    read from its context; the sign is None in a sign-free context."""
     computed = []
     original = verma._ladder_rank_ok
 
@@ -154,17 +154,18 @@ def _spy_ladder_gates(monkeypatch):
 
 
 def test_normalizer_reuses_the_ladder_gates_of_span(monkeypatch):
-    """At rank 2, 14 of normalizer's 16 gate weights are ones span has
-    already certified; in one session normalizer computes only the other 2."""
+    """At rank 2, 7 of normalizer's 8 gate weights are ones span has
+    already certified; in one session normalizer computes only the other 1.
+    Each gate is computed once, for both branch signs."""
     computed = _spy_ladder_gates(monkeypatch)
     assert suites.verify_normalizer(2, session=Session()).passed
     wanted = set(computed)
-    assert len(wanted) == len(computed) == 16
+    assert len(wanted) == len(computed) == 8
     session = Session()
     assert verify_span(2, session=session).passed
     computed.clear()
     assert suites.verify_normalizer(2, session=session).passed
-    assert len(set(computed)) == len(computed) == 2 and set(computed) <= wanted
+    assert len(set(computed)) == len(computed) == 1 and set(computed) <= wanted
 
 
 def test_xyz_suite_counts():
@@ -192,7 +193,8 @@ def test_branch_invariance_fails_when_the_branches_disagree(monkeypatch):
     original = suites.is_zero_in_M
 
     def one_sided(x, ctx):
-        return original(x, ctx) and ctx.mode.sigma == 1
+        plus, _minus = original(x, ctx)
+        return plus, False
 
     monkeypatch.setattr(suites, "is_zero_in_M", one_sided)
     rep = verify_span(2, 1)
@@ -309,12 +311,28 @@ def test_irreducibility_enumerates_no_weight_above_the_word_limit(monkeypatch):
 
 
 def test_irreducibility_ranks_in_the_specialized_contexts():
-    """The numeric points are evaluations in the two specialized contexts,
-    not contexts of their own."""
+    """The numeric points are evaluations in the one sign-free specialized
+    context of the rank, not contexts of their own, and both branch signs
+    share it."""
     session = Session()
     assert suites.verify_irreducibility(2, 2, session=session).passed
-    modes = {suites.SpecMode.specialized(1), suites.SpecMode.specialized(-1)}
-    assert set(session.contexts) == {(2, mode) for mode in modes}
+    assert set(session.contexts) == {(2, suites.SpecMode.specialized())}
+    assert session.contexts[2, suites.SpecMode.specialized()].signs == (1, -1)
+
+
+def test_irreducibility_walks_each_diagonal_once_for_both_signs(monkeypatch):
+    """At rank 3 and degree 4 the 35 diagonal pairings are the suite's only
+    engine walks, one per basis monomial, each giving both signs' values."""
+    calls = []
+    original = verma._evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verma, "_evaluate", counted)
+    assert suites.verify_irreducibility(3, 4).passed
+    assert len(calls) == 35
 
 
 def _spy_invariant_dims(monkeypatch):

@@ -307,6 +307,29 @@ def test_module_oracle():
     assert not is_zero_in_M(AlgElt.f(2) * AlgElt.f(1) - root_vector("f_eps", 2, 2).scaled(Q), ctx)
 
 
+def test_a_sign_free_context_returns_the_values_of_both_signs():
+    """Every entry point of the engine, given the sign-free specialized
+    context, returns the pair of what the two per-sign contexts return."""
+    both = EvalContext(2, SpecMode.specialized())
+    per_sign = [EvalContext(2, SpecMode.specialized(s)) for s in (1, -1)]
+    x = AlgElt.f(2) * AlgElt.f(1) + root_vector("f_eps", 2, 2).scaled(Q)
+    calls = [
+        lambda ctx: vacuum_eval(omega(fword_elt((1, 2))) * fword_elt((2, 1)), ctx),
+        lambda ctx: pair_lowering(fword_elt((1,)), fword_elt((1,)), ctx),
+        lambda ctx: invariant_form(fword_elt((1, 2)), AlgElt({(gen_k((1, 0)), ("e", 2), ("e", 1)): ONE}), ctx),
+        lambda ctx: pair_words_qqi((1, 2), (2, 1), ctx, 3),
+        lambda ctx: rank_at((-1, -1), ctx, 3),
+        lambda ctx: rank_at((1, 0), ctx, 3),
+        lambda ctx: is_zero_in_M(x, ctx),
+        lambda ctx: is_zero_in_M(AlgElt.f(1), ctx),
+    ]
+    for call in calls:
+        assert call(both) == tuple(call(ctx) for ctx in per_sign)
+    # one e_1: the two signs' values differ by a sign
+    plus, minus = calls[1](both)
+    assert minus == -plus != ZERO
+
+
 def test_spanning_set_is_built_once_per_context_and_weight(monkeypatch):
     """The rank gate and every zero test at one weight share one spanning set."""
     built = []
