@@ -62,6 +62,8 @@ from .verma import (
     invariant_form,
     is_zero_in_M,
     is_zero_in_U,
+    lowering_left,
+    pair_left,
     pair_lowering,
     rank_at,
     shapovalov,
@@ -162,12 +164,12 @@ def verify_factorization(n=2, max_deg=4, session=None) -> VerificationReport:
         indices = enumerate_b_indices(n, max_deg)
         monomials = [(m, b_monomial(m, n)) for m in indices]
         # omega(e_{eps_n}^{k_n} ... e_{eps_1}^{k_1}) by its factors, as omega
-        # reverses the product
-        eparts = [(k, tuple(map(omega, root_factors("e_eps", k, n)))) for k in indices]
+        # reverses the product, each converted once to the engine's left side
+        eparts = [(k, lowering_left([omega(x) for x in root_factors("e_eps", k, n)])) for k in indices]
         with _branches(rep, n, session) as (ctx, record):
-            for k, eomega in eparts:
+            for k, eleft in eparts:
                 for m, b in monomials:
-                    lhs = pair_lowering(eomega, b, ctx)
+                    lhs = pair_left(eleft, b, ctx)
                     rhs = [_factorization_rhs(m, s) if k == m else ZERO for s in ctx.signs]
                     name = "k=%s,m=%s" % (list(k), list(m))
                     record(name, [l == r for l, r in zip(lhs, rhs)], ["lhs=%s rhs=%s" % lr for lr in zip(lhs, rhs)])
@@ -262,10 +264,11 @@ class Session:
     ``verdicts`` maps (suite, sorted params) to whether that gate
     suite's report passed.  ``contexts`` holds one ``EvalContext`` per
     (rank, mode), Kashiwara's form or the sign-free specialized weight,
-    whose every value covers both branch signs, with integer tables per
-    sign and numeric point; they, its spanning sets and its ladder-gate
-    verdicts (computed once for both signs) depend on nothing else, so
-    suites that share a context get the results they would get alone.
+    whose every value covers both branch signs, with one set of integer
+    tables and row bases per numeric point for both signs; they, its
+    spanning sets and its ladder-gate verdicts (computed once for both
+    signs) depend on nothing else, so suites that share a context get the
+    results they would get alone.
     """
 
     def __init__(self):
@@ -480,7 +483,8 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
     No slice is filled: row (c,) + x' of the Gram G_mu is row x' of
     G_{mu+alpha_c} times a sparse level matrix E_c, so each rank is the size
     of a basis of the row space built from the bases one letter up
-    (``rank_at``), which are kept per sign and point for the run.
+    (``rank_at``).  The two branch signs share each basis, as their row
+    spaces coincide; the bases are kept per point for the run.
 
     Weights with more than ``_IRR_WORD_LIMIT`` words are outside the scope
     of the run (the limit is recorded in the report params as

@@ -172,7 +172,8 @@ class EvalContext:
     ``SpecMode.specialized(sigma)`` returns the ``Scalar`` at sigma, one made
     with ``SpecMode.specialized()`` the pair (at +1, at -1); Kashiwara's form
     has no sign, and its one value is the sum of the parts.  A specialized
-    context keeps integer tables per sign and numeric point."""
+    context keeps one set of integer tables per numeric point, at sigma = +1,
+    which serves every sign (``int_levels``, ``rank_at``)."""
 
     def __init__(self, n: int, mode: SpecMode):
         if n < 1:
@@ -190,7 +191,7 @@ class EvalContext:
         self._kfactor_cache: dict = {}
         self._rank_gate: dict = {}
         self._spans: dict = {}
-        # (v0, sigma) -> (point, 1/(q - q^{-1}) there, values, tables, scales, bases)
+        # v0 -> (point, 1/(q - q^{-1}) there, values, tables, scales, bases), at sigma = +1
         self._int_points: dict = {}
 
     def per_sign(self, values):
@@ -217,58 +218,74 @@ class EvalContext:
         key = (i, a)
         out = self._ecoef_cache.get(key, False)
         if out is False:
-            if self.mode.kind == "kashiwara":
-                num = {-2 * a: (-1, 0)}
-            elif i > 1:
-                num = {2 * a: G1, -2 * a: (-1, 0)} if a else None
-            else:
-                num = {2 * a - 1: (0, 1), 1 - 2 * a: (0, 1)}
+            num = self._ecoef_num(i, a)
             out = self._ecoef_cache[key] = num and _pack_poly(num)
         return out
+
+    def _ecoef_num(self, i: int, a: int):
+        """The numerator of ``ecoef(i, a)`` as a Laurent polynomial in v."""
+        if self.mode.kind == "kashiwara":
+            return {-2 * a: (-1, 0)}
+        if i > 1:
+            return {2 * a: G1, -2 * a: (-1, 0)} if a else None
+        return {2 * a - 1: (0, 1), 1 - 2 * a: (0, 1)}
 
     def int_levels(self, k: int, v0, sigma=None):
         """Integer ecoef tables at the point v0 on the branch sigma (the
         context's one sign by default) for levels 0..k, and the scale P_k
-        (specialized mode; v0 is checked by ``SpecMode.numeric`` once per
-        point).  A step on words of length l only meets ecoef(i, a) with
-        |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as a gains
-        one Cartan entry per tail letter.  Level l maps i to {a: e(i, a) *
-        s_l} over the nonzero numerators, where e(i, a), kept once per sign
-        and point, is the ecoef numerator at sigma evaluated at v0 and
-        divided by q - q^{-1} there, and s_l is the lcm of their
-        denominators; a pairing of length-k words built from these Gaussian
-        integers is the true value times P_k = s_1 ... s_k."""
+        (specialized mode).  A step on words of length l only meets ecoef(i,
+        a) with |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as
+        a gains one Cartan entry per tail letter.  Level l maps i to {a:
+        e(i, a) * s_l} over the nonzero numerators, where e(i, a) is the
+        ecoef numerator evaluated at v0 and divided by q - q^{-1} there, and
+        s_l is the lcm of their denominators; a pairing of length-k words
+        built from these Gaussian integers is the true value times P_k =
+        s_1 ... s_k.
+
+        The point keeps one evaluation, at sigma = +1 (``_int_point``).  At
+        sigma = -1 only letter 1 changes: ecoef(1, a) is sigma times the
+        numerator kept, so its entries are negated, and negation leaves
+        each s_l, hence P_k, unchanged."""
         if sigma is None:
             if len(self.signs) != 1:
                 raise ValueError("a sign-free context needs a branch sign")
             sigma = self.signs[0]
-        point = self._int_points.get((v0, sigma))
+        tables, scales, _bases = self._int_point(v0, k)
+        if sigma == -1:
+            tables = [None] + [
+                [None, {a: (-re, -im) for a, (re, im) in level[1].items()}] + level[2:] for level in tables[1:]
+            ]
+        return tables, scales[k]
+
+    def _int_point(self, v0, k):
+        """(tables, scales, bases memo) of the point v0 at sigma = +1, with
+        levels 0..k at least; v0 is checked by ``SpecMode.numeric`` once per
+        point, and each ecoef numerator is evaluated there once."""
+        point = self._int_points.get(v0)
         if point is None:
             if self.mode.kind != "specialized":
                 raise ValueError("integer tables need the specialized weight")
             pt = SpecMode.numeric(v0).v0
             inv_qdiff = qqi_inv(peval_qqi(_QDIFF, pt))  # 1/(q - q^{-1}) at v0
-            point = self._int_points[v0, sigma] = (pt, inv_qdiff, {}, [None], [1], {})
-        pt, inv_qdiff, values, tables, scales, _bases = point
+            point = self._int_points[v0] = (pt, inv_qdiff, {}, [None], [1], {})
+        pt, inv_qdiff, values, tables, scales, bases = point
         cmax = max(abs(c) for row in self.cart[1:] for c in row[1:])
         while len(tables) <= k:
             top = cmax * (len(tables) - 1)
             level = [None] + [{} for _ in range(self.n)]
             for i in range(1, self.n + 1):
-                # ecoef(1, a) is sigma times the numerator kept
-                unit = qqi_mul(inv_qdiff, (sigma, 0)) if i == 1 else inv_qdiff
                 for a in range(-top, top + 1):
                     key = i, a
                     if key not in values:  # None for a zero numerator
-                        e = self.ecoef(i, a)
-                        values[key] = e and qqi_mul(peval_qqi(_unpack_poly(e), pt), unit)
+                        num = self._ecoef_num(i, a)
+                        values[key] = num and qqi_mul(peval_qqi(num, pt), inv_qdiff)
                     if values[key] is not None:
                         level[i][a] = values[key]
             s = lcm(*(x.denominator for row in level[1:] for val in row.values() for x in val))
             scaled = [{a: (int(re * s), int(im * s)) for a, (re, im) in row.items()} for row in level[1:]]
             tables.append([None] + scaled)
             scales.append(scales[-1] * s)
-        return tables, scales[k]
+        return tables, scales, bases
 
     def kfactor(self, mu, wdot: int):
         """Multiplier for commuting a Cartan letter to the vacuum end:
@@ -487,18 +504,25 @@ def _pure_f_indices(x: AlgElt):
     return out
 
 
-def pair_lowering(x, y: AlgElt, ctx: EvalContext):
-    """<omega(x) y> for pure lowering elements x, y.  x is an element or the
-    sequence of its factors x_1, ..., x_k (x = x_1 ... x_k, the empty
-    sequence the unit), which the engine applies one at a time, as
-    omega(x) = omega(x_k) ... omega(x_1)."""
+def lowering_left(x):
+    """The left side of <omega(x) y> as ``pair_left`` takes it, for a pure
+    lowering x: an element or the sequence of its factors x_1, ..., x_k (x
+    = x_1 ... x_k, the empty sequence the unit), which the engine applies
+    one at a time, as omega(x) = omega(x_k) ... omega(x_1).  A caller that
+    pairs one x many times converts it once."""
     left = []
     for factor in (x,) if isinstance(x, AlgElt) else x:
         xt = _pure_f_indices(factor)
         if xt is None:
             raise ValueError("the left factor must be a pure lowering element")
         left.append([(tuple(("e", j) for j in w), c) for w, c in xt])
-    return pair_left(left, y, ctx)
+    return left
+
+
+def pair_lowering(x, y: AlgElt, ctx: EvalContext):
+    """<omega(x) y> for pure lowering elements x, y; x is an element or the
+    sequence of its factors (``lowering_left``)."""
+    return pair_left(lowering_left(x), y, ctx)
 
 
 def pair_left(factors, y: AlgElt, ctx: EvalContext):
@@ -727,6 +751,7 @@ def _row_basis(words, tables, cart, bases):
 def rank_at(coords, ctx: EvalContext, v0):
     """Rank of the Gram slice G_mu of a weight at v0 as Gaussian integers:
     P_k times the rational Gram (``int_levels``), hence of the same rank.
+    One rank per sign of the context (``EvalContext.per_sign``).
 
     The slice is never filled.  The engine's step consumes the rightmost
     raising letter against each matching lowering slot, so for x = (c,) + x'
@@ -736,19 +761,29 @@ def rank_at(coords, ctx: EvalContext, v0):
     of the words that start with c are the words of mu+alpha_c in lex order,
     so rowspace(G_mu) = sum over c of rowspace(G_{mu+alpha_c}) E_c, with
     [[1]] at the empty word: the rank is the size of the basis that one
-    elimination leaves of the bases one letter up mapped through their E_c,
-    kept per sign, point and letter multiset for the context's run.  One
-    rank per sign of the context (``EvalContext.per_sign``)."""
+    elimination leaves of the bases one letter up mapped through their E_c.
+
+    One basis serves both signs.  E_1(sigma) = sigma E_1(+1), as ecoef(1, a)
+    is sigma times the numerator kept and negation leaves each level's
+    lcm s_l unchanged, and every other E_c is free of sigma.  So, by
+    induction on the word length from [[1]] at the empty word, and as
+    scaling by -1 changes no row space,
+
+        rowspace G_mu(sigma) = sum_c rowspace G_{mu+alpha_c}(sigma) E_c(sigma)
+                             = sum_c rowspace G_{mu+alpha_c}(+1) E_c(+1)
+                             = rowspace G_mu(+1):
+
+    the row spaces coincide, not only the ranks.  The basis is built once
+    per point and letter multiset from the sigma = +1 tables and kept for
+    the context's run; its size is the rank at every sign."""
     if ctx.mode.kind != "specialized":
         raise ValueError("rank computations need the specialized weight")
     words = fwords_of_weight(coords, ctx.n)
-    if not words:
-        return ctx.per_sign([0] * len(ctx.signs))
-    ranks = []
-    for s in ctx.signs:
-        tables, _scale = ctx.int_levels(len(words[0]), v0, s)
-        ranks.append(len(_row_basis(words, tables, ctx.cart, ctx._int_points[v0, s][-1])))
-    return ctx.per_sign(ranks)
+    rank = 0
+    if words:
+        tables, _scales, bases = ctx._int_point(v0, len(words[0]))
+        rank = len(_row_basis(words, tables, ctx.cart, bases))
+    return ctx.per_sign([rank] * len(ctx.signs))
 
 
 def ladder_spanning_set(coords, ctx: EvalContext):

@@ -250,6 +250,15 @@ MUTANTS = [
         "        return Scalar(pmul(self.num, other.den), pmul(self.den, other.num), _canonical=True)\n",
         ["tests/test_scalars.py"],
     ),
+    (
+        # the sigma = -1 tables negate letter 2 in place of letter 1: the
+        # rank 3 tables at sigma = -1 no longer follow the ecoef formula
+        "minus-tables-negate-the-wrong-letter",
+        "src/qsphere/verma.py",
+        "[None, {a: (-re, -im) for a, (re, im) in level[1].items()}] + level[2:]",
+        "level[:2] + [{a: (-re, -im) for a, (re, im) in level[2].items()}] + level[3:]",
+        ["tests/test_integer_gram.py::test_level_tables_are_the_ecoefs_times_the_lcm_of_their_denominators"],
+    ),
 ]
 
 

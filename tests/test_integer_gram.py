@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from qsphere.plane import nullspace_qqi
 from qsphere.scalars import ONE, QQI_ZERO, Scalar, SpecMode, _gmul, peval_qqi, qqi_inv, qqi_mul, scalar_to_qqi, weight_symbol
-from qsphere.suites import _IRR_WORD_LIMIT, _rank_weights
+from qsphere import suites, verma
+from qsphere.suites import _IRR_WORD_LIMIT, Session, _check_points, _rank_weights
 from qsphere.verma import (
     EvalContext,
     _row_basis,
@@ -270,3 +271,72 @@ def test_level_tables_equal_the_rational_evaluation_route(v0):
         assert tables[level] == want, (v0, level)
         want_scale *= s
     assert scale == want_scale
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_minus_tables_are_the_plus_tables_with_letter_1_negated(n):
+    """The sign enters the level tables through letter 1 alone: ecoef(1, a)
+    changes sign with sigma (checked on the formula, symbolically), every
+    other ecoef is free of it, and each level's lcm, hence every scale, is
+    the same at both signs.  The sigma = -1 context's tables are checked
+    against the sigma = +1 context's, one evaluation each."""
+    for i in range(1, n + 1):
+        for a in range(-18, 19):
+            plus = weight_ecoef(i, a, 1)
+            assert weight_ecoef(i, a, -1) == (-plus if i == 1 else plus), (i, a)
+    plus_ctx, minus_ctx = (EvalContext(n, SpecMode.specialized(s)) for s in (1, -1))
+    for v0 in (2, 3, (3, 1)):
+        for level in range(1, 11):
+            plus, plus_scale = plus_ctx.int_levels(level, v0)
+            minus, minus_scale = minus_ctx.int_levels(level, v0)
+            assert minus_scale == plus_scale, (v0, level)
+            want = {a: (-re, -im) for a, (re, im) in plus[level][1].items()}
+            assert minus[level][1] == want, (v0, level)
+            assert minus[level][2:] == plus[level][2:], (v0, level)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_minus_basis_spans_the_shared_row_space(n):
+    """At every weight that ``verify_irreducibility(n, 4)`` ranks and at both
+    check points, the basis built from the sigma = -1 tables and the one
+    ``rank_at`` keeps for both signs span one row space: stacked, they have
+    the rank of each (the induction in ``rank_at``'s docstring)."""
+    ranked = [mu for mu in _rank_weights(n, 4) if 0 < fword_count(mu, n) <= _IRR_WORD_LIMIT]
+    ctx = EvalContext(n, SpecMode.specialized())
+    for v0 in _check_points(2):
+        for mu in ranked:
+            words = fwords_of_weight(mu, n)
+            plus_rank, minus_rank = rank_at(mu, ctx, v0)
+            plus_tables, minus_tables = (ctx.int_levels(len(words[0]), v0, s)[0] for s in (1, -1))
+            shared = _row_basis(words, plus_tables, ctx.cart, ctx._int_points[v0][-1])  # the kept basis
+            minus = _row_basis(words, minus_tables, ctx.cart, {})
+            assert plus_rank == minus_rank == len(shared) == len(minus), (v0, mu)
+            assert rank_gauss(shared + minus) == len(shared), (v0, mu)
+
+
+def test_irreducibility_builds_one_basis_per_point_for_both_signs(monkeypatch):
+    """``verify_irreducibility(3)`` ranks 47 weights at two points: one
+    top-level ``_row_basis`` call per ``rank_at`` call, 94 in all, and one
+    integer record per point in the run's sign-free context."""
+    calls = {"rank_at": 0, "top": 0, "depth": 0}
+    row_basis, ranks = verma._row_basis, suites.rank_at
+
+    def counted_row_basis(*args):
+        calls["top"] += calls["depth"] == 0
+        calls["depth"] += 1
+        try:
+            return row_basis(*args)
+        finally:
+            calls["depth"] -= 1
+
+    def counted_rank_at(*args):
+        calls["rank_at"] += 1
+        return ranks(*args)
+
+    monkeypatch.setattr(verma, "_row_basis", counted_row_basis)
+    monkeypatch.setattr(suites, "rank_at", counted_rank_at)
+    session = Session()
+    assert suites.verify_irreducibility(3, session=session).passed
+    assert calls["rank_at"] == calls["top"] == 94
+    (ctx,) = [c for c in session.contexts.values() if c._int_points]
+    assert sorted(ctx._int_points) == [2, 3]
