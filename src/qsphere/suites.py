@@ -487,16 +487,19 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
     spaces coincide; the bases are kept per point for the run.
 
     Weights with more than ``_IRR_WORD_LIMIT`` words are outside the scope
-    of the run (the limit is recorded in the report params as
-    ``word_limit``); at rank 2 it covers every weight up to degree 4.
+    of the run: the report params record the limit as ``word_limit`` and
+    the number of weights beyond it as ``out_of_scope``, 0 at rank 2 up to
+    degree 4.
     """
     word_limit = _IRR_WORD_LIMIT
     points = _check_points(v0)
+    weights = [(mu, fword_count(mu, n)) for mu in _rank_weights(n, max_deg)]
     params = {
         "n": n,
         "max_deg": max_deg,
         "points": [str(p) for p in points],
         "word_limit": word_limit,
+        "out_of_scope": sum(count > word_limit for _mu, count in weights),
     }
     with _run("irreducibility", params, "numeric(sigma=both)", session) as (rep, session):
         monomials = []  # (m, the factors of b_m, b_m), built once for both branches
@@ -504,9 +507,8 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
             fs = root_factors("f_eps", m, n)
             monomials.append((m, fs, expand(fs)))
         with _branches(rep, n, session) as (sctx, record):
-            for mu in _rank_weights(n, max_deg):
+            for mu, count in weights:
                 expected = 0 if any(c > 0 for c in mu) else 1
-                count = fword_count(mu, n)
                 if count == 0 or count > word_limit:
                     continue
                 for p in points:

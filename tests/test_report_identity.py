@@ -20,8 +20,8 @@ GOLDEN = [
     ("harish", 2, 3, "c29e128b306b7db7830431acd17420b4d67f98cd5f0fc4b002f363b7b994a2f5"),
     ("span", 2, 3, "78546d719b88c31204e075a5b07439cb229340e6f7760cab17f589f9d88b855e"),
     ("normalizer", 2, 3, "90396bcc1116088178fda97aecd4ecc79c96bfc54b55e3ce4e51b4fb738ef4ae"),
-    ("irreducibility", 2, 3, "71b0299914ed81c03d8bd02406c947142fc63bb162457ed8a12a280440eac93c"),
-    ("irreducibility", 3, None, "717606a30fe6736937ffa1f789031274a1975316260ba0226bc8f928c0c7385f"),
+    ("irreducibility", 2, 3, "e4bb6e1c45a5fe9037edf921d4efa13fbcd885e3fc4a89d7ce9507bdd974d84d"),
+    ("irreducibility", 3, None, "c73bef80042d0911bcdac17fed016766a1578aba85c31eb9346716354a60ecb8"),
     ("f-inverse", 2, 2, "ac202929e86398add3594d986fadfb1c0663e4988f86a5d992c269f9840c1680"),
     ("f-inverse", 3, 3, "19d31b3384f7c27e1d25a4a6316f8c1c628cbb8a49b413443d0381571d2ba455"),
     ("serre-radical", 2, None, "28dc63cc6eb8e881d092c942113022762c18e26f520d26aded93b2e0c7e65914"),
@@ -35,7 +35,7 @@ GOLDEN = [
 
 # `verify all --n 2` with every other flag unset: its ``params.runs`` fixes the
 # params, rank and mode every suite resolves to by default
-ALL_R2 = "f0cc971d2cb0b69446cf122a0fe29d666dc1713c2d45f92017308f7f3d28aa06"
+ALL_R2 = "6f2df1f6f1d13f87c8bad50f9a03cd752f37eedef2f2bcb296ea4cb561cdacce"
 
 
 def _digest(report):

@@ -250,7 +250,7 @@ def test_full_scope_verdict_at_another_point_is_reused(monkeypatch):
 
 def test_failing_full_scope_verdict_closes_the_inverse_gate():
     session = Session()
-    params = {"n": 2, "max_deg": 2, "word_limit": 200}
+    params = {"n": 2, "max_deg": 2, "word_limit": 200, "out_of_scope": 0}
     _failed(session, "irreducibility", dict(params, points=["2", "3"]), "numeric(sigma=both)")
     _passed(session, "irreducibility", dict(params, points=["3", "5"]), "numeric(sigma=both)")
     with pytest.raises(OracleError):
@@ -277,6 +277,23 @@ def test_irreducibility_scope_is_the_enumerated_word_limit(monkeypatch, word_lim
                     want.add("rank:mu=%s,v0=%s|sigma=%+d" % (list(mu), p, s))
     assert rep.passed
     assert {c.name for c in rep.checks if c.name.startswith("rank:")} == want
+
+
+@pytest.mark.parametrize(
+    "n,max_deg,word_limit,count",
+    [(2, 4, None, 0), (3, 4, None, 33), (3, 2, 30, 6), (3, 2, 29, 8), (2, 4, 5, 13)],
+)
+def test_irreducibility_reports_the_weights_beyond_the_word_limit(monkeypatch, n, max_deg, word_limit, count):
+    """``out_of_scope`` is the number of rank weights with more words than
+    the word limit, the suite's own or a patched one; the two rank-3 weights
+    of 30 words at degree 2 are out of scope at 29 and in scope at 30."""
+    if word_limit is not None:
+        monkeypatch.setattr(suites, "_IRR_WORD_LIMIT", word_limit)
+    rep = suites.verify_irreducibility(n, max_deg)
+    limit = rep.params["word_limit"]
+    beyond = [mu for mu in suites._rank_weights(n, max_deg) if suites.fword_count(mu, n) > limit]
+    assert rep.params["out_of_scope"] == len(beyond) == count
+    assert rep.passed
 
 
 def test_irreducibility_ranks_slices_up_to_the_suite_word_limit(monkeypatch):
