@@ -179,8 +179,8 @@ MUTANTS = [
         # its verdict, only a value comparison sees it
         "kashiwara-ecoef-drops-its-sign",
         "src/qsphere/verma.py",
-        "                num = {-2 * a: (-1, 0)}\n",
-        "                num = {-2 * a: (1, 0)}\n",
+        "            return {-2 * a: (-1, 0)}\n",
+        "            return {-2 * a: (1, 0)}\n",
         ["tests/test_engine_properties.py"],
     ),
     (
