@@ -16,14 +16,16 @@ from .verma import b_monomial, enumerate_b_indices, expand
 class FTensor:
     """Truncated two-sided lift of the inverse invariant form."""
 
-    __slots__ = ("n", "D", "entries", "images")
+    __slots__ = ("n", "D", "entries", "images", "products")
 
     def __init__(self, n, D, entries):
         self.n = n
         self.D = D
         self.entries = entries  # list of (m, coeff, epart, fpart)
-        # contracted operand images, filled by plane.star for this tensor only
+        # contracted operand images and star products, filled by plane.star
+        # for this tensor only
         self.images = {}
+        self.products = {}
 
 
 def f_coefficient(m, n) -> Scalar:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .scalars import ONE, Q, QBAR, QQI_ZERO, ZERO, Scalar, SpecMode, scalar_to_qqi
+from .scalars import ONE, Q, QBAR, QQI_ZERO, ZERO, ProductSums, Scalar, SpecMode, pmul, scalar_to_qqi
 from .words import AlgElt, Combination, acc_add, alpha_vec, k_inverse, map_letters, swap_ef
 
 _QM1 = Q - ONE  # q - 1
@@ -81,6 +81,22 @@ def _scaled(d, c):
     return {m: c * cc for m, cc in d.items()}
 
 
+def _add_product(sums, c, p, r):
+    """Add the terms of c * p * r, normal-ordered, to the ProductSums sums,
+    keyed by monomial.  A normal form's coefficients are Laurent
+    polynomials over 1, so each term's unreduced denominator is the product
+    of those of c and of one coefficient of p and one of r."""
+    n = p.n
+    for m1, c1 in p.terms.items():
+        w1 = _mono_word(m1, n)
+        num1 = pmul(c.num, c1.num)
+        for m2, c2 in r.terms.items():
+            num12 = pmul(num1, c2.num)
+            dkey = sums.den_key(c, c1, c2)
+            for mono, s in normalize_word(w1 + _mono_word(m2, n), n).items():
+                sums.add(mono, dkey, num12, s.num)
+
+
 class PlanePoly(Combination):
     """Scalar combination of normal-ordered coordinate monomials."""
 
@@ -111,13 +127,9 @@ class PlanePoly(Combination):
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scaled(other)
-        n = self.n
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            w1 = _mono_word(m1, n)
-            for m2, c2 in other.terms.items():
-                acc_add(acc, normalize_word(w1 + _mono_word(m2, n), n).items(), c1 * c2)
-        return self._with(acc)
+        sums = ProductSums()
+        _add_product(sums, ONE, self, other)
+        return self._with(sums.scalars())
 
     def __pow__(self, k: int):
         if k < 0:
@@ -161,61 +173,80 @@ class PlanePoly(Combination):
 def _e_on_coord(i, k):
     """e_{alpha_i} on x_k: sends x_{i-1} to x_i and x_{-i} to -x_{-i+1}."""
     if k == i - 1:
-        return (i, ONE)
+        return (i, 1)
     if k == -i:
-        return (-i + 1, -ONE)
+        return (-i + 1, -1)
     return None
 
 
 def _f_on_coord(i, k):
     """f_{alpha_i} on x_k: sends x_i to x_{i-1} and x_{-i+1} to -x_{-i}."""
     if k == i:
-        return (i - 1, ONE)
+        return (i - 1, 1)
     if k == -i + 1:
-        return (-i, -ONE)
+        return (-i, -1)
     return None
 
 
-def act_gen_on_word(g, word, n) -> dict:
-    """Action of one generator on a raw coordinate word, via the iterated
-    comultiplication; returns accumulated normal-form terms."""
-    word = tuple(word)
-    kind = g[0]
-    acc: dict = {}
-    if kind == "K":
-        mu = g[1]
-        w = word_weight(word, n)
-        e = 2 * sum(a * b for a, b in zip(mu, w))
-        fac = Scalar.v_power(e) if e else ONE
-        acc_add(acc, normalize_word(word, n).items(), fac)
-        return acc
+def _shift(p, e, sign):
+    """sign * v^e * p for a Laurent polynomial p, by shifting exponents."""
+    return {k + e: (sign * re, sign * im) for k, (re, im) in p.items()}
+
+
+def _gen_terms(g, word, n):
+    """The action of one generator on a raw coordinate word, via the
+    iterated comultiplication, as (nf, e, sign) triples: the image is the
+    sum of sign * v^e * nf over them, nf a normal form."""
+    if g[0] == "K":
+        return [(normalize_word(word, n), 2 * sum(a * b for a, b in zip(g[1], word_weight(word, n))), 1)]
     i = g[1]
     av = alpha_vec(i, n)
     # e walks right to left with +2(alpha_i, weight of the suffix passed),
-    # f left to right with -2(alpha_i, weight of the prefix passed)
-    if kind == "e":
+    # f left to right with -2(alpha_i, weight of the prefix passed); x_k
+    # has the weight eps_k, or -eps_{-k}, and x_0 none
+    if g[0] == "e":
         order, on_coord, sign = range(len(word) - 1, -1, -1), _e_on_coord, 1
     else:
         order, on_coord, sign = range(len(word)), _f_on_coord, -1
+    out = []
     passed = 0
     for t in order:
         k = word[t]
         hit = on_coord(i, k)
         if hit is not None:
             nk, sgn = hit
-            nf = normalize_word(word[:t] + (nk,) + word[t + 1 :], n)
-            acc_add(acc, nf.items(), sgn * Scalar.v_power(passed))
-        passed += 2 * sign * sum(a * b for a, b in zip(av, word_weight((k,), n)))
+            out.append((normalize_word(word[:t] + (nk,) + word[t + 1 :], n), passed, sgn))
+        if k:
+            passed += 2 * sign * (av[k - 1] if k > 0 else -av[-k - 1])
+    return out
+
+
+def act_gen_on_word(g, word, n) -> dict:
+    """Action of one generator on a raw coordinate word, via the iterated
+    comultiplication; returns accumulated normal-form terms.  Each normal
+    form is scaled by its sign * v^e by shifting exponents: a unit times a
+    canonical scalar is canonical."""
+    acc: dict = {}
+    for nf, e, sign in _gen_terms(g, tuple(word), n):
+        acc_add(acc, ((m, Scalar(_shift(c.num, e, sign), c.den, _canonical=True)) for m, c in nf.items()))
     return acc
 
 
 def act_generator(g, p: PlanePoly) -> PlanePoly:
-    """Action of a single algebra generator through the comultiplication."""
+    """Action of a single algebra generator through the comultiplication.
+    The images of p's terms are summed per monomial and denominator by
+    ``ProductSums``: a normal form's coefficients are Laurent polynomials
+    over 1, so an image term of c * x_m is a numerator c.num * sign * v^e
+    times one of them, over c.den."""
     n = p.n
-    acc: dict = {}
+    sums = ProductSums()
     for m, c in p.terms.items():
-        acc_add(acc, act_gen_on_word(g, _mono_word(m, n), n).items(), c)
-    return p._with(acc)
+        dkey = sums.den_key(c)
+        for nf, e, sign in _gen_terms(g, _mono_word(m, n), n):
+            num = _shift(c.num, e, sign)
+            for mono, s in nf.items():
+                sums.add(mono, dkey, num, s.num)
+    return p._with(sums.scalars())
 
 
 def act(x: AlgElt, p: PlanePoly) -> PlanePoly:
@@ -229,32 +260,31 @@ def act_all(elts, p: PlanePoly) -> list:
     Each word is walked right to left, and the image of every word suffix
     is computed once per call and shared by all words that end in it (the
     expanded root-vector words inside one F part, and across F parts, share
-    long suffixes).  The returned polynomials are fresh objects.
+    long suffixes).  A suffix is known by the index of its image in a list,
+    and extended by one letter through a dict keyed on (letter, index), so
+    no word is sliced or hashed whole.  The returned polynomials are fresh
+    objects.
     """
-    memo = {(): p}
+    images = [p]  # the image of the empty suffix first
+    step: dict = {}  # (letter, index of a suffix's image) -> index of letter + suffix's
     out = []
     for x in elts:
-        acc: dict = {}
+        sums = ProductSums()
         for w, c in x.terms.items():
-            img = _suffix_image(w, memo)
-            if img:
-                acc_add(acc, img.terms.items(), c)
-        out.append(p._with(acc))
+            at = 0
+            for g in reversed(w):
+                if not images[at].terms:
+                    break  # a zero suffix image: the word's image is zero
+                key = g, at
+                nxt = step.get(key)
+                if nxt is None:
+                    nxt = step[key] = len(images)
+                    images.append(act_generator(g, images[at]))
+                at = nxt
+            for mono, s in images[at].terms.items():
+                sums.add(mono, sums.den_key(c, s), c.num, s.num)
+        out.append(p._with(sums.scalars()))
     return out
-
-
-def _suffix_image(word, memo):
-    """Image of memo[()] under word, extending the longest memoized suffix
-    leftwards one generator at a time and memoizing every new suffix."""
-    t = 0
-    while word[t:] not in memo:
-        t += 1
-    img = memo[word[t:]]
-    for s in range(t - 1, -1, -1):
-        if img:
-            img = act_generator(word[s], img)
-        memo[word[s:]] = img
-    return img
 
 
 def casimir(n: int) -> PlanePoly:
@@ -297,7 +327,9 @@ def star(p: PlanePoly, r: PlanePoly, F) -> PlanePoly:
     parts (left side) or all lowering parts (right side) come from one
     suffix-shared walk (`act_all`) and are memoized on F, keyed by the
     operand's canonical key, so every later star with that operand on that
-    side reuses them.  The memo lives exactly as long as F.
+    side reuses them.  The product itself is memoized on F too, keyed on
+    both operands' keys, and returned as a fresh polynomial.  The memos
+    live exactly as long as F.
 
     Exactness of the truncation needs F.D >= 2*min(deg p, deg r): a raising
     (or lowering) monomial of total degree beyond twice the polynomial degree
@@ -308,22 +340,33 @@ def star(p: PlanePoly, r: PlanePoly, F) -> PlanePoly:
         raise ValueError(
             "tensor truncation %d is insufficient; need at least %d" % (F.D, need)
         )
-    lefts, rights = _contracted(F, 2, p), _contracted(F, 3, r)
-    acc: dict = {}
+    pk, rk = p.key(), r.key()
+    key = pk, rk
+    terms = F.products.get(key)
+    if terms is None:
+        terms = F.products[key] = _contraction(F, _contracted(F, 2, p, pk), _contracted(F, 3, r, rk))
+    return p._with(dict(terms))
+
+
+def _contracted(F, side, p, key):
+    """Images of p, whose key is key, under the F parts at tuple position
+    side of each entry (2: raising, 3: lowering), memoized on F; callers
+    must not mutate them."""
+    imgs = F.images.get((side, key))
+    if imgs is None:
+        imgs = F.images[side, key] = act_all([entry[side] for entry in F.entries], p)
+    return imgs
+
+
+def _contraction(F, lefts, rights):
+    """sum_m c_m left_m right_m as {monomial: Scalar}: ``ProductSums`` sums
+    the numerators of one output monomial over one unreduced denominator
+    and reduces each sum once."""
+    sums = ProductSums()
     for (_m, c, _e, _f), left, right in zip(F.entries, lefts, rights):
         if left and right:
-            acc_add(acc, (left * right).terms.items(), c)
-    return p._with(acc)
-
-
-def _contracted(F, side, p):
-    """Images of p under the F parts at tuple position side of each entry
-    (2: raising, 3: lowering), memoized on F; callers must not mutate them."""
-    key = (side, p.key())
-    imgs = F.images.get(key)
-    if imgs is None:
-        imgs = F.images[key] = act_all([entry[side] for entry in F.entries], p)
-    return imgs
+            _add_product(sums, c, left, right)
+    return sums.scalars()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,12 @@ of both.  Two such forms of one value differ by a factor of Q(i) that keeps
 the leading coefficient positive, a positive rational, which the integer
 content then forces to be 1; so equality is literal equality of the stored
 data.
+
+The arithmetic reduces only where a result can differ from its canonical
+operands.  Over the shared unit denominator ``PONE`` sums and products are
+canonical as computed.  For n1/d1 and n2/d2, gcd(n1 n2, d1 d2) =
+gcd(n1, d2) gcd(n2, d1), so a product cancels its two cross pairs alone; a
+sum over d1 = g a and d2 = g b, g = gcd(d1, d2), can cancel only g.
 """
 
 from __future__ import annotations
@@ -74,6 +80,8 @@ def _gdiv_exact(a, b):
 # Laurent polynomials in v: dict {integer exponent: Gaussian coefficient}
 # ---------------------------------------------------------------------------
 
+# the one unit denominator: every scalar over 1 holds this dict itself, so
+# a unit denominator is recognised by identity; it is never mutated
 PONE = {0: G1}
 
 
@@ -96,6 +104,18 @@ def pneg(p):
     return {k: _gneg(c) for k, c in p.items()}
 
 
+def paddmul(acc, p, r):
+    """Add p*r into the polynomial acc in place, dropping zero sums."""
+    for k1, c1 in p.items():
+        for k2, c2 in r.items():
+            k = k1 + k2
+            s = _gadd(acc.get(k, G0), _gmul(c1, c2))
+            if s == G0:
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+
+
 def pmul(p, r):
     if not p or not r:
         return {}
@@ -107,14 +127,7 @@ def pmul(p, r):
             return dict(r)
         return {k1 + k: _gmul(c1, c) for k, c in r.items()}
     out: dict = {}
-    for k1, c1 in p.items():
-        for k2, c2 in r.items():
-            k = k1 + k2
-            s = _gadd(out.get(k, G0), _gmul(c1, c2))
-            if s == G0:
-                out.pop(k, None)
-            else:
-                out[k] = s
+    paddmul(out, p, r)
     return out
 
 
@@ -146,8 +159,35 @@ def _idiv(p, g):
     return {k: (c[0] // g, c[1] // g) for k, c in p.items()} if g > 1 else p
 
 
-def _iprim(p):
-    return _idiv(p, _icontent(p))
+def _ggcd(a, b):
+    """A gcd of two Gaussian integers: Euclid with the nearest quotient."""
+    while b != G0:
+        n = _gnorm(b)
+        t = _gmul(a, (b[0], -b[1]))
+        q = ((2 * t[0] + n) // (2 * n), (2 * t[1] + n) // (2 * n))
+        a, b = b, _gsub(a, _gmul(q, b))
+    return a
+
+
+def _gcontent(p):
+    """A gcd in Z[i] of p's coefficients; the integer content when every
+    imaginary part is zero."""
+    if all(not c[1] for c in p.values()):
+        return (_icontent(p), 0)
+    g = G0
+    for c in p.values():
+        g = _ggcd(g, c)
+        if _gnorm(g) == 1:
+            break
+    return g
+
+
+def _gprim(p):
+    """p over its Gaussian content: primitive over Z[i]."""
+    g = _gcontent(p)
+    if _gnorm(g) == 1:
+        return p
+    return {k: _gdiv_exact(c, g) for k, c in p.items()}
 
 
 def _positive_lead(p):
@@ -182,18 +222,21 @@ def _prem_uni(a, b):
 
 
 def _pgcd_uni(p, r):
-    """A gcd of p and r up to a constant of Q(i): a primitive remainder
-    sequence that strips only integer contents."""
-    a, b = _iprim(p), _iprim(r)
+    """A gcd of p and r, primitive over Z[i]: a primitive remainder sequence
+    that strips the Gaussian content of every remainder, so coefficients
+    stay bounded on mixed real and imaginary parts (Collins, J. ACM 14,
+    1967)."""
+    a, b = _gprim(p), _gprim(r)
     if max(a) < max(b):
         a, b = b, a
     while b:
-        a, b = b, _iprim(_prem_uni(a, b))
+        a, b = b, _gprim(_prem_uni(a, b))
     return a
 
 
 def _pdiv_uni(a, b):
-    """Exact division; raises ArithmeticError if b does not divide a."""
+    """Exact division; raises ArithmeticError if b does not divide a over
+    Z[i], as it does whenever b is primitive and divides a over Q(i)."""
     db = max(b)
     lb = b[db]
     rem = dict(a)
@@ -216,25 +259,42 @@ def _pdiv_uni(a, b):
 # Scalars: reduced fractions of Laurent polynomials
 # ---------------------------------------------------------------------------
 
+def _cancel(num, den):
+    """num and den over their gcd: num a Laurent polynomial, den a
+    polynomial with a nonzero constant term.  A monomial num, or a constant
+    den, has no common factor of positive degree with the other.  The gcd
+    is primitive over Z[i], so both quotients keep Gaussian-integer
+    coefficients (Gauss's lemma)."""
+    if len(num) == 1 or len(den) == 1:
+        return num, den
+    mn = min(num)
+    npoly = _pshift(num, -mn)
+    g = _pgcd_uni(den, npoly)
+    if len(g) == 1:
+        return num, den
+    return _pshift(_pdiv_uni(npoly, g), mn), _pdiv_uni(den, g)
+
+
+def _normalized(num, den):
+    """The canonical form of the coprime pair num/den: den's leading
+    coefficient made a positive integer, then the integer content of both
+    removed."""
+    den, u = _positive_lead(den)
+    if u != G1:
+        num = pscale(num, u)
+    c = gcd(_icontent(num), _icontent(den))
+    den = _idiv(den, c)
+    return _idiv(num, c), PONE if den == PONE else den
+
+
 def _canonical_pair(num, den):
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, dict(PONE)
-    mn, md = min(num), min(den)
-    npoly, dpoly = _pshift(num, -mn), _pshift(den, -md)
-    if len(dpoly) > 1:
-        g = _pgcd_uni(dpoly, npoly)
-        if len(g) > 1:
-            # pseudo-division: with g's leading coefficient the integer L,
-            # L^(k+1) times either polynomial is g times one over Z[i]
-            g = _positive_lead(g)[0]
-            f = (g[max(g)][0] ** (max(max(npoly), max(dpoly)) - max(g) + 1), 0)
-            npoly, dpoly = _pdiv_uni(pscale(npoly, f), g), _pdiv_uni(pscale(dpoly, f), g)
-    dpoly, u = _positive_lead(dpoly)
-    npoly = pscale(npoly, u)
-    c = gcd(_icontent(npoly), _icontent(dpoly))
-    return _pshift(_idiv(npoly, c), mn - md), _idiv(dpoly, c)
+        return {}, PONE
+    md = min(den)
+    num, den = _cancel(num, _pshift(den, -md) if md else den)
+    return _normalized(_pshift(num, -md) if md else num, den)
 
 
 class Scalar:
@@ -248,11 +308,11 @@ class Scalar:
 
     __slots__ = ("num", "den", "_key")
 
-    def __init__(self, num, den=None, _canonical=False):
-        if den is None:
-            den = dict(PONE)
+    def __init__(self, num, den=PONE, _canonical=False):
         if not _canonical:
             num, den = _canonical_pair(num, den)
+        elif den == PONE:
+            den = PONE
         self.num = num
         self.den = den
         self._key = None
@@ -265,11 +325,11 @@ class Scalar:
 
     @staticmethod
     def gauss(re: int, im: int) -> "Scalar":
-        return Scalar({0: (re, im)} if re or im else {}, dict(PONE), _canonical=True)
+        return _scalar({0: (re, im)} if re or im else {})
 
     @staticmethod
     def v_power(k: int) -> "Scalar":
-        return Scalar({k: G1}, dict(PONE), _canonical=True)
+        return _scalar({k: G1})
 
     # -- structure -----------------------------------------------------------
 
@@ -295,6 +355,15 @@ class Scalar:
         return self.key() == other.key()
 
     def __hash__(self):
+        # an integer-valued scalar equals its int, so it hashes like it; a
+        # canonical denominator of one term is 1
+        num = self.num
+        if len(self.den) == 1 and len(num) <= 1:
+            if not num:
+                return hash(0)
+            c = num.get(0)
+            if c is not None and not c[1]:
+                return hash(c[0])
         return hash(self.key())
 
     # -- ring operations -------------------------------------------------------
@@ -308,19 +377,36 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        other = Scalar._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            # over den 1 the sum of canonical numerators is canonical
-            return Scalar(padd(self.num, other.num), dict(self.den), _canonical=self.den == PONE)
-        num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
-        return Scalar(num, pmul(self.den, other.den))
+        if other.__class__ is not Scalar:
+            other = Scalar._promote(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 is PONE and d2 is PONE:
+            # over 1 the sum of canonical numerators is canonical
+            return _scalar(padd(n1, n2))
+        if not n1 or not n2:
+            return self if n1 else other
+        # with g = gcd(d1, d2), d1 = g a and d2 = g b, the sum is t / (a b g)
+        # for t = n1 b + n2 a, and t is coprime to a b: only g can cancel
+        if d1 == d2:
+            g, a, b = d1, PONE, PONE
+        else:
+            g = PONE if len(d1) == 1 or len(d2) == 1 else _pgcd_uni(d1, d2)
+            if len(g) == 1:
+                g, a, b = PONE, d1, d2
+            else:
+                a, b = _pdiv_uni(d1, g), _pdiv_uni(d2, g)
+        t = padd(pmul(n1, b), pmul(n2, a))
+        if not t:
+            return ZERO
+        t, g = _cancel(t, g)
+        return _scalar(*_normalized(t, pmul(pmul(a, b), g)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(pneg(self.num), dict(self.den), _canonical=True)
+        return _scalar(pneg(self.num), self.den)
 
     def __sub__(self, other):
         other = Scalar._promote(other)
@@ -332,25 +418,39 @@ class Scalar:
         return Scalar._promote(other) - self
 
     def __mul__(self, other):
-        other = Scalar._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == PONE == other.den:
-            return Scalar(pmul(self.num, other.num), dict(PONE), _canonical=True)
-        return Scalar(pmul(self.num, other.num), pmul(self.den, other.den))
+        if other.__class__ is not Scalar:
+            other = Scalar._promote(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self.num, other.num
+        if not n1 or not n2:
+            return ZERO
+        d1, d2 = self.den, other.den
+        if d1 is PONE and d2 is PONE:
+            if len(n1) == 1 == len(n2):
+                # two monomials
+                return _scalar({k1 + k2: _gmul(c1, c2) for k1, c1 in n1.items() for k2, c2 in n2.items()})
+            return _scalar(pmul(n1, n2))
+        # for canonical operands gcd(n1 n2, d1 d2) = gcd(n1, d2) gcd(n2, d1)
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return _scalar(*_normalized(pmul(n1, n2), pmul(d1, d2)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        return ONE / self
+        """1 / (n / d) = d v^-e / n' for n = v^e n', n' a polynomial with a
+        nonzero constant term: a coprime pair already."""
+        if not self.num:
+            raise ZeroDivisionError("division by the zero scalar")
+        e = min(self.num)
+        return _scalar(*_normalized(_pshift(self.den, -e), _pshift(self.num, -e)))
 
     def __truediv__(self, other):
         other = Scalar._promote(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by the zero scalar")
-        return Scalar(pmul(self.num, other.den), pmul(self.den, other.num))
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = Scalar._promote(other)
@@ -359,7 +459,7 @@ class Scalar:
     def __pow__(self, k: int):
         if k == 0:
             return ONE
-        base = self if k > 0 else ONE / self
+        base = self if k > 0 else self.inverse()
         out = base
         for _ in range(abs(k) - 1):
             out = out * base
@@ -371,11 +471,67 @@ class Scalar:
         if not self.num:
             return "0"
         s_num = _poly_str(self.num)
-        if self.den == PONE:
+        if self.den is PONE:
             return s_num
         return "( %s ) / ( %s )" % (_poly_str(self.num, bare=True), _poly_str(self.den, bare=True))
 
     __repr__ = __str__
+
+
+class ProductSums:
+    """Sums of products of canonical scalars, one per key, each reduced
+    once.  A product's numerators are multiplied out and added, in place,
+    to the numerator kept for its key and its unreduced denominator (the
+    product of its factors' denominators); ``scalars`` makes one Scalar per
+    key and denominator, with no canonical form over 1, and sums them per
+    key."""
+
+    __slots__ = ("groups", "dens")
+
+    def __init__(self):
+        self.groups: dict = {}  # (key, denominator key) -> summed numerator
+        self.dens: dict = {(): PONE}  # denominator key -> the product of its factors
+
+    def den_key(self, *factors):
+        """The key of the product of the factors' denominators."""
+        dkey = tuple(sorted(tuple(sorted(s.den.items())) for s in factors if s.den is not PONE))
+        if dkey not in self.dens:
+            den = PONE
+            for s in factors:
+                den = pmul(den, s.den)
+            self.dens[dkey] = den
+        return dkey
+
+    def add(self, key, dkey, p, r):
+        """Add the numerator p*r over the denominator of dkey to key."""
+        paddmul(self.groups.setdefault((key, dkey), {}), p, r)
+
+    def scalars(self) -> dict:
+        """{key: the sum} for every key whose sum is nonzero."""
+        out: dict = {}
+        for (key, dkey), num in self.groups.items():
+            if num:
+                c = Scalar(num, self.dens[dkey]) if dkey else _scalar(num)
+                cur = out.get(key)
+                if cur is not None:
+                    c = cur + c
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+        return out
+
+
+def _scalar(num, den=PONE):
+    """A Scalar from a canonical pair; a unit den must be PONE itself."""
+    out = _new_scalar(Scalar)
+    out.num = num
+    out.den = den
+    out._key = None
+    return out
+
+
+_new_scalar = object.__new__
 
 
 def _gauss_str(c):
@@ -422,7 +578,7 @@ QBAR = Scalar.v_power(-2)  # q^{-1}
 def weight_symbol(sigma: int, k: int = 1) -> Scalar:
     """(sigma*i*v^{-1})^k, where sigma*i*v^{-1} is the value of every L_j at
     the distinguished weight on the branch sigma, a square root of -q^{-1}."""
-    return Scalar({-k: _UNITS[sigma * k % 4]}, dict(PONE), _canonical=True)
+    return _scalar({-k: _UNITS[sigma * k % 4]})
 
 
 def theta() -> Scalar:

@@ -1,10 +1,12 @@
 """Helpers the tests use and the package does not: a Cartan normal form of
-algebra elements, accessors of the truncated pairing inverse, and the full
-integer Gram slices that ``rank_at`` ranks without filling."""
+algebra elements, accessors of the truncated pairing inverse, the plane
+action and the star product term by term, and the full integer Gram slices
+that ``rank_at`` ranks without filling."""
 
 from itertools import groupby
 from operator import itemgetter
 
+from qsphere.plane import PlanePoly, act_generator, normalize_word
 from qsphere.scalars import G1, Scalar
 from qsphere.words import acc_add, alpha_vec, gen_k
 
@@ -48,6 +50,43 @@ def ftensor_coeff(F, m):
 
 def ftensor_to_json(F):
     return [{"m": list(m), "coeff": str(c)} for m, c, _e, _f in F.entries]
+
+
+def reference_act(x, p):
+    """Each word applied right to left, one generator at a time."""
+    acc = PlanePoly(p.n)
+    for w, c in x.terms.items():
+        cur = p
+        for g in reversed(w):
+            cur = act_generator(g, cur)
+            if cur.is_zero():
+                break
+        if not cur.is_zero():
+            acc = acc + cur.scaled(c)
+    return acc
+
+
+def _plane_word(mono, n):
+    return tuple(k for idx, e in enumerate(mono) for k in [idx - n] * e)
+
+
+def reference_star(p, r, F):
+    """sum_m c_m (e_m . p)(f_m . r) term by term in Scalar arithmetic:
+    every image recomputed per entry, and every product c_m * (left
+    coefficient) * (right coefficient) * (normal-form coefficient) made and
+    added as a Scalar, one canonical form per operation."""
+    n = p.n
+    acc: dict = {}
+    for _m, c, ep, fp in F.entries:
+        left = reference_act(ep, p)
+        if left.is_zero():
+            continue
+        right = reference_act(fp, r)
+        for m1, c1 in left.terms.items():
+            for m2, c2 in right.terms.items():
+                nf = normalize_word(_plane_word(m1, n) + _plane_word(m2, n), n)
+                acc_add(acc, nf.items(), c * c1 * c2)
+    return PlanePoly(n, acc)
 
 
 def _fill_gram(words, tables, cart, grams):

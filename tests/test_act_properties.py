@@ -1,53 +1,25 @@
 """Property tests: the suffix-shared plane action and the memoized star
 product against letter-by-letter references, at ranks 2 and 3.
 
-The references apply every word one generator at a time through
-`act_generator` and contract F entry by entry with no memo, as the action
-and the star product were first written.
+The references (``oracles.reference_act`` and ``oracles.reference_star``)
+apply every word one generator at a time through `act_generator` and
+contract F entry by entry with no memo, in termwise Scalar arithmetic.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_act, reference_star
 
 from qsphere.ftensor import build_F
-from qsphere.plane import PlanePoly, act, act_all, act_generator, star
+from qsphere.plane import PlanePoly, act, act_all, star
 from qsphere.scalars import ONE, Scalar
 from qsphere.words import AlgElt, gen_k
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
-COEFFS = st.sampled_from(
-    [ONE, Scalar.integer(-2), Scalar.gauss(1, 1), Scalar.v_power(-1), ONE / (Scalar.v_power(2) + ONE)]
-)
-
-
-def reference_act(x, p):
-    """Each word applied right to left, one generator at a time."""
-    acc = PlanePoly(p.n)
-    for w, c in x.terms.items():
-        cur = p
-        for g in reversed(w):
-            cur = act_generator(g, cur)
-            if cur.is_zero():
-                break
-        if not cur.is_zero():
-            acc = acc + cur.scaled(c)
-    return acc
-
-
-def reference_star(p, r, F):
-    """sum_m c_m (e_m . p)(f_m . r), every image recomputed per entry."""
-    acc = PlanePoly(p.n)
-    for _m, c, ep, fp in F.entries:
-        left = reference_act(ep, p)
-        if left.is_zero():
-            continue
-        right = reference_act(fp, r)
-        if right.is_zero():
-            continue
-        acc = acc + (left * right).scaled(c)
-    return acc
+FRACTION = ONE / (Scalar.v_power(2) + ONE)
+COEFFS = st.sampled_from([ONE, Scalar.integer(-2), Scalar.gauss(1, 1), Scalar.v_power(-1), FRACTION])
 
 
 def letters(n):
@@ -115,3 +87,26 @@ def test_star_matches_the_entry_by_entry_reference(n):
         assert star(r, p, F) == reference_star(r, p, F)
 
     check()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_star_products_are_memoized_per_operand_pair(n):
+    """One memo entry per ordered operand pair: a repeated call returns an
+    equal, fresh polynomial, and a caller that mutates it, terms or
+    coefficients, leaves the memo as it was; a second right operand with
+    the same left one gets its own product."""
+    F = build_F(n, 4)
+    x = [PlanePoly.coordinate(k, n) for k in (-1, 0, 1)]
+    p = x[0] * x[2] + x[1].scaled(FRACTION)
+    r1, r2 = x[1] * x[1], x[2] * x[0]
+    want1, want2 = reference_star(p, r1, F), reference_star(p, r2, F)
+    assert want1 != want2
+    first = star(p, r1, F)
+    assert first == want1 and len(F.products) == 1
+    for m in list(first.terms):
+        first.terms[m] = ONE
+    first.terms.clear()
+    again = star(p, r1, F)
+    assert again == want1 and again is not first and len(F.products) == 1
+    assert star(p, r2, F) == want2 and len(F.products) == 2
+    assert star(r2, p, F) == reference_star(r2, p, F) and len(F.products) == 3

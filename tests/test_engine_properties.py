@@ -199,11 +199,12 @@ def exact_words(n, length):
     return st.lists(st.integers(1, n), min_size=length, max_size=length).map(tuple)
 
 
-# coefficients without denominators: a pairing value whose denominator
-# joins (q - q^{-1})^3 to products of (v + 2) and (v^2 + 1) can take seconds
-# to put in canonical form, on the flat path as well; the flat tests above
-# cover coefficient denominators
-FACTOR_COEFFS = st.sampled_from([ONE, Scalar.integer(-2), Scalar.gauss(1, 1), Scalar.v_power(-1)])
+# Gaussian-rational coefficients: a pairing value whose denominator joins
+# (q - q^{-1})^3 to products of (v + 2) and (v^2 + 1) is put in canonical
+# form by a remainder sequence that strips Gaussian contents
+FACTOR_COEFFS = st.sampled_from(
+    [ONE, Scalar.integer(-2), Scalar.gauss(1, 1), Scalar.v_power(-1), Scalar.gauss(1, 1) / (Scalar.v_power(1) + 2), ONE / (Scalar.v_power(2) + 1)]
+)
 
 
 def factor_elements(n, max_len):

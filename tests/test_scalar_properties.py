@@ -187,3 +187,53 @@ def test_products_and_sums_over_denominator_one_are_canonical(a, b):
     assert a.den == b.den == PONE
     for got, num in ((a * b, pmul(a.num, b.num)), (a + b, padd(a.num, b.num)), (a - b, padd(a.num, pneg(b.num)))):
         assert (got.num, got.den) == _canonical_pair(num, PONE)
+
+
+# factors of positive degree for operands to share across numerator and
+# denominator: 1 + v, 1 + v^2, 2 + v, 1 + (1+i) v, i + 3 v^2
+SHARED = st.sampled_from(
+    [{0: (1, 0), 1: (1, 0)}, {0: (1, 0), 2: (1, 0)}, {0: (2, 0), 1: (1, 0)}, {0: (1, 0), 1: (1, 1)}, {0: (0, 1), 2: (3, 0)}]
+)
+GAUSS = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda c: c != (0, 0))
+OPERANDS = st.one_of(
+    st.tuples(st.integers(-3, 3), GAUSS).map(lambda t: Scalar({t[0]: t[1]})),  # monomials
+    POLYS,  # Laurent polynomials over 1
+    st.tuples(LAURENT, LAURENT).map(lambda t: Scalar(*t)),  # fractions
+)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two canonical scalars: drawn apart, or a/f and b/g with f | b's
+    numerator and g | a's numerator, so both cross pairs cancel, or a/f and
+    (z f - a)/f, whose sum z cancels f."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(OPERANDS), draw(OPERANDS)
+    f, g = draw(SHARED), draw(SHARED)
+    a, b = draw(LAURENT), draw(LAURENT)
+    if kind == 1:
+        return Scalar(pmul(a, g), pmul(draw(LAURENT), f)), Scalar(pmul(b, f), pmul(draw(LAURENT), g))
+    z = draw(LAURENT)
+    return Scalar(a, f), Scalar(padd(pmul(z, f), pneg(a)), f)
+
+
+@PROPERTY
+@given(operand_pairs())
+def test_products_and_sums_are_the_canonical_pair_of_the_unreduced_result(pair):
+    """A product reduces only its two cross pairs, and a sum only by the gcd
+    of the denominators; both must give, field by field, the canonical pair
+    of the unreduced result, with the unit denominator PONE itself."""
+    a, b = pair
+    (n1, d1), (n2, d2) = (a.num, a.den), (b.num, b.den)
+    cases = [
+        (a * b, pmul(n1, n2), pmul(d1, d2)),
+        (b * a, pmul(n1, n2), pmul(d1, d2)),
+        (a + b, padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2)),
+        (a - b, padd(pmul(n1, d2), pneg(pmul(n2, d1))), pmul(d1, d2)),
+    ]
+    if b:
+        cases.append((a / b, pmul(n1, d2), pmul(d1, n2)))
+    for got, num, den in cases:
+        assert (got.num, got.den) == _canonical_pair(num, den), (a, b)
+        assert (got.den is PONE) == (got.den == PONE), (a, b)
