@@ -428,7 +428,6 @@ class Scalar:
         d1, d2 = self.den, other.den
         if d1 is PONE and d2 is PONE:
             if len(n1) == 1 == len(n2):
-                # two monomials
                 return _scalar({k1 + k2: _gmul(c1, c2) for k1, c1 in n1.items() for k2, c2 in n2.items()})
             return _scalar(pmul(n1, n2))
         # for canonical operands gcd(n1 n2, d1 d2) = gcd(n1, d2) gcd(n2, d1)
