@@ -221,32 +221,31 @@ def _gen_terms(g, word, n):
     return out
 
 
-def act_gen_on_word(g, word, n) -> dict:
-    """Action of one generator on a raw coordinate word, via the iterated
-    comultiplication; returns accumulated normal-form terms.  Each normal
-    form is scaled by its sign * v^e by shifting exponents: a unit times a
-    canonical scalar is canonical."""
-    acc: dict = {}
-    for nf, e, sign in _gen_terms(g, tuple(word), n):
-        acc_add(acc, ((m, Scalar(_shift(c.num, e, sign), c.den, _canonical=True)) for m, c in nf.items()))
-    return acc
-
-
-def act_generator(g, p: PlanePoly) -> PlanePoly:
-    """Action of a single algebra generator through the comultiplication.
-    The images of p's terms are summed per monomial and denominator by
+def _act_words(g, terms, n) -> dict:
+    """The action of one generator on the sum of c * word over the (raw
+    coordinate word, c) terms, via the iterated comultiplication, as
+    {monomial: coefficient}, summed per monomial and denominator by
     ``ProductSums``: a normal form's coefficients are Laurent polynomials
-    over 1, so an image term of c * x_m is a numerator c.num * sign * v^e
-    times one of them, over c.den."""
-    n = p.n
+    over 1, so an image term is c.num * sign * v^e times one, over c.den."""
     sums = ProductSums()
-    for m, c in p.terms.items():
+    for word, c in terms:
         dkey = sums.den_key(c)
-        for nf, e, sign in _gen_terms(g, _mono_word(m, n), n):
+        for nf, e, sign in _gen_terms(g, word, n):
             num = _shift(c.num, e, sign)
             for mono, s in nf.items():
                 sums.add(mono, dkey, num, s.num)
-    return p._with(sums.scalars())
+    return sums.scalars()
+
+
+def act_gen_on_word(g, word, n) -> dict:
+    """Action of one generator on a raw coordinate word, as normal-form
+    terms {monomial: coefficient}."""
+    return _act_words(g, [(tuple(word), ONE)], n)
+
+
+def act_generator(g, p: PlanePoly) -> PlanePoly:
+    """Action of a single algebra generator through the comultiplication."""
+    return p._with(_act_words(g, ((_mono_word(m, p.n), c) for m, c in p.terms.items()), p.n))
 
 
 def act(x: AlgElt, p: PlanePoly) -> PlanePoly:

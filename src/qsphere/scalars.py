@@ -308,13 +308,8 @@ class Scalar:
 
     __slots__ = ("num", "den", "_key")
 
-    def __init__(self, num, den=PONE, _canonical=False):
-        if not _canonical:
-            num, den = _canonical_pair(num, den)
-        elif den == PONE:
-            den = PONE
-        self.num = num
-        self.den = den
+    def __init__(self, num, den=PONE):
+        self.num, self.den = _canonical_pair(num, den)
         self._key = None
 
     # -- construction helpers ------------------------------------------------
@@ -633,17 +628,16 @@ QQI_ONE = qqi(1)
 class SpecMode:
     """Which form the engine evaluates, or where a scalar is evaluated.
 
-    kind is one of "kashiwara", "specialized", "numeric".  A specialized
-    mode is the distinguished weight on the branch sigma, where every L_j is
-    ``weight_symbol(sigma)``, or on both branches when sigma is None;
-    "kashiwara" is Kashiwara's form on the lowering half, which needs no
-    weight (``verma.EvalContext``).  A numeric
+    kind is one of "kashiwara", "specialized", "numeric".  The specialized
+    mode is the distinguished weight on both branches sigma = +-1, where
+    every L_j is ``weight_symbol(sigma)``, and the engine gives each value
+    as the pair (at +1, at -1); "kashiwara" is Kashiwara's form on the
+    lowering half, which needs no weight (``verma.EvalContext``).  A numeric
     mode is a Gaussian rational point v0, nonzero and no root of unity, for
     ``scalar_to_qqi`` alone, not an engine mode.
     """
 
     kind: str
-    sigma: int = 1
     v0: tuple = None
 
     @staticmethod
@@ -651,10 +645,8 @@ class SpecMode:
         return SpecMode("kashiwara")
 
     @staticmethod
-    def specialized(sigma: int = None) -> "SpecMode":
-        if sigma not in (1, -1, None):
-            raise ValueError("branch sign must be +1 or -1")
-        return SpecMode("specialized", sigma)
+    def specialized() -> "SpecMode":
+        return SpecMode("specialized")
 
     @staticmethod
     def numeric(v0) -> "SpecMode":
@@ -703,14 +695,14 @@ def qnum(z, shift: Scalar = None) -> Scalar:
     if t.denominator != 1:
         raise ValueError("q-number argument must be a half-integer")
     t = int(t)
+    if shift is None and t % 2 == 0:
+        # [m] = q^{m-1} + q^{m-3} + ... + q^{1-m} and [-m] = -[m]: no division
+        m, c = abs(t) // 2, (1, 0) if t > 0 else (-1, 0)
+        return _scalar({2 * (m - 1) - 4 * j: c for j in range(m)})
     den = Scalar.v_power(2) - Scalar.v_power(-2)
     if shift is None:
-        if t == 0:
-            return ZERO
-        num = Scalar.v_power(t) - Scalar.v_power(-t)
-        return num / den
-    num = shift * Scalar.v_power(t) - shift.inverse() * Scalar.v_power(-t)
-    return num / den
+        return (Scalar.v_power(t) - Scalar.v_power(-t)) / den
+    return (shift * Scalar.v_power(t) - shift.inverse() * Scalar.v_power(-t)) / den
 
 
 def qfact(m: int) -> Scalar:

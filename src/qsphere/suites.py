@@ -50,6 +50,7 @@ from .scalars import (
 )
 from .words import AlgElt, acc_add, alpha_vec, omega, qbracket, root_factors, root_vector
 from .verma import (
+    SIGNS,
     EvalContext,
     OracleError,
     b_height,
@@ -132,7 +133,7 @@ def _branches(rep, n, session):
 
     yield ctx, record
     verdicts = []
-    for k, s in enumerate(ctx.signs):
+    for k, s in enumerate(SIGNS):
         seen = {}
         for name, oks, witness in checks:
             seen[name] = oks[k]
@@ -170,7 +171,7 @@ def verify_factorization(n=2, max_deg=4, session=None) -> VerificationReport:
             for k, eleft in eparts:
                 for m, b in monomials:
                     lhs = pair_left(eleft, b, ctx)
-                    rhs = [_factorization_rhs(m, s) if k == m else ZERO for s in ctx.signs]
+                    rhs = [_factorization_rhs(m, s) if k == m else ZERO for s in SIGNS]
                     name = "k=%s,m=%s" % (list(k), list(m))
                     record(name, [l == r for l, r in zip(lhs, rhs)], ["lhs=%s rhs=%s" % lr for lr in zip(lhs, rhs)])
     return rep
@@ -193,7 +194,7 @@ def verify_harish(n=2, max_deg=4, session=None) -> VerificationReport:
                     for l in range(1, m + 1):
                         ratio = ratio * (qnum(l * half) / qnum(half))
                     oks, witnesses = [], []
-                    for s, engine in zip(ctx.signs, engines):
+                    for s, engine in zip(SIGNS, engines):
                         prod = ratio
                         for l in range(m):
                             prod = prod * qnum(-l * half, shift=weight_symbol(s))
@@ -263,12 +264,12 @@ class Session:
 
     ``verdicts`` maps (suite, sorted params) to whether that gate
     suite's report passed.  ``contexts`` holds one ``EvalContext`` per
-    (rank, mode), Kashiwara's form or the sign-free specialized weight,
-    whose every value covers both branch signs, with one set of integer
-    tables and row bases per numeric point for both signs; they, its
-    spanning sets and its ladder-gate verdicts (computed once for both
-    signs) depend on nothing else, so suites that share a context get the
-    results they would get alone.
+    (rank, mode): Kashiwara's form, whose values are ``Scalar``s, or the
+    specialized weight, whose every value is the pair (at +1, at -1), with
+    one set of integer tables and row bases per numeric point for both
+    signs; they, its spanning sets and its ladder-gate verdicts (computed
+    once for both signs) depend on nothing else, so suites that share a
+    context get the results they would get alone.
     """
 
     def __init__(self):
@@ -381,7 +382,7 @@ def verify_normalizer(n=2, max_deg=4, session=None) -> VerificationReport:
             fdelta = root_vector("f_delta", 1, n)
             for i in range(1, n + 1):
                 x = AlgElt.e(i) * fdelta
-                bad = [None] * len(ctx.signs)  # per sign, the first word and value
+                bad = [None] * len(SIGNS)  # per sign, the first word and value
                 for w in fwords_of_weight(x.weight(n), n):
                     vals = vacuum_eval(omega(fword_elt(w)) * x, ctx)
                     bad = [b or (None if v.is_zero() else (w, str(v))) for b, v in zip(bad, vals)]
@@ -512,11 +513,11 @@ def verify_irreducibility(n=2, max_deg=4, v0=2, session=None) -> VerificationRep
                 if count == 0 or count > word_limit:
                     continue
                 for p in points:
-                    ranks = rank_at(mu, sctx, p)
+                    rank = rank_at(mu, sctx, p)
                     record(
                         "rank:mu=%s,v0=%s" % (list(mu), p),
-                        [r == expected for r in ranks],
-                        ["rank %d, expected %d" % (r, expected) for r in ranks],
+                        [rank == expected] * len(SIGNS),
+                        "rank %d, expected %d" % (rank, expected),
                     )
             for m, fs, b in monomials:
                 diags = shapovalov(fs, b, sctx)

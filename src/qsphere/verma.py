@@ -17,8 +17,9 @@ sigma enters only as sigma times ecoef(1, a) and sigma^sum(mu) times a
 Cartan letter's kfactor, so it walks with the sigma = +1 constants, every
 path carrying a parity that an e_1 and a Cartan letter of odd sum(mu) flip,
 and returns the parts (even, odd) of the value even + sigma*odd.  One walk
-gives both signs, for any input; a context returns the value at its own
-sign, or at both (``EvalContext``).  Values are packed numerators in v:
+gives both signs, for any input: every value at the weight is the pair (at
++1, at -1), in the order of ``SIGNS``, and every value of Kashiwara's form
+one ``Scalar`` (``EvalContext``).  Values are packed numerators in v:
 every coefficient is packed once, by ``_pack_poly``, after its
 denominators are cleared.
 
@@ -63,6 +64,7 @@ from .scalars import (
     _gdiv_exact,
     _gmul,
     _gsub,
+    _scalar,
     peval_qqi,
     pmul,
     qqi_inv,
@@ -84,6 +86,8 @@ _QDIFF = {2: G1, -2: (-1, 0)}  # q - q^{-1} as a Laurent polynomial in v
 # exact norms at one width that holds the new bound.
 
 _PZERO = (0, 0, 0, 0, 32)  # the one packed zero: the engine filters c != zero
+
+SIGNS = (1, -1)  # the branch signs sigma, in the order of a value's pair at the weight
 
 
 def _slot_width(bound: int) -> int:
@@ -165,15 +169,13 @@ class EvalContext:
     The form is the contravariant form at the distinguished weight, or
     Kashiwara's form on the lowering half (``SpecMode.kashiwara``); they
     differ only in the constants ``ecoef`` and ``kfactor``, kept as packed
-    numerators in v.  A specialized context is sign-free: its constants are
-    those of the branch sigma = +1, and the engine carries sigma as a parity
-    per path (``_parities``), so one walk gives the value at both signs.
-    ``signs`` are the signs whose values it returns: a context made with
-    ``SpecMode.specialized(sigma)`` returns the ``Scalar`` at sigma, one made
-    with ``SpecMode.specialized()`` the pair (at +1, at -1); Kashiwara's form
-    has no sign, and its one value is the sum of the parts.  A specialized
-    context keeps one set of integer tables per numeric point, at sigma = +1,
-    which serves every sign (``int_levels``, ``rank_at``)."""
+    numerators in v.  The specialized context is sign-free: its constants
+    are those of the branch sigma = +1, and the engine carries sigma as a
+    parity per path (``_parities``), so one walk gives the value at both
+    signs, which it returns as the pair (at +1, at -1); Kashiwara's form has
+    no sign, and its one value, a ``Scalar``, is the sum of the parts.  The
+    specialized context keeps one set of integer tables per numeric point,
+    at sigma = +1, which serves both signs (``int_levels``, ``rank_at``)."""
 
     def __init__(self, n: int, mode: SpecMode):
         if n < 1:
@@ -182,7 +184,6 @@ class EvalContext:
             raise ValueError("a numeric point is evaluated in a specialized context")
         self.n = n
         self.mode = mode
-        self.signs = (1, -1) if mode.sigma is None else (mode.sigma,)
         self.alpha = [None] + [alpha_vec(i, n) for i in range(1, n + 1)]
         self.cart = [None] + [
             [0] + [cartan_pairing(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
@@ -193,15 +194,6 @@ class EvalContext:
         self._spans: dict = {}
         # v0 -> (point, 1/(q - q^{-1}) there, values, tables, scales, bases), at sigma = +1
         self._int_points: dict = {}
-
-    def per_sign(self, values):
-        """values, one per sign of ``signs``: the one value of a one-sign
-        context, else the pair."""
-        return values[0] if len(self.signs) == 1 else tuple(values)
-
-    def sign_values(self, value):
-        """The values per sign of what ``per_sign`` returned."""
-        return (value,) if len(self.signs) == 1 else value
 
     def ecoef(self, i: int, a: int):
         """Coefficient created when a raising letter consumes a matching
@@ -230,26 +222,21 @@ class EvalContext:
             return {2 * a: G1, -2 * a: (-1, 0)} if a else None
         return {2 * a - 1: (0, 1), 1 - 2 * a: (0, 1)}
 
-    def int_levels(self, k: int, v0, sigma=None):
-        """Integer ecoef tables at the point v0 on the branch sigma (the
-        context's one sign by default) for levels 0..k, and the scale P_k
-        (specialized mode).  A step on words of length l only meets ecoef(i,
-        a) with |a| <= c_max*(l - 1), c_max the largest |Cartan pairing|, as
-        a gains one Cartan entry per tail letter.  Level l maps i to {a:
-        e(i, a) * s_l} over the nonzero numerators, where e(i, a) is the
-        ecoef numerator evaluated at v0 and divided by q - q^{-1} there, and
-        s_l is the lcm of their denominators; a pairing of length-k words
-        built from these Gaussian integers is the true value times P_k =
-        s_1 ... s_k.
+    def int_levels(self, k: int, v0, sigma: int):
+        """Integer ecoef tables at the point v0 on the branch sigma for
+        levels 0..k, and the scale P_k (specialized mode).  A step on words
+        of length l only meets ecoef(i, a) with |a| <= c_max*(l - 1), c_max
+        the largest |Cartan pairing|, as a gains one Cartan entry per tail
+        letter.  Level l maps i to {a: e(i, a) * s_l} over the nonzero
+        numerators, where e(i, a) is the ecoef numerator evaluated at v0 and
+        divided by q - q^{-1} there, and s_l is the lcm of their
+        denominators; a pairing of length-k words built from these Gaussian
+        integers is the true value times P_k = s_1 ... s_k.
 
         The point keeps one evaluation, at sigma = +1 (``_int_point``).  At
         sigma = -1 only letter 1 changes: ecoef(1, a) is sigma times the
         numerator kept, so its entries are negated, and negation leaves
         each s_l, hence P_k, unchanged."""
-        if sigma is None:
-            if len(self.signs) != 1:
-                raise ValueError("a sign-free context needs a branch sign")
-            sigma = self.signs[0]
         tables, scales, _bases = self._int_point(v0, k)
         if sigma == -1:
             tables = [None] + [
@@ -387,7 +374,7 @@ def _cleared(terms):
     for key, d in {key: c.den for _w, c, _p, key in keyed}.items():
         # D / d reduced is N / M: D * M is the lcm of D and d, and D * M / d = N;
         # 1 / d is reduced already, d being a canonical denominator
-        ratio = Scalar(den, d, _canonical=den == PONE)
+        ratio = _scalar(PONE, d) if den == PONE else Scalar(den, d)
         quotients = {k: pmul(q, ratio.den) for k, q in quotients.items()}
         quotients[key] = ratio.num
         den = pmul(den, ratio.den)
@@ -464,21 +451,18 @@ def _parities(factors, right, ctx):
     return tuple(ZERO if val is None or val == _PZERO else Scalar(_unpack_poly(val), den) for val in vals)
 
 
-def _at_sign(parts, sigma):
-    """even + sigma*odd for the parts (even, odd) of ``_parities``."""
-    even, odd = parts
-    if not odd:
-        return even
-    if sigma < 0:
-        odd = -odd
-    return even + odd if even else odd
-
-
 def _evaluate(factors, right, ctx: EvalContext):
-    """The value of ``_parities`` at the signs of the context: a ``Scalar``,
-    or in a sign-free context the pair (at +1, at -1)."""
-    parts = _parities(factors, right, ctx)
-    return ctx.per_sign([_at_sign(parts, s) for s in ctx.signs])
+    """The value of ``_parities``: even + odd under Kashiwara's form, which
+    has no sign, and at the weight the pair (at +1, at -1), that is (even +
+    odd, even - odd).  A zero part costs no ``Scalar`` operation."""
+    even, odd = _parities(factors, right, ctx)
+    if ctx.mode.kind == "kashiwara":
+        return even + odd if even and odd else even or odd
+    if not odd:
+        return even, even
+    if not even:
+        return odd, -odd
+    return even + odd, even - odd
 
 
 def vacuum_eval(x: AlgElt, ctx: EvalContext):
@@ -529,8 +513,8 @@ def pair_left(factors, y: AlgElt, ctx: EvalContext):
     """<L y> for a left side L without lowering letters and a pure lowering
     element y; L is the product of its factors, each a list of (token word
     in processing order, coeff), the factor that acts first on y first.
-    Like every pairing, a ``Scalar``, or in a sign-free context the pair
-    (at +1, at -1) from one walk."""
+    Like every pairing, a ``Scalar`` under Kashiwara's form, and at the
+    weight the pair (at +1, at -1) from one walk."""
     yt = _pure_f_indices(y)
     if yt is None:
         raise ValueError("the right factor must be a pure lowering element")
@@ -686,11 +670,12 @@ def rank_gauss(rows) -> int:
 
 def pair_words_qqi(u, w, ctx: EvalContext, v0):
     """<(raising word u) (lowering word w)> of a context at the point v0,
-    by the symbolic engine: an oracle for the integer Gram slices."""
+    by the symbolic engine, at both signs: an oracle for the integer Gram
+    slices."""
     left = [(tuple(("e", j) for j in reversed(u)), ONE)]
     mode = SpecMode.numeric(v0)
-    values = ctx.sign_values(pair_left([left], fword_elt(w), ctx))
-    return ctx.per_sign([scalar_to_qqi(x, mode) for x in values])
+    plus, minus = pair_left([left], fword_elt(w), ctx)
+    return scalar_to_qqi(plus, mode), scalar_to_qqi(minus, mode)
 
 
 def _symmetric_rows(size, entry):
@@ -750,8 +735,8 @@ def _row_basis(words, tables, cart, bases):
 
 def rank_at(coords, ctx: EvalContext, v0):
     """Rank of the Gram slice G_mu of a weight at v0 as Gaussian integers:
-    P_k times the rational Gram (``int_levels``), hence of the same rank.
-    One rank per sign of the context (``EvalContext.per_sign``).
+    P_k times the rational Gram (``int_levels``), hence of the same rank,
+    which is the same at both signs (below).
 
     The slice is never filled.  The engine's step consumes the rightmost
     raising letter against each matching lowering slot, so for x = (c,) + x'
@@ -775,7 +760,7 @@ def rank_at(coords, ctx: EvalContext, v0):
 
     the row spaces coincide, not only the ranks.  The basis is built once
     per point and letter multiset from the sigma = +1 tables and kept for
-    the context's run; its size is the rank at every sign."""
+    the context's run; its size is the rank at both signs."""
     if ctx.mode.kind != "specialized":
         raise ValueError("rank computations need the specialized weight")
     words = fwords_of_weight(coords, ctx.n)
@@ -783,7 +768,7 @@ def rank_at(coords, ctx: EvalContext, v0):
     if words:
         tables, _scales, bases = ctx._int_point(v0, len(words[0]))
         rank = len(_row_basis(words, tables, ctx.cart, bases))
-    return ctx.per_sign([rank] * len(ctx.signs))
+    return rank
 
 
 def ladder_spanning_set(coords, ctx: EvalContext):
@@ -807,11 +792,10 @@ def ladder_spanning_set(coords, ctx: EvalContext):
 
 def _ladder_rank_ok(coords, ctx: EvalContext) -> bool:
     """Verify rank(Gram of the spanning set) == number of basis monomials
-    at every sign of the context.  The Gram is computed once in the
-    specialized context, each entry one walk for every sign, and ranked
-    exactly over Q(i)(v) per sign, so no entry or minor can vanish by
-    accident of a point; each entry pairs one element by its factors
-    against the other expanded."""
+    at both signs.  The Gram is computed once, each entry one walk for both
+    signs, and ranked exactly over Q(i)(v) per sign, so no entry or minor
+    can vanish by accident of a point; each entry pairs one element by its
+    factors against the other expanded."""
     key = tuple(coords)
     cached = ctx._rank_gate.get(key)
     if cached is not None:
@@ -819,37 +803,34 @@ def _ladder_rank_ok(coords, ctx: EvalContext) -> bool:
     expected = 0 if b_index_of_weight(coords) is None else 1
     span = ladder_spanning_set(coords, ctx)
     elts = [expand(s) for s in span]
-    rows = _symmetric_rows(len(span), lambda i, j: ctx.sign_values(shapovalov(span[i], elts[j], ctx)))
-    ok = ctx._rank_gate[key] = all(
-        rank_gauss([[entry[k] for entry in row] for row in rows]) == expected for k in range(len(ctx.signs))
-    )
+    rows = _symmetric_rows(len(span), lambda i, j: shapovalov(span[i], elts[j], ctx))
+    ok = ctx._rank_gate[key] = all(rank_gauss([[e[k] for e in row] for row in rows]) == expected for k in (0, 1))
     return ok
 
 
 def is_zero_in_M(x: AlgElt, ctx: EvalContext):
-    """Whether a lowering element vanishes in the irreducible quotient, at
-    each sign of the context (``EvalContext.per_sign``).
+    """Whether a lowering element vanishes in the irreducible quotient: the
+    pair of verdicts (at +1, at -1).
 
     Sound when used ladder-style: all action checks at lower weight heights
     must have passed already, and the rank gate for this weight must hold.
     """
     if ctx.mode.kind != "specialized":
         raise ValueError("module oracle needs the specialized weight")
-    zero = [True] * len(ctx.signs)
     if x.is_zero():
-        return ctx.per_sign(zero)
+        return True, True
     wt = x.weight(ctx.n)
     if not _ladder_rank_ok(wt, ctx):
         raise OracleError(
             "rank gate failed at weight %r: form rank does not match the "
             "basis count" % (wt,)
         )
+    zero = (True, True)
     for s in ladder_spanning_set(wt, ctx):
-        values = ctx.sign_values(shapovalov(s, x, ctx))
-        zero = [z and v.is_zero() for z, v in zip(zero, values)]
+        zero = tuple(z and v.is_zero() for z, v in zip(zero, shapovalov(s, x, ctx)))
         if not any(zero):
             break
-    return ctx.per_sign(zero)
+    return zero
 
 
 def is_zero_in_U(x: AlgElt, ctx: EvalContext) -> bool:

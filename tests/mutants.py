@@ -307,8 +307,8 @@ MUTANTS = [
         # multiple too, and every value stays right
         "engine-clearing-multiplies-the-denominators",
         "src/qsphere/verma.py",
-        "        ratio = Scalar(den, d, _canonical=den == PONE)\n",
-        "        ratio = Scalar(den, d, _canonical=True)\n",
+        "        ratio = _scalar(PONE, d) if den == PONE else Scalar(den, d)\n",
+        "        ratio = _scalar(den, d)\n",
         ["tests/test_engine_properties.py"],
     ),
     (
@@ -316,7 +316,7 @@ MUTANTS = [
         "division-skips-the-canonical-form",
         "src/qsphere/scalars.py",
         "        return self * other.inverse()\n",
-        "        return Scalar(pmul(self.num, other.den), pmul(self.den, other.num), _canonical=True)\n",
+        "        return _scalar(pmul(self.num, other.den), pmul(self.den, other.num))\n",
         ["tests/test_scalars.py"],
     ),
     (
@@ -327,6 +327,23 @@ MUTANTS = [
         "[None, {a: (-re, -im) for a, (re, im) in level[1].items()}] + level[2:]",
         "level[:2] + [{a: (-re, -im) for a, (re, im) in level[2].items()}] + level[3:]",
         ["tests/test_integer_gram.py::test_level_tables_are_the_ecoefs_times_the_lcm_of_their_denominators"],
+    ),
+    (
+        # the closed sum of [m] loses its last power of q
+        "integer-qnum-drops-a-term",
+        "src/qsphere/scalars.py",
+        "        return _scalar({2 * (m - 1) - 4 * j: c for j in range(m)})\n",
+        "        return _scalar({2 * (m - 1) - 4 * j: c for j in range(m - 1)})\n",
+        ["tests/test_scalars.py"],
+    ),
+    (
+        # the value at sigma = -1 taken as at +1 where both parts are live;
+        # a value of one parity still changes sign
+        "evaluate-adds-the-odd-part-at-both-signs",
+        "src/qsphere/verma.py",
+        "    return even + odd, even - odd\n",
+        "    return even + odd, even + odd\n",
+        ["tests/test_engine_properties.py"],
     ),
 ]
 

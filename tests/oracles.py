@@ -130,10 +130,10 @@ def _fill_gram(words, tables, cart, grams):
     return rows
 
 
-def gram_int_rows(words, ctx, v0):
+def gram_int_rows(words, ctx, v0, sigma):
     """The Gram slice on the lex-ordered words of one weight mu (all of
-    length k) at v0 as Gaussian integers: P_k times the rational Gram, hence
-    of the same rank.  It applies the engine's step, which consumes the
+    length k) at v0 on the branch sigma as Gaussian integers: P_k times the
+    rational Gram, hence of the same rank.  It applies the engine's step, which consumes the
     rightmost raising letter against each matching lowering slot, to whole
     rows: for x = (c,) + x', row x is row x' of the Gram of mu+alpha_c
     times E_c, whose column w holds, per slot t with w[t] = c, the level-k
@@ -147,5 +147,5 @@ def gram_int_rows(words, ctx, v0):
     eps o omega = eps, so <b, a> = eps(omega(omega(a) b)) = <a, b>.  Each
     level computes the entries with i <= j and mirrors the others.
     """
-    tables, _scale = ctx.int_levels(len(words[0]), v0)
+    tables, _scale = ctx.int_levels(len(words[0]), v0, sigma)
     return _fill_gram(words, tables, ctx.cart, {})

@@ -12,6 +12,7 @@ from qsphere import verma
 from qsphere.scalars import I_UNIT, ONE, Q, ZERO, Scalar, SpecMode, scalar_to_qqi
 from qsphere.verma import (
     _PZERO,
+    SIGNS,
     EvalContext,
     _kiadd,
     _kmul,
@@ -25,9 +26,9 @@ from qsphere.verma import (
 )
 from qsphere.words import AlgElt, antipode, gen_k, omega
 
-from test_verma import reference_vacuum
+from test_verma import reference_pair, reference_vacuum
 
-MODES = [SpecMode.specialized(1), SpecMode.specialized(-1)]
+SPECIALIZED = SpecMode.specialized()
 KASHIWARA = SpecMode.kashiwara()
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -87,14 +88,13 @@ def test_vacuum_eval_is_the_specialized_generic_value(n):
     """At each branch of the weight, the engine's value of a word times a
     coefficient, which may carry a denominator, is the coefficient times
     the reference rewriter's value of the word at that weight."""
-    contexts = [EvalContext(n, mode) for mode in MODES]
+    ctx = EvalContext(n, SPECIALIZED)
 
     @PROPERTY
     @given(free_words(n), st.one_of(COEFFS, st.sampled_from([Scalar.gauss(0, 1), Scalar.v_power(-3)])))
     def check(word, c):
-        x = AlgElt({word: c})
-        for ctx in contexts:
-            assert vacuum_eval(x, ctx) == c * reference_vacuum(word, ctx), (word, c, ctx.mode)
+        want = tuple(c * r for r in reference_pair(word, ctx))
+        assert vacuum_eval(AlgElt({word: c}), ctx) == want, (word, c)
 
     check()
 
@@ -136,15 +136,17 @@ def test_clearing_takes_the_lcm_of_the_denominators(d, e):
     assert max(den) == max((d * e).num)
     for (_w, c), (_w2, packed) in zip(right, cleared):
         assert Scalar(_unpack_poly(packed), den) == c
-    ctx = EvalContext(2, MODES[0])
+    ctx = EvalContext(2, SPECIALIZED)
     x = fword_elt((1,)) + fword_elt((2,))
     y = sum((fword_elt(w).scaled(c) for w, c in right), AlgElt())
-    assert pair_lowering(x, y, ctx) == sum((pair_lowering(x, fword_elt(w), ctx) * c for w, c in right), ZERO)
+    for k in (0, 1):
+        want = sum((pair_lowering(x, fword_elt(w), ctx)[k] * c for w, c in right), ZERO)
+        assert pair_lowering(x, y, ctx)[k] == want
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_pair_lowering_is_vacuum_of_the_product(n):
-    contexts = [EvalContext(n, mode) for mode in MODES + [KASHIWARA]]
+    contexts = [EvalContext(n, mode) for mode in (SPECIALIZED, KASHIWARA)]
 
     @PROPERTY
     @given(lowering_elements(n), lowering_elements(n))
@@ -178,19 +180,21 @@ def test_pairing_of_multi_term_elements_is_the_termwise_reference(n):
     """The engine's pairing of multi-term elements against the sum of the
     reference values of every pair of terms: a filter or a sum that drops a
     pair reaching the vacuum changes the value."""
-    contexts = [EvalContext(n, mode) for mode in MODES]
+    ctx = EvalContext(n, SPECIALIZED)
 
     @PROPERTY
     @given(engine_pairings(n))
     def check(case):
         left, right = case
         engine_left = [(tuple(reversed(u)), c) for u, c in left]
-        for ctx in contexts:
-            want = sum(
-                (c * d * reference_vacuum(u + tuple(("f", j) for j in w), ctx) for u, c in left for w, d in right),
+        want = tuple(
+            sum(
+                (c * d * reference_vacuum(u + tuple(("f", j) for j in w), ctx, s) for u, c in left for w, d in right),
                 ZERO,
             )
-            assert verma._evaluate([engine_left], right, ctx) == want, (left, right, ctx.mode)
+            for s in SIGNS
+        )
+        assert verma._evaluate([engine_left], right, ctx) == want, (left, right)
 
     check()
 
@@ -248,7 +252,7 @@ def test_factored_pairing_is_the_pairing_of_the_expanded_product(n):
     """Pairing a left side factor by factor, one merged state per factor,
     against ``pair_lowering`` of the expanded product, one state per word,
     at both branches and under Kashiwara's form."""
-    contexts = [EvalContext(n, mode) for mode in MODES + [KASHIWARA]]
+    contexts = [EvalContext(n, mode) for mode in (SPECIALIZED, KASHIWARA)]
 
     @PROPERTY
     @given(factored_pairings(n))
@@ -270,7 +274,7 @@ def test_factored_pairing_off_the_heights_clears_nothing(n, monkeypatch):
     cleared = []
     original = verma._cleared
     monkeypatch.setattr(verma, "_cleared", lambda terms: cleared.append(terms) or original(terms))
-    ctx = EvalContext(n, MODES[0])
+    ctx = EvalContext(n, SPECIALIZED)
 
     @PROPERTY
     @given(factor_lists(n), st.data())
@@ -281,7 +285,7 @@ def test_factored_pairing_off_the_heights_clears_nothing(n, monkeypatch):
         miss = data.draw(st.sampled_from([k for k in range(max(sums) + 2) if k not in sums]))
         right = fword_elt(data.draw(exact_words(n, miss)))
         del cleared[:]
-        assert pair_lowering(factors, right, ctx) == ZERO
+        assert pair_lowering(factors, right, ctx) == (ZERO, ZERO)
         assert cleared == [], (factors, right)
         hit = fword_elt(data.draw(exact_words(n, data.draw(st.sampled_from(sorted(sums))))))
         pair_lowering(factors, hit + right, ctx)
@@ -318,16 +322,14 @@ def test_invariant_form_of_factors_is_that_of_their_product(n):
     """The invariant pairing given the raising side by its factors, whose
     inverse antipodes the engine applies first factor first, against the
     pairing of the expanded product, at both branches."""
-    contexts = [EvalContext(n, mode) for mode in MODES]
+    ctx = EvalContext(n, SPECIALIZED)
 
     @PROPERTY
     @given(raising_factor_lists(n))
     def check(case):
         factors, x = case
         product = verma.expand(factors)
-        for ctx in contexts:
-            got = invariant_form(x, factors, ctx)
-            assert got == invariant_form(x, product, ctx), (factors, x, ctx.mode)
+        assert invariant_form(x, factors, ctx) == invariant_form(x, product, ctx), (factors, x)
 
     check()
 
@@ -358,15 +360,15 @@ def test_the_branch_sign_multiplies_real_pairings_by_a_weight_sign(n):
     in mu: every e_1 contributes one sigma*i, every other raising letter a
     real coefficient.  So the value at sigma = -1 is (-1)^{a_1} times the
     value at sigma = +1."""
-    plus, minus = (EvalContext(n, mode) for mode in MODES)
+    ctx = EvalContext(n, SPECIALIZED)
 
     @PROPERTY
     @given(real_weight_pairs(n))
     def check(case):
         w, x, y = case
         a1 = w.count(1)
-        value = pair_lowering(x, y, plus)
-        assert pair_lowering(x, y, minus) == (-value if a1 % 2 else value), (x, y)
+        value, minus = pair_lowering(x, y, ctx)
+        assert minus == (-value if a1 % 2 else value), (x, y)
         real = value / I_UNIT**a1
         assert all(im == 0 for poly in (real.num, real.den) for _re, im in poly.values()), (x, y)
 
@@ -431,9 +433,9 @@ def _spy_parities(monkeypatch):
 def test_weight_homogeneous_invariant_pairings_live_in_their_predicted_parity(n, monkeypatch):
     """On inputs of one weight and one sign parity, with Gaussian-integer
     coefficients and Cartan letters, exactly the part of the predicted
-    parity may be nonzero, and the sign-free context's pair is the values
-    of the two per-sign contexts."""
-    both, plus, minus = (EvalContext(n, mode) for mode in [SpecMode.specialized()] + MODES)
+    parity may be nonzero, so the value at sigma = -1 is (-1)^parity times
+    the value at +1."""
+    ctx = EvalContext(n, SPECIALIZED)
     parts = _spy_parities(monkeypatch)
 
     @PROPERTY
@@ -441,9 +443,9 @@ def test_weight_homogeneous_invariant_pairings_live_in_their_predicted_parity(n,
     def check(case):
         x, y, parity = case
         del parts[:]
-        pair = invariant_form(x, y, both)
+        plus, minus = invariant_form(x, y, ctx)
         assert parts[0][1 - parity] == ZERO, (x, y, parity)
-        assert pair == (invariant_form(x, y, plus), invariant_form(x, y, minus)), (x, y)
+        assert minus == (-plus if parity else plus), (x, y)
 
     check()
 
@@ -452,8 +454,7 @@ def test_weight_homogeneous_invariant_pairings_live_in_their_predicted_parity(n,
 def test_mixed_parity_invariant_pairings_are_the_reference_values(n, monkeypatch):
     """With both sign parities in the raising side, both parts are live,
     and even + sigma*odd is the reference rewriter's value at each sign."""
-    contexts = [EvalContext(n, mode) for mode in MODES]
-    both = EvalContext(n, SpecMode.specialized())
+    ctx = EvalContext(n, SPECIALIZED)
     parts = _spy_parities(monkeypatch)
     live = []
 
@@ -462,13 +463,12 @@ def test_mixed_parity_invariant_pairings_are_the_reference_values(n, monkeypatch
     def check(case):
         x, y, _parity = case
         left = antipode(y, n, inverse=True).terms.items()
-        wants = []
-        for ctx in contexts:
-            ref = (c * d * reference_vacuum(u + tuple(("f", j) for j in w), ctx) for u, c in left for w, d in _pure(x))
-            wants.append(sum(ref, ZERO))
-            assert invariant_form(x, y, ctx) == wants[-1], (x, y, ctx.mode)
+        wants = tuple(
+            sum((c * d * reference_vacuum(u + tuple(("f", j) for j in w), ctx, s) for u, c in left for w, d in _pure(x)), ZERO)
+            for s in SIGNS
+        )
         del parts[:]
-        assert invariant_form(x, y, both) == tuple(wants), (x, y)
+        assert invariant_form(x, y, ctx) == wants, (x, y)
         live.append(all(parts[0]))
 
     check()
@@ -482,17 +482,15 @@ def _pure(x):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_memoized_numeric_pairing_matches_vacuum_eval(n):
-    contexts = [EvalContext(n, mode) for mode in MODES]
+    ctx = EvalContext(n, SPECIALIZED)
 
     @PROPERTY
     @given(lowering_words(n), lowering_words(n))
     def check(u, w):
-        direct = omega(fword_elt(u)) * fword_elt(w)
-        for ctx in contexts:
-            value = vacuum_eval(direct, ctx)
-            for v0 in (2, (3, 1)):
-                want = scalar_to_qqi(value, SpecMode.numeric(v0))
-                assert pair_words_qqi(tuple(reversed(u)), w, ctx, v0) == want, (ctx.mode, v0)
+        values = vacuum_eval(omega(fword_elt(u)) * fword_elt(w), ctx)
+        for v0 in (2, (3, 1)):
+            want = tuple(scalar_to_qqi(value, SpecMode.numeric(v0)) for value in values)
+            assert pair_words_qqi(tuple(reversed(u)), w, ctx, v0) == want, v0
 
     check()
 

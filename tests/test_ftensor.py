@@ -40,10 +40,9 @@ def test_entry_enumeration():
 def test_inverse_normalization_small_range():
     # full range is exercised by the acceptance suite
     F = build_F(2, 2)
-    for sigma in (1, -1):
-        ctx = EvalContext(2, SpecMode.specialized(sigma))
-        for m, c, ep, fp in F.entries:
-            assert c * invariant_form(fp, ep, ctx) == ONE, (sigma, m)
+    ctx = EvalContext(2, SpecMode.specialized())
+    for m, c, ep, fp in F.entries:
+        assert tuple(c * x for x in invariant_form(fp, ep, ctx)) == (ONE, ONE), m
 
 
 def test_no_poles_at_admissible_points():

@@ -24,6 +24,7 @@ from qsphere.scalars import ONE, QQI_ZERO, Scalar, SpecMode, _gmul, peval_qqi, q
 from qsphere import suites, verma
 from qsphere.suites import _IRR_WORD_LIMIT, Session, _check_points, _rank_weights
 from qsphere.verma import (
+    SIGNS,
     EvalContext,
     _row_basis,
     _unpack_poly,
@@ -58,30 +59,31 @@ def weights(n, max_words=MAX_WORDS):
     )
 
 
-def rational_gram(words, ctx, mode):
+def rational_gram(words, ctx, mode, sigma):
     elts = [fword_elt(w) for w in words]
-    return [[scalar_to_qqi(shapovalov(a, b, ctx), mode) for b in elts] for a in elts]
+    k = SIGNS.index(sigma)
+    return [[scalar_to_qqi(shapovalov(a, b, ctx)[k], mode) for b in elts] for a in elts]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_integer_gram_is_the_scaled_rational_gram(n):
-    contexts = [EvalContext(n, SpecMode.specialized(s)) for s in (1, -1)]
+    ctx = EvalContext(n, SpecMode.specialized())
 
     @PROPERTY
     @given(weights(n))
     def check(mu):
         words = fwords_of_weight(mu, n)
-        for ctx in contexts:
+        for sigma in SIGNS:
             for v0 in POINTS:
                 mode = SpecMode.numeric(v0)
-                rows = gram_int_rows(words, ctx, v0)
-                scale = ctx.int_levels(len(words[0]), v0)[1]
-                want = rational_gram(words, ctx, mode)
+                rows = gram_int_rows(words, ctx, v0, sigma)
+                scale = ctx.int_levels(len(words[0]), v0, sigma)[1]
+                want = rational_gram(words, ctx, mode, sigma)
                 for row, want_row in zip(rows, want):
                     for (re, im), (wre, wim) in zip(row, want_row):
-                        assert (re, im) == (wre * scale, wim * scale), (mu, mode)
+                        assert (re, im) == (wre * scale, wim * scale), (mu, mode, sigma)
                 rank = len(words) - len(nullspace_qqi(want, len(words)))
-                assert rank_at(mu, ctx, v0) == rank, (mu, mode)
+                assert rank_at(mu, ctx, v0) == rank, (mu, mode, sigma)
 
     check()
 
@@ -107,25 +109,25 @@ def test_largest_ranked_rank3_slice_is_pinned():
 def largest_r3_slices():
     """The level fill of LARGEST_R3 at both signs and at v0 = 2 and 3 + i."""
     words = fwords_of_weight(LARGEST_R3, 3)
+    ctx = EvalContext(3, SpecMode.specialized())
     out = []
-    for sigma in (1, -1):
-        ctx = EvalContext(3, SpecMode.specialized(sigma))
+    for sigma in SIGNS:
         for v0 in (2, (3, 1)):
-            out.append((ctx, v0, gram_int_rows(words, ctx, v0), ctx.int_levels(len(words[0]), v0)[1]))
-    return words, out
+            out.append((sigma, v0, gram_int_rows(words, ctx, v0, sigma), ctx.int_levels(len(words[0]), v0, sigma)[1]))
+    return words, ctx, out
 
 
 def test_level_fill_at_the_largest_ranked_slice_matches_the_entry_recursion(largest_r3_slices):
     """Sampled entries of the 168-word fill against ``pair_words_qqi``, the
     symbolic engine at v0, times the scale."""
-    words, slices = largest_r3_slices
+    words, ctx, slices = largest_r3_slices
 
     @PROPERTY
     @given(st.integers(0, len(words) - 1), st.integers(0, len(words) - 1))
     def check(i, j):
-        for ctx, v0, rows, scale in slices:
-            re, im = pair_words_qqi(tuple(reversed(words[i])), words[j], ctx, v0)
-            assert rows[i][j] == (re * scale, im * scale), (ctx.mode, v0, words[i], words[j])
+        for sigma, v0, rows, scale in slices:
+            re, im = pair_words_qqi(tuple(reversed(words[i])), words[j], ctx, v0)[SIGNS.index(sigma)]
+            assert rows[i][j] == (re * scale, im * scale), (sigma, v0, words[i], words[j])
 
     check()
 
@@ -137,15 +139,15 @@ def test_row_basis_spans_the_row_space_of_every_ranked_slice(n):
     the basis stacked under the Gram's rows leaves that rank unchanged, so
     it spans the Gram's row space and not just a space of its dimension."""
     ranked = [mu for mu in _rank_weights(n, 4) if 0 < fword_count(mu, n) <= _IRR_WORD_LIMIT]
-    for sigma in (1, -1):
-        ctx = EvalContext(n, SpecMode.specialized(sigma))
+    ctx = EvalContext(n, SpecMode.specialized())
+    for sigma in SIGNS:
         for v0 in (2, 3, (3, 1)):
             for mu in ranked:
                 words = fwords_of_weight(mu, n)
-                rows = gram_int_rows(words, ctx, v0)
+                rows = gram_int_rows(words, ctx, v0, sigma)
                 rank = rank_gauss(rows)
                 assert rank_at(mu, ctx, v0) == rank, (sigma, v0, mu)
-                tables, _scale = ctx.int_levels(len(words[0]), v0)
+                tables, _scale = ctx.int_levels(len(words[0]), v0, sigma)
                 basis = _row_basis(words, tables, ctx.cart, {})
                 assert len(basis) == rank and rank_gauss(rows + basis) == rank, (sigma, v0, mu)
 
@@ -181,7 +183,7 @@ def test_row_basis_ranks_random_level_tables_like_the_full_product(n):
     """Random Gaussian-integer level tables reach ranks that no slice of the
     true form has; the basis has the rank of the unmirrored full product
     and spans its row space."""
-    cart = EvalContext(n, SpecMode.specialized(1)).cart
+    cart = EvalContext(n, SpecMode.specialized()).cart
     entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
     @settings(PROPERTY, max_examples=60)
@@ -232,10 +234,10 @@ def weight_ecoef(i, a, sigma):
 
 def test_level_tables_are_the_ecoefs_times_the_lcm_of_their_denominators():
     mode = SpecMode.numeric((3, 1))
-    ctx = EvalContext(3, SpecMode.specialized(-1))
-    tables, _scale = ctx.int_levels(6, (3, 1))
+    ctx = EvalContext(3, SpecMode.specialized())
+    tables, _scale = ctx.int_levels(6, (3, 1), -1)
     for level in range(1, 7):
-        s = ctx.int_levels(level, (3, 1))[1] // ctx.int_levels(level - 1, (3, 1))[1]
+        s = ctx.int_levels(level, (3, 1), -1)[1] // ctx.int_levels(level - 1, (3, 1), -1)[1]
         span = 2 * (level - 1)
         keys = [(i, a) for i in range(1, 4) for a in range(-span, span + 1)]
         vals = {(i, a): scalar_to_qqi(weight_ecoef(i, a, -1), mode) for i, a in keys}
@@ -251,8 +253,8 @@ def test_level_tables_equal_the_rational_evaluation_route(v0):
     """The integer evaluation of the packed ecoef numerators against the
     same numerators unpacked and evaluated at v0 over the Gaussian
     rationals, one level at a time."""
-    ctx = EvalContext(3, SpecMode.specialized(1))
-    tables, scale = ctx.int_levels(6, v0)
+    ctx = EvalContext(3, SpecMode.specialized())
+    tables, scale = ctx.int_levels(6, v0, 1)
     point = SpecMode.numeric(v0).v0
     eunit = qqi_inv(peval_qqi({2: (1, 0), -2: (-1, 0)}, point))
     want_scale = 1
@@ -278,17 +280,17 @@ def test_minus_tables_are_the_plus_tables_with_letter_1_negated(n):
     """The sign enters the level tables through letter 1 alone: ecoef(1, a)
     changes sign with sigma (checked on the formula, symbolically), every
     other ecoef is free of it, and each level's lcm, hence every scale, is
-    the same at both signs.  The sigma = -1 context's tables are checked
-    against the sigma = +1 context's, one evaluation each."""
+    the same at both signs.  The sigma = -1 tables are checked against the
+    sigma = +1 tables of the same context."""
     for i in range(1, n + 1):
         for a in range(-18, 19):
             plus = weight_ecoef(i, a, 1)
             assert weight_ecoef(i, a, -1) == (-plus if i == 1 else plus), (i, a)
-    plus_ctx, minus_ctx = (EvalContext(n, SpecMode.specialized(s)) for s in (1, -1))
+    ctx = EvalContext(n, SpecMode.specialized())
     for v0 in (2, 3, (3, 1)):
         for level in range(1, 11):
-            plus, plus_scale = plus_ctx.int_levels(level, v0)
-            minus, minus_scale = minus_ctx.int_levels(level, v0)
+            plus, plus_scale = ctx.int_levels(level, v0, 1)
+            minus, minus_scale = ctx.int_levels(level, v0, -1)
             assert minus_scale == plus_scale, (v0, level)
             want = {a: (-re, -im) for a, (re, im) in plus[level][1].items()}
             assert minus[level][1] == want, (v0, level)
@@ -306,11 +308,11 @@ def test_minus_basis_spans_the_shared_row_space(n):
     for v0 in _check_points(2):
         for mu in ranked:
             words = fwords_of_weight(mu, n)
-            plus_rank, minus_rank = rank_at(mu, ctx, v0)
-            plus_tables, minus_tables = (ctx.int_levels(len(words[0]), v0, s)[0] for s in (1, -1))
+            rank = rank_at(mu, ctx, v0)
+            plus_tables, minus_tables = (ctx.int_levels(len(words[0]), v0, s)[0] for s in SIGNS)
             shared = _row_basis(words, plus_tables, ctx.cart, ctx._int_points[v0][-1])  # the kept basis
             minus = _row_basis(words, minus_tables, ctx.cart, {})
-            assert plus_rank == minus_rank == len(shared) == len(minus), (v0, mu)
+            assert rank == len(shared) == len(minus), (v0, mu)
             assert rank_gauss(shared + minus) == len(shared), (v0, mu)
 
 

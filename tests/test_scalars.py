@@ -70,6 +70,16 @@ def test_qnum_odd_symmetry():
         assert qnum(-z) == -qnum(z)
 
 
+def test_integer_qnum_is_the_quotient_formula():
+    """[m] = (v^{2m} - v^{-2m}) / (v^2 - v^{-2}) at every integer m, the
+    closed sum q^{m-1} + q^{m-3} + ... + q^{1-m} against the division."""
+    den = V(2) - V(-2)
+    for m in range(-8, 9):
+        got = qnum(m)
+        assert got == (V(2 * m) - V(-2 * m)) / den, m
+        assert (got.num, got.den) == scalars._canonical_pair(got.num, got.den), m
+
+
 def test_qnum_with_cartan_shift():
     # at the distinguished weight the zero-shifted value is sigma*i / theta
     assert qnum(0, shift=weight_symbol(1)) == I_UNIT / theta()

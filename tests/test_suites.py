@@ -139,14 +139,14 @@ def test_serre_radical_run_opens_the_gate(monkeypatch):
 
 
 def _spy_ladder_gates(monkeypatch):
-    """Record the (branch sign, weight) of every ladder gate computed, not
-    read from its context; the sign is None in a sign-free context."""
+    """Record the weight of every ladder gate computed, not read from its
+    context; one gate covers both branch signs."""
     computed = []
     original = verma._ladder_rank_ok
 
     def spy(coords, ctx):
         if tuple(coords) not in ctx._rank_gate:
-            computed.append((ctx.mode.sigma, tuple(coords)))
+            computed.append(tuple(coords))
         return original(coords, ctx)
 
     monkeypatch.setattr(verma, "_ladder_rank_ok", spy)
@@ -332,9 +332,11 @@ def test_irreducibility_ranks_in_the_specialized_contexts():
     context of the rank, not contexts of their own, and both branch signs
     share it."""
     session = Session()
-    assert suites.verify_irreducibility(2, 2, session=session).passed
+    rep = suites.verify_irreducibility(2, 2, session=session)
+    assert rep.passed
     assert set(session.contexts) == {(2, suites.SpecMode.specialized())}
-    assert session.contexts[2, suites.SpecMode.specialized()].signs == (1, -1)
+    ranks = [c.name for c in rep.checks if c.name.startswith("rank:")]
+    assert ranks and {name.rsplit("|", 1)[1] for name in ranks} == {"sigma=+1", "sigma=-1"}
 
 
 def test_irreducibility_walks_each_diagonal_once_for_both_signs(monkeypatch):
